@@ -147,14 +147,15 @@ def _horizon_flags() -> argparse.ArgumentParser:
 
 
 def _engine_flag() -> argparse.ArgumentParser:
-    """Shared ``--engine`` declaration (scalar / batched / event)."""
+    """Shared ``--engine`` declaration (scalar / batched, event = batched)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--engine",
         choices=("scalar", "batched", "event"),
         default=None,
-        help="simulation engine (default: REPRO_SIM_ENGINE or batched); "
-        "all engines are bit-identical",
+        help="simulation engine (default: REPRO_SIM_ENGINE or batched): "
+        "scalar is the reference, batched the fast engine (event is another "
+        "name for it); both are bit-identical",
     )
     return parent
 

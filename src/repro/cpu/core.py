@@ -91,17 +91,6 @@ class CoreModel:
             return max(self.cpu_time_ns, self._outstanding[0])
         return self.cpu_time_ns
 
-    def issue_event(self):
-        """This core's next scheduling event for the discrete-event engine.
-
-        Event-source adapter: wraps :meth:`next_event_time` as a
-        :class:`~repro.sim.events.events.CoreIssue` so the engine can seed
-        its event queue without reaching into core internals.
-        """
-        from repro.sim.events.events import CoreIssue
-
-        return CoreIssue(self.next_event_time(), self.core_id)
-
     def begin_request(self, entry: TraceEntry) -> float:
         """Account for the compute gap before ``entry`` and return its issue time."""
         return self.begin_request_values(entry.gap_instructions)

@@ -49,21 +49,13 @@ class RefreshScheduler:
         return self.timings.trfc_ns / self.timings.trefi_ns
 
     # ------------------------------------------------------------------ #
-    # Event-source adapters for the discrete-event engine.
-
-    def next_refresh_ns(self, now_ns: float) -> float:
-        """Nominal start of the first auto-refresh strictly after ``now_ns``."""
-        return (int(now_ns // self.timings.trefi_ns) + 1) * self.timings.trefi_ns
-
-    def next_window_start_ns(self, now_ns: float) -> float:
-        """Nominal start of the first refresh window strictly after ``now_ns``."""
-        return (int(now_ns // self.timings.trefw_ns) + 1) * self.timings.trefw_ns
+    # Event-source adapter for the event bus.
 
     def tick_events(self, after_index: int, now_ns: float) -> list:
         """Refresh-tick events for REF commands in ``(after_index, now_ns]``.
 
-        The discrete-event engine enumerates ticks lazily between serviced
-        requests (idle stretches cost nothing); each
+        The engine enumerates ticks lazily between serviced requests (idle
+        stretches cost nothing); each
         :class:`~repro.sim.events.events.RefreshTick` is stamped with its
         nominal command time ``index * tREFI``.
         """

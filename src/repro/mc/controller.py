@@ -66,7 +66,7 @@ class MemoryController:
         # simulator after warm-up.  None keeps every hook site below a
         # single pointer comparison.
         self.probe = None
-        # Event-source adapter for the discrete-event engine: when set to an
+        # Event-source adapter for the event bus: when set to an
         # EventBus with RefreshWindow/TrackerEpoch subscribers, window
         # crossings publish typed events.  None keeps the hot path to a
         # single pointer comparison per crossed window.
@@ -345,7 +345,7 @@ class MemoryController:
 
         Out of line (and lazily importing the event types) so the refresh
         bookkeeping above stays import-cycle-free and pays one ``None``
-        check when no discrete-event bus is attached.
+        check when no event bus is attached.
         """
         from repro.sim.events.events import RefreshWindow, TrackerEpoch
 

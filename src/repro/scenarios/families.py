@@ -850,7 +850,7 @@ register_family(
 
 
 # --------------------------------------------------------------------------- #
-# Long-horizon shapes (discrete-event engine territory)
+# Long-horizon shapes (the fast engine's stretch executor territory)
 # --------------------------------------------------------------------------- #
 
 
@@ -900,8 +900,7 @@ register_family(
     ScenarioFamily(
         name="multi-refresh-window",
         description="A horizon spanning N full tREFW windows (tracker epoch "
-        "resets included); sized automatically from the workload's APKI.  "
-        "Pair with REPRO_SIM_ENGINE=event for long windows.",
+        "resets included); sized automatically from the workload's APKI.",
         builder=_build_multi_refresh_window,
         parameters=(
             Parameter("tracker", doc="tracker name, or a list of them"),

@@ -1,4 +1,4 @@
-"""Batched simulation engine: the default hot path of the simulator.
+"""Batched simulation engine: the fast engine of the simulator.
 
 :class:`BatchedSimulator` is a drop-in replacement for
 :class:`~repro.sim.simulator.Simulator` that produces **bit-identical**
@@ -21,7 +21,20 @@ the per-request hot path around batches:
   head, so runs of non-interacting accesses (LLC hits, same-row streaks) stay
   out of the heap entirely.  Requests that miss fall through to
   :meth:`~repro.mc.controller.MemoryController.service_row`, the same single
-  source of truth the scalar engine uses.
+  source of truth the scalar engine uses;
+* once the heap goes *quiescent* -- a single budgeted core remains, so no
+  inter-core interleaving decision can ever be needed again -- a vectorized
+  stretch executor takes over: a residency bitmap over the core's line
+  domain classifies whole blocks of future accesses as LLC hits, and
+  provably uninterrupted hit runs retire with numpy arithmetic.  Building
+  the bitmap costs one entry per domain line plus a scan of every LLC line,
+  so the executor is entered only when the core's remaining budget is at
+  least that many requests; shorter tails stay on the per-request loop.
+
+The engine also carries the observational event bus (``self.events``, see
+:mod:`repro.sim.events.events`).  With no subscriber it costs one hoisted
+boolean per drain; with a per-request subscriber (or a probe) every request
+routes through the scalar reference service path with emission added.
 
 Why bit-identity holds: every request generator is feedback-free (its
 ``next_entry`` consumes only private state seeded at construction), so
@@ -30,11 +43,15 @@ global service order is preserved exactly -- a core is only continued while
 ``core.next_event_time() < heap[0][0]`` *strictly*, because on a time tie the
 scalar engine pops the heap entry (its tie-breaking sequence number is always
 older than the would-be re-push).  Every floating-point operation on the
-timing path is performed by the same shared code in the same order.
+timing path is performed by the same shared code in the same order; the
+stretch executor's ``gap / peak`` is precomputed elementwise by numpy, which
+is bit-identical to the scalar division for int64 gaps, and its bitmap only
+replaces the ``tag in cache_set`` membership *test* for runs it can prove
+are hits -- every state mutation is unchanged.
 
 The scalar :class:`~repro.sim.simulator.Simulator` remains the reference
 model; ``REPRO_SIM_ENGINE=scalar`` selects it globally and the parity suite
-(``tests/test_batch_parity.py``) pins the two engines against each other for
+(``tests/test_engine_parity.py``) pins the two engines against each other for
 every registered tracker.
 """
 
@@ -46,14 +63,32 @@ import os
 from dataclasses import is_dataclass
 from time import perf_counter
 
-from repro.cpu.trace import generator_batch
+from repro.cpu.trace import WorkloadTraceGenerator, generator_batch
+from repro.cpu.tracefile import FileTraceGenerator
 from repro.crypto.prng import XorShift64
+from repro.sim.events.events import (
+    BankActivate,
+    BankPrecharge,
+    EventBus,
+    RefreshTick,
+    RefreshWindow,
+    ServiceComplete,
+    TrackerEpoch,
+)
 from repro.sim.simulator import Simulator
 
 try:  # numpy accelerates decode/set-index precompute; optional.
     import numpy as _np
 except ImportError:  # pragma: no cover - the CI image ships numpy
     _np = None
+
+#: Upper bound on a residency-bitmap line domain (2**26 lines = 4 GiB of
+#: 64-byte lines).  Generators with a wider or unknown address domain simply
+#: do not get the vectorized stretch executor.
+_MAX_DOMAIN_LINES = 1 << 26
+
+#: Entries classified per vectorized hit-run probe of the stretch executor.
+_FAST_CHUNK = 2048
 
 
 def _state_fingerprint(value, depth: int = 0):
@@ -124,6 +159,33 @@ _WARM_CACHE: dict = {}
 _WARM_CACHE_MAX = 8
 
 
+def _line_domain(generator, line_size: int) -> tuple[int, int]:
+    """``(base_line, num_lines)`` in ``line_size``-byte lines covering every
+    address the generator can emit, or ``(0, 0)`` when no finite domain is
+    known.
+
+    :class:`WorkloadTraceGenerator` walks a private contiguous footprint,
+    counted in DRAM lines, which need not be the LLC's lines;
+    :class:`FileTraceGenerator` replays a fixed entry list.  Both reduce to
+    a byte range.  Anything else (attack kernels, ad-hoc generators) reports
+    no domain and runs on the per-request path.
+    """
+    if isinstance(generator, WorkloadTraceGenerator):
+        dram_line = generator.org.line_size_bytes
+        low = generator._base_line * dram_line
+        high = (generator._base_line + generator._footprint_lines - 1) * dram_line
+    elif isinstance(generator, FileTraceGenerator) and generator._addresses:
+        low = min(generator._addresses)
+        high = max(generator._addresses)
+    else:
+        return 0, 0
+    base = low // line_size
+    size = high // line_size - base + 1
+    if size > _MAX_DOMAIN_LINES:
+        return 0, 0
+    return base, size
+
+
 class _CoreFeed:
     """Prefetched, predecoded request block for one core.
 
@@ -131,6 +193,11 @@ class _CoreFeed:
     coordinates and LLC set/tag indices) with a cursor; ``refill`` fetches
     the next block from the core's generator.  Budgeted cores never prefetch
     past their remaining request budget.
+
+    Once the stretch executor engages for this core (:meth:`activate_fast`),
+    each block also carries numpy side arrays: ``lines_np`` for bitmap
+    lookups, ``gap_ns``/``gap_ns_np`` for the precomputed per-entry issue
+    deltas, ``gaps_np`` for bulk instruction sums and ``writes_np``.
     """
 
     __slots__ = (
@@ -139,6 +206,8 @@ class _CoreFeed:
         "gaps", "addresses", "writes",
         "rows", "flat_banks", "rank_idx", "channels",
         "set_idx", "tags", "size", "idx",
+        "dom_base", "dom_size", "fast_active", "peak",
+        "gaps_np", "gap_ns", "gap_ns_np", "lines_np", "writes_np",
     )
 
     def __init__(self, core, mapper, config, batch: int):
@@ -155,6 +224,13 @@ class _CoreFeed:
         self.set_idx = self.tags = None
         self.size = 0
         self.idx = 0
+        self.dom_base, self.dom_size = _line_domain(
+            core.generator, self.line_size
+        )
+        self.fast_active = False
+        self.peak = core.config.peak_instructions_per_ns
+        self.gaps_np = self.gap_ns = self.gap_ns_np = None
+        self.lines_np = self.writes_np = None
 
     def refill(self) -> None:
         core = self.core
@@ -166,6 +242,18 @@ class _CoreFeed:
         self.gaps = gaps
         self.addresses = addresses
         self.writes = writes
+        self.size = count
+        self.idx = 0
+        if self.fast_active:
+            # Lean refill for the engaged stretch executor: skip the DRAM
+            # predecode (misses are rare and decode lazily through
+            # ``controller.service``, as in the pure-python refill) and
+            # derive set/tag lists from the one numpy line array.
+            self.rows = self.flat_banks = self.rank_idx = self.channels = None
+            lines = self._stretch_arrays()
+            self.set_idx = (lines % self.num_sets).tolist()
+            self.tags = (lines // self.num_sets).tolist()
+            return
         if self.bypasses_llc or _np is not None:
             ch, rk, _, _, rows, _, flat = self.mapper.decode_batch(addresses)
             if _np is not None:
@@ -194,17 +282,47 @@ class _CoreFeed:
                 lines = [address // line_size for address in addresses]
                 self.set_idx = [line % num_sets for line in lines]
                 self.tags = [line // num_sets for line in lines]
-        self.size = count
-        self.idx = 0
+
+    def activate_fast(self) -> None:
+        """Switch to the stretch executor's refill, covering the current
+        block too."""
+        self.fast_active = True
+        if self.gaps is not None:
+            self._stretch_arrays()
+
+    def _stretch_arrays(self):
+        """Materialise the current block's numpy side arrays; returns the
+        block's LLC line numbers."""
+        self.gaps_np = _np.asarray(self.gaps, dtype=_np.int64)
+        # Elementwise int64 / float is bit-identical to the scalar
+        # ``gap / peak`` (exact int->float conversion, one IEEE divide).
+        self.gap_ns_np = self.gaps_np / self.peak
+        self.gap_ns = self.gap_ns_np.tolist()
+        self.writes_np = _np.asarray(self.writes, dtype=bool)
+        self.lines_np = (
+            _np.asarray(self.addresses, dtype=_np.int64) // self.line_size
+        )
+        return self.lines_np
 
 
 class BatchedSimulator(Simulator):
-    """Batch-structured engine, bit-identical to :class:`Simulator`."""
+    """Batch-structured engine, bit-identical to :class:`Simulator`.
+
+    Subscribe handlers on :attr:`events` *before* :meth:`run` to observe the
+    simulation; see :mod:`repro.sim.events.events` for the taxonomy.
+    """
 
     #: Entries prefetched per core per refill of the measured loop.
     BATCH = 4096
     #: Warm-up accesses generated per core per chunk (bounds peak memory).
     WARM_CHUNK = 16384
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: The observational event bus for this simulation.
+        self.events = EventBus()
+        self._tick_index = 0
+        self._ticks_wanted = False
 
     # ------------------------------------------------------------------ #
 
@@ -329,13 +447,129 @@ class BatchedSimulator(Simulator):
             )
 
     # ------------------------------------------------------------------ #
+    # Observed service path: the scalar reference path plus event emission.
+
+    def _observed_service(
+        self, address: int, is_write: bool, earliest_ns: float, core_id: int
+    ) -> float:
+        """Service one DRAM request and publish its observational events.
+
+        Arithmetic-identical to :meth:`MemoryController.service` (same
+        decode, same ``service_row``); the only additions are reads of bank
+        state before/after to reconstruct ACT/PRE command events.
+        """
+        controller = self.controller
+        org = self.config.dram
+        decoded = self.mapper.decode(address)
+        flat = decoded.bank_address.flat(org)
+        bank = self.dram._banks[flat]
+        previous_row = bank.open_row
+        activations_before = bank.activations
+        completion = controller.service_row(
+            decoded.row_address,
+            flat,
+            decoded.channel * org.ranks_per_channel + decoded.rank,
+            decoded.channel,
+            decoded.row,
+            is_write,
+            earliest_ns,
+            core_id,
+        )
+        bus = self.events
+        if bank.activations != activations_before:
+            for event in bank.activation_events(
+                flat, previous_row, decoded.row, completion
+            ):
+                if bus.wants(type(event)):
+                    bus.emit(event)
+        if self._ticks_wanted:
+            ticks = self.dram.refresh.tick_events(self._tick_index, completion)
+            if ticks:
+                self._tick_index = ticks[-1].index
+                for event in ticks:
+                    bus.emit(event)
+        if bus.wants(ServiceComplete):
+            bus.emit(
+                ServiceComplete(
+                    completion, core_id, address, is_write, earliest_ns
+                )
+            )
+        return completion
+
+    def _service_addr_observed(
+        self, core, address: int, is_write: bool, issue_ns: float
+    ) -> float:
+        """:meth:`Simulator._service_addr` with event emission on DRAM work.
+
+        Active whenever the bus has a subscriber to a per-request event kind;
+        probe hooks fire exactly as in the reference path, so probes and
+        subscribers compose.
+        """
+        probe = self.probe
+        if core.generator.bypasses_llc:
+            completion = self._observed_service(
+                address, is_write, issue_ns, core.core_id
+            )
+            if probe is not None:
+                probe.on_request(
+                    core.core_id, issue_ns, completion, is_write, False, True
+                )
+            return completion
+
+        llc_result = self.llc.access(address, is_write, core.core_id)
+        if llc_result.hit:
+            completion = issue_ns + self.config.llc.hit_latency_ns
+            if probe is not None:
+                probe.on_request(
+                    core.core_id, issue_ns, completion, is_write, True, False
+                )
+            return completion
+
+        completion = self._observed_service(
+            address, is_write, issue_ns, core.core_id
+        )
+        if llc_result.writeback and llc_result.evicted_line is not None:
+            writeback_address = (
+                llc_result.evicted_line * self.config.llc.line_size_bytes
+            )
+            self._observed_service(
+                writeback_address, True, completion, core.core_id
+            )
+        completion += self.config.llc.hit_latency_ns
+        if probe is not None:
+            probe.on_request(
+                core.core_id, issue_ns, completion, is_write, False, False
+            )
+        return completion
+
+    # ------------------------------------------------------------------ #
+
+    def _build_residency(self, feed: _CoreFeed):
+        """Bool bitmap of which lines of ``feed``'s domain are LLC-resident.
+
+        Built once, at the instant the heap goes quiescent; from then on
+        only this core mutates the LLC, and the slow-path miss branch keeps
+        the bitmap in sync with insertions and evictions.
+        """
+        dom_base = feed.dom_base
+        dom_end = dom_base + feed.dom_size
+        bitmap = _np.zeros(feed.dom_size, dtype=bool)
+        num_sets = self.llc._num_sets
+        for set_index, cache_set in enumerate(self.llc._sets):
+            for tag in cache_set:
+                line = tag * num_sets + set_index
+                if dom_base <= line < dom_end:
+                    bitmap[line - dom_base] = True
+        return bitmap
+
+    # ------------------------------------------------------------------ #
 
     def _drain(self):
         """Advance every core until all benign budgets are exhausted.
 
         Identical scheduling semantics to :meth:`Simulator._drain`; see the
-        module docstring for why the run-batching rule preserves the exact
-        global service order.
+        module docstring for why the run-batching rule and the stretch
+        executor preserve the exact global service order.
         """
         cores_by_id = {core.core_id: core for core in self.cores}
         benign_pending = {
@@ -345,6 +579,18 @@ class BatchedSimulator(Simulator):
         }
         if not benign_pending:
             raise ValueError("at least one core needs a finite request budget")
+
+        bus = self.events
+        controller = self.controller
+        # The controller publishes window/epoch events itself (lazily,
+        # inside _check_refresh_window) when it has a sink.
+        controller.event_sink = (
+            bus if bus.wants_any(RefreshWindow, TrackerEpoch) else None
+        )
+        observing = bus.wants_any(
+            ServiceComplete, BankActivate, BankPrecharge, RefreshTick
+        )
+        self._ticks_wanted = bus.wants(RefreshTick)
 
         feeds = {
             core.core_id: _CoreFeed(core, self.mapper, self.config, self.BATCH)
@@ -360,7 +606,6 @@ class BatchedSimulator(Simulator):
         per_core_misses = stats.per_core_misses
         hit_latency = self.config.llc.hit_latency_ns
         line_size = self.config.llc.line_size_bytes
-        controller = self.controller
         service_row = controller.service_row
         service = controller.service
         row_from_flat = controller.row_address_from_flat
@@ -384,12 +629,18 @@ class BatchedSimulator(Simulator):
         apply_response = controller._apply_response
         heappush = heapq.heappush
         heappop = heapq.heappop
-        # With a probe attached, every serviced request routes through the
-        # scalar reference path so hook sites fire; it is arithmetic-identical
-        # to the inlined fast paths (parity-pinned), so only wall-clock --
-        # never the SimulationResult -- changes.
+        # A probe or a per-request bus subscriber routes every serviced
+        # request through the scalar reference path so hook sites fire and
+        # events are emitted; it is arithmetic-identical to the inlined fast
+        # paths (parity-pinned), so only wall-clock -- never the
+        # SimulationResult -- changes.
         probe = self.probe
-        service_addr = self._service_addr
+        if observing:
+            route = self._service_addr_observed
+        elif probe is not None:
+            route = self._service_addr
+        else:
+            route = None
         prof = probe.profiler if probe is not None else None
 
         sequence = 0
@@ -398,12 +649,35 @@ class BatchedSimulator(Simulator):
             heappush(heap, (core.next_event_time(), sequence, core.core_id))
             sequence += 1
 
+        # Quiescent stretch executor.  Only the last budgeted core can find
+        # the heap empty (every other core has left it), so the residency
+        # bitmap is built at most once per drain.  Building it costs one
+        # entry per domain line plus a scan of every LLC line; the executor
+        # is entered only when the remaining budget is at least that cost.
+        np = _np
+        stretch_ok = route is None and np is not None and data_ways > 0
+        build_cost = num_sets * data_ways
+
         while benign_pending and heap:
             _, _, core_id = heappop(heap)
             core = cores_by_id[core_id]
             feed = feeds[core_id]
             budget = core.request_budget
             bypasses = feed.bypasses_llc
+            fast = (
+                not heap
+                and stretch_ok
+                and budget is not None
+                and not bypasses
+                and feed.dom_size > 0
+                and budget - core.requests_issued
+                >= feed.dom_size + build_cost
+            )
+            if fast:
+                fastmap = self._build_residency(feed)
+                dom_base = feed.dom_base
+                dom_end = dom_base + feed.dom_size
+                feed.activate_fast()
             # The core's hot scheduling state lives in locals while the core
             # is being drained (written back at every exit point below);
             # ``outstanding`` is the core's own heap, mutated in place.  The
@@ -446,6 +720,119 @@ class BatchedSimulator(Simulator):
                     tags_arr = feed.tags
                     set_arr = feed.set_idx
                     addresses = feed.addresses
+
+                if fast:
+                    # Classify the next block: the leading run of resident
+                    # lines is provably all LLC hits, executed in a tight
+                    # loop with bulk statistics; the first non-resident
+                    # entry (a miss) falls through to the reference branch
+                    # below, which keeps the bitmap in sync.
+                    end = i + _FAST_CHUNK
+                    if end > size:
+                        end = size
+                    cap = budget - requests
+                    if end - i > cap:
+                        end = i + cap
+                    lines_np = feed.lines_np
+                    resident = fastmap[lines_np[i:end] - dom_base]
+                    run = int(resident.argmin())
+                    if resident[run]:
+                        run = end - i
+                    if run:
+                        stop = i + run
+                        gap_ns = feed.gap_ns
+                        gap_ns_np = feed.gap_ns_np
+                        # Whole-run vector mode.  When (a) every inter-access
+                        # gap is at least the hit latency and (b) nothing in
+                        # the outstanding-miss heap completes after the first
+                        # issue, the MLP release clamp provably never binds:
+                        # every issue time is exactly ``previous + gap``.
+                        # ``np.add.accumulate`` performs that identical chain
+                        # of IEEE additions, the per-set LRU state only
+                        # depends on each line's *last* access, and the heap's
+                        # final content is the tail of the sorted union of old
+                        # entries and in-run hit completions (pops always
+                        # remove the global minimum because completions arrive
+                        # in non-decreasing order).
+                        if (
+                            run >= 16
+                            and float(gap_ns_np[i:stop].min()) >= hit_latency
+                            and (
+                                not outstanding
+                                or max(outstanding) <= cpu_time + gap_ns[i]
+                            )
+                        ):
+                            seq = np.empty(run + 1)
+                            seq[0] = cpu_time
+                            seq[1:] = gap_ns_np[i:stop]
+                            issues = np.add.accumulate(seq)
+                            cpu_time = float(issues[run])
+                            run_writes = feed.writes_np[i:stop]
+                            last_rev = np.unique(
+                                lines_np[i:stop][::-1], return_index=True
+                            )[1]
+                            for p in np.sort((run - 1) - last_rev).tolist():
+                                j = i + p
+                                sets[set_arr[j]].move_to_end(tags_arr[j])
+                            for p in np.nonzero(run_writes)[0].tolist():
+                                j = i + p
+                                sets[set_arr[j]][tags_arr[j]] = True
+                            # Only the heap's final content matters, and it
+                            # is the largest ``mlp`` values of the union --
+                            # materialise just that tail.
+                            read_pos = np.nonzero(~run_writes)[0]
+                            n_reads = read_pos.shape[0]
+                            if n_reads >= mlp:
+                                outstanding[:] = (
+                                    issues[1:][read_pos[n_reads - mlp:]]
+                                    + hit_latency
+                                ).tolist()
+                            elif n_reads:
+                                merged = sorted(outstanding)
+                                merged.extend(
+                                    (
+                                        issues[1:][read_pos] + hit_latency
+                                    ).tolist()
+                                )
+                                outstanding[:] = merged[
+                                    max(0, len(merged) - mlp):
+                                ]
+                        else:
+                            j = i
+                            while j < stop:
+                                issue_ns = cpu_time + gap_ns[j]
+                                if len(outstanding) >= mlp:
+                                    release = heappop(outstanding)
+                                    if release > issue_ns:
+                                        issue_ns = release
+                                cpu_time = issue_ns
+                                tag = tags_arr[j]
+                                cache_set = sets[set_arr[j]]
+                                cache_set.move_to_end(tag)
+                                if writes[j]:
+                                    cache_set[tag] = True
+                                else:
+                                    heappush(
+                                        outstanding, issue_ns + hit_latency
+                                    )
+                                j += 1
+                        stats.hits += run
+                        per_core_hits[core_id] = (
+                            per_core_hits.get(core_id, 0) + run
+                        )
+                        requests += run
+                        instructions += int(feed.gaps_np[i:stop].sum())
+                        i = stop
+                        if requests >= budget:
+                            feed.idx = i
+                            core.cpu_time_ns = cpu_time
+                            core.instructions_retired = instructions
+                            core.requests_issued = requests
+                            core.note_progress()
+                            benign_pending.discard(core_id)
+                            break
+                        continue
+
                 is_write = writes[i]
                 gap = gaps[i]
                 issue_ns = cpu_time + gap / peak
@@ -457,8 +844,8 @@ class BatchedSimulator(Simulator):
                 instructions += gap
                 requests += 1
 
-                if probe is not None:
-                    completion_ns = service_addr(
+                if route is not None:
+                    completion_ns = route(
                         core, addresses[i], is_write, issue_ns
                     )
                 elif bypasses:
@@ -515,12 +902,19 @@ class BatchedSimulator(Simulator):
                                     last=False
                                 )
                                 stats.evictions += 1
+                                evicted_line = (
+                                    evicted_tag * num_sets + set_arr[i]
+                                )
                                 if dirty:
                                     stats.dirty_evictions += 1
-                                    writeback_line = (
-                                        evicted_tag * num_sets + set_arr[i]
-                                    )
+                                    writeback_line = evicted_line
+                                if fast and dom_base <= evicted_line < dom_end:
+                                    fastmap[evicted_line - dom_base] = False
                             cache_set[tag] = is_write
+                            if fast:
+                                line = tag * num_sets + set_arr[i]
+                                if dom_base <= line < dom_end:
+                                    fastmap[line - dom_base] = True
                         if flat_banks is not None:
                             row = rows[i]
                             flat = flat_banks[i]
@@ -596,31 +990,29 @@ class BatchedSimulator(Simulator):
                     break
 
 
-_ENGINES = {"scalar": Simulator, "batched": BatchedSimulator}
-
-#: Engines registered lazily on first request, keeping this module's import
-#: graph free of the subsystems they pull in.
-_LAZY_ENGINES = {"event": "repro.sim.events.engine:EventDrivenSimulator"}
+#: ``event`` is an alias of ``batched``: the stretch executor and the event
+#: bus live on the one fast engine, and the name keeps working in scripts
+#: and ``REPRO_SIM_ENGINE``.
+_ENGINES = {
+    "scalar": Simulator,
+    "batched": BatchedSimulator,
+    "event": BatchedSimulator,
+}
 
 
 def engine_class(name: str | None = None) -> type[Simulator]:
     """Resolve a simulation engine by name.
 
     ``None`` falls back to the ``REPRO_SIM_ENGINE`` environment variable and
-    then to ``"batched"``.  All engines produce bit-identical results:
+    then to ``"batched"``.  Both engines produce bit-identical results:
     ``scalar`` is the reference model (and escape hatch), ``batched`` the
-    default hot path, ``event`` the discrete-event core for long idle-heavy
-    horizons (:mod:`repro.sim.events`).
+    fast engine (``event`` is accepted as an alias of it).
     """
     chosen = name or os.environ.get("REPRO_SIM_ENGINE") or "batched"
-    if chosen not in _ENGINES and chosen in _LAZY_ENGINES:
-        module_name, _, attribute = _LAZY_ENGINES[chosen].partition(":")
-        module = __import__(module_name, fromlist=[attribute])
-        _ENGINES[chosen] = getattr(module, attribute)
     try:
         return _ENGINES[chosen]
     except KeyError:
         raise ValueError(
             f"unknown simulation engine {chosen!r}; "
-            f"expected one of {sorted(_ENGINES.keys() | _LAZY_ENGINES.keys())}"
+            f"expected one of {sorted(_ENGINES)}"
         ) from None

@@ -1,20 +1,16 @@
-"""Discrete-event simulation core.
+"""The observational event fabric.
 
 * :mod:`repro.sim.events.events` -- typed event classes and the
-  :class:`EventBus` subscription fabric (dependency-free).
-* :mod:`repro.sim.events.queue` -- the monotonic :class:`EventQueue` with
-  stable tie-breaking.
-* :mod:`repro.sim.events.engine` -- :class:`EventDrivenSimulator`, the
-  ``engine="event"`` / ``REPRO_SIM_ENGINE=event`` engine.
-
-The engine module is imported lazily (it pulls in the full simulator stack);
-``from repro.sim.events import EventDrivenSimulator`` still works via PEP 562.
+  :class:`EventBus` subscription fabric (dependency-free).  The fast engine
+  (:class:`~repro.sim.batch.BatchedSimulator`) publishes into one bus per
+  simulation, ``simulator.events``.
+* :mod:`repro.sim.events.engine` -- ``EventDrivenSimulator``, an alias of
+  the fast engine.
 """
 
 from repro.sim.events.events import (
     BankActivate,
     BankPrecharge,
-    CoreIssue,
     Event,
     EventBus,
     RefreshTick,
@@ -22,26 +18,14 @@ from repro.sim.events.events import (
     ServiceComplete,
     TrackerEpoch,
 )
-from repro.sim.events.queue import EventQueue
 
 __all__ = [
     "BankActivate",
     "BankPrecharge",
-    "CoreIssue",
     "Event",
     "EventBus",
-    "EventDrivenSimulator",
-    "EventQueue",
     "RefreshTick",
     "RefreshWindow",
     "ServiceComplete",
     "TrackerEpoch",
 ]
-
-
-def __getattr__(name: str):
-    if name == "EventDrivenSimulator":
-        from repro.sim.events.engine import EventDrivenSimulator
-
-        return EventDrivenSimulator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

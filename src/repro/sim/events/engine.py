@@ -1,741 +1,10 @@
-"""The discrete-event simulation engine.
+"""``EventDrivenSimulator``: another name for the fast engine.
 
-:class:`EventDrivenSimulator` replaces the per-request scheduler heap of the
-scalar/batched engines with a typed :class:`~repro.sim.events.queue.EventQueue`
-of :class:`~repro.sim.events.events.CoreIssue` events and advances simulated
-time directly from one scheduled event to the next.  Two things fall out of
-that structure:
-
-* **Zero-cost idle time.**  Nothing between two scheduled events is ever
-  stepped.  When the queue goes *quiescent* -- a single budgeted core remains
-  runnable, so no inter-core interleaving decision can ever be needed again --
-  the engine switches to a vectorized stretch executor: a residency bitmap
-  over the core's line domain classifies whole blocks of future accesses as
-  LLC hits at numpy speed, and only the (rare) misses fall back to the
-  per-request path.  Long idle-heavy horizons (full-tREFW windows,
-  multi-refresh-window attacks, trace replay) that the fixed-step core cannot
-  afford complete an order of magnitude faster.
-* **An observable event fabric.**  Component adapters
-  (:meth:`CoreModel.issue_event`, :meth:`MemoryController._emit_window_events`,
-  :meth:`RowHammerTracker.epoch_event`, :meth:`RefreshScheduler.tick_events`,
-  :meth:`Bank.activation_events`) publish typed events into ``self.events``
-  (an :class:`~repro.sim.events.events.EventBus`).  Emission is entirely
-  subscription-gated: with no subscribers the fabric costs one hoisted boolean
-  and the fast paths stay engaged; with subscribers every serviced request is
-  routed through the scalar reference path so the event stream is complete.
-
-Bit-identity with the scalar reference holds by construction:
-
-* The event queue orders ``(time_ns, push sequence)`` exactly like the scalar
-  scheduler heap orders ``(time, sequence, core_id)`` -- sequence numbers are
-  assigned in the same chronological push order, so pops agree; ties resolve
-  to the older entry in both.
-* The quiescent stretch executor performs, per entry, the same floating-point
-  operations on the same operands in the same order as the batched inner loop
-  (``gap / peak`` is precomputed elementwise by numpy, which is bit-identical
-  to the scalar division for int64 gaps), pops/pushes the same MLP heap
-  values, and touches the LLC sets through the same OrderedDict operations.
-  The residency bitmap only replaces the ``tag in cache_set`` membership
-  *test* for runs it can prove are hits; every state mutation is unchanged.
-* Misses, bypass traffic, probes and bus-observed runs all route through the
-  same controller/LLC code paths the other engines use.
-
-Parity is pinned by ``tests/test_event_parity.py`` at the same bar
-``tests/test_batch_parity.py`` sets for the batched engine.
+The quiescent stretch executor and the event bus are part of
+:class:`~repro.sim.batch.BatchedSimulator`; this name stays importable for
+code that refers to it.
 """
 
-from __future__ import annotations
+from repro.sim.batch import BatchedSimulator
 
-import heapq
-from time import perf_counter
-
-from repro.cpu.tracefile import FileTraceGenerator
-from repro.cpu.trace import WorkloadTraceGenerator
-from repro.sim import batch as _batch
-from repro.sim.batch import BatchedSimulator, _CoreFeed
-from repro.sim.events.events import (
-    BankActivate,
-    BankPrecharge,
-    CoreIssue,
-    EventBus,
-    RefreshTick,
-    RefreshWindow,
-    ServiceComplete,
-    TrackerEpoch,
-)
-from repro.sim.events.queue import EventQueue
-
-#: Upper bound on a residency-bitmap line domain (2**26 lines = 4 GiB of
-#: 64-byte lines).  Generators with a wider or unknown address domain simply
-#: do not get the vectorized stretch executor.
-_MAX_DOMAIN_LINES = 1 << 26
-
-#: Entries classified per vectorized hit-run probe of the stretch executor.
-_FAST_CHUNK = 2048
-
-
-def _line_domain(generator, line_size: int) -> tuple[int, int]:
-    """``(base_line, num_lines)`` covering every address the generator can
-    emit, or ``(0, 0)`` when no finite domain is known.
-
-    :class:`WorkloadTraceGenerator` walks a private contiguous footprint;
-    :class:`FileTraceGenerator` replays a fixed entry list.  Anything else
-    (attack kernels, ad-hoc generators) reports no domain and runs on the
-    per-request path.
-    """
-    if isinstance(generator, WorkloadTraceGenerator):
-        return generator._base_line, generator._footprint_lines
-    if isinstance(generator, FileTraceGenerator):
-        addresses = generator._addresses
-        if not addresses:
-            return 0, 0
-        np = _batch._np
-        if np is not None:
-            lines = np.asarray(addresses, dtype=np.int64) // line_size
-            base = int(lines.min())
-            size = int(lines.max()) - base + 1
-        else:
-            lines = [address // line_size for address in addresses]
-            base = min(lines)
-            size = max(lines) - base + 1
-        if size > _MAX_DOMAIN_LINES:
-            return 0, 0
-        return base, size
-    return 0, 0
-
-
-class _EventFeed(_CoreFeed):
-    """A :class:`_CoreFeed` that can grow stretch-executor side arrays.
-
-    The extra arrays (``lines_np`` for bitmap lookups, ``gap_ns`` for the
-    precomputed per-entry issue deltas, ``gaps_np`` for bulk instruction
-    sums) are only materialised once the engine's quiescent fast path
-    engages for this core; until then ``refill`` is exactly the batched
-    engine's.
-    """
-
-    __slots__ = (
-        "dom_base", "dom_size", "fast_active", "peak",
-        "gaps_np", "gap_ns", "gap_ns_np", "lines_np", "writes_np",
-    )
-
-    def __init__(self, core, mapper, config, batch: int):
-        super().__init__(core, mapper, config, batch)
-        self.fast_active = False
-        self.peak = core.config.peak_instructions_per_ns
-        self.gaps_np = self.gap_ns = self.gap_ns_np = None
-        self.lines_np = self.writes_np = None
-        self.dom_base, self.dom_size = _line_domain(
-            core.generator, self.line_size
-        )
-
-    def refill(self) -> None:
-        if not self.fast_active:
-            super().refill()
-            return
-        # Lean refill for the engaged fast path: skip the per-entry DRAM
-        # predecode (misses are rare and decode lazily through
-        # ``controller.service``, the same path the pure-python batched
-        # refill uses) and derive set/tag lists from one numpy line array.
-        np = _batch._np
-        core = self.core
-        count = self.batch
-        budget = core.request_budget
-        if budget is not None:
-            count = min(count, budget - core.requests_issued)
-        gaps, addresses, writes = _batch.generator_batch(
-            self.generator, count
-        )
-        self.gaps = gaps
-        self.addresses = addresses
-        self.writes = writes
-        self.flat_banks = None
-        self.rows = self.rank_idx = self.channels = None
-        lines = np.asarray(addresses, dtype=np.int64) // self.line_size
-        self.lines_np = lines
-        self.set_idx = (lines % self.num_sets).tolist()
-        self.tags = (lines // self.num_sets).tolist()
-        self.gaps_np = np.asarray(gaps, dtype=np.int64)
-        self.gap_ns_np = self.gaps_np / self.peak
-        self.gap_ns = self.gap_ns_np.tolist()
-        self.writes_np = np.asarray(writes, dtype=bool)
-        self.size = count
-        self.idx = 0
-
-    def activate_fast(self) -> None:
-        self.fast_active = True
-        if self.gaps is not None:
-            self._compute_fast_arrays()
-
-    def _compute_fast_arrays(self) -> None:
-        np = _batch._np
-        self.gaps_np = np.asarray(self.gaps, dtype=np.int64)
-        # Elementwise int64 / float is bit-identical to the scalar
-        # ``gap / peak`` (exact int->float conversion, one IEEE divide).
-        self.gap_ns_np = self.gaps_np / self.peak
-        self.gap_ns = self.gap_ns_np.tolist()
-        self.lines_np = (
-            np.asarray(self.addresses, dtype=np.int64) // self.line_size
-        )
-        self.writes_np = np.asarray(self.writes, dtype=bool)
-
-
-class EventDrivenSimulator(BatchedSimulator):
-    """Discrete-event engine; bit-identical to :class:`Simulator`.
-
-    Selected via ``engine="event"`` / ``REPRO_SIM_ENGINE=event``.  Subscribe
-    handlers on :attr:`events` *before* :meth:`run` to observe the
-    simulation; see :mod:`repro.sim.events.events` for the taxonomy.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        #: The observational event bus for this simulation.
-        self.events = EventBus()
-        self._tick_index = 0
-        self._ticks_wanted = False
-
-    # ------------------------------------------------------------------ #
-    # Observed service path: the scalar reference path plus event emission.
-
-    def _observed_service(
-        self, address: int, is_write: bool, earliest_ns: float, core_id: int
-    ) -> float:
-        """Service one DRAM request and publish its observational events.
-
-        Arithmetic-identical to :meth:`MemoryController.service` (same
-        decode, same ``service_row``); the only additions are reads of bank
-        state before/after to reconstruct ACT/PRE command events.
-        """
-        controller = self.controller
-        org = self.config.dram
-        decoded = self.mapper.decode(address)
-        flat = decoded.bank_address.flat(org)
-        bank = self.dram._banks[flat]
-        previous_row = bank.open_row
-        activations_before = bank.activations
-        completion = controller.service_row(
-            decoded.row_address,
-            flat,
-            decoded.channel * org.ranks_per_channel + decoded.rank,
-            decoded.channel,
-            decoded.row,
-            is_write,
-            earliest_ns,
-            core_id,
-        )
-        bus = self.events
-        if bank.activations != activations_before:
-            for event in bank.activation_events(
-                flat, previous_row, decoded.row, completion
-            ):
-                if bus.wants(type(event)):
-                    bus.emit(event)
-        if self._ticks_wanted:
-            ticks = self.dram.refresh.tick_events(self._tick_index, completion)
-            if ticks:
-                self._tick_index = ticks[-1].index
-                for event in ticks:
-                    bus.emit(event)
-        if bus.wants(ServiceComplete):
-            bus.emit(
-                ServiceComplete(
-                    completion, core_id, address, is_write, earliest_ns
-                )
-            )
-        return completion
-
-    def _service_addr_observed(
-        self, core, address: int, is_write: bool, issue_ns: float
-    ) -> float:
-        """:meth:`Simulator._service_addr` with event emission on DRAM work.
-
-        Active whenever the bus has a subscriber to a per-request event kind;
-        probe hooks fire exactly as in the reference path, so probes and
-        subscribers compose.
-        """
-        probe = self.probe
-        if core.generator.bypasses_llc:
-            completion = self._observed_service(
-                address, is_write, issue_ns, core.core_id
-            )
-            if probe is not None:
-                probe.on_request(
-                    core.core_id, issue_ns, completion, is_write, False, True
-                )
-            return completion
-
-        llc_result = self.llc.access(address, is_write, core.core_id)
-        if llc_result.hit:
-            completion = issue_ns + self.config.llc.hit_latency_ns
-            if probe is not None:
-                probe.on_request(
-                    core.core_id, issue_ns, completion, is_write, True, False
-                )
-            return completion
-
-        completion = self._observed_service(
-            address, is_write, issue_ns, core.core_id
-        )
-        if llc_result.writeback and llc_result.evicted_line is not None:
-            writeback_address = (
-                llc_result.evicted_line * self.config.llc.line_size_bytes
-            )
-            self._observed_service(
-                writeback_address, True, completion, core.core_id
-            )
-        completion += self.config.llc.hit_latency_ns
-        if probe is not None:
-            probe.on_request(
-                core.core_id, issue_ns, completion, is_write, False, False
-            )
-        return completion
-
-    # ------------------------------------------------------------------ #
-
-    def _build_residency(self, feed: _EventFeed, np):
-        """Bool bitmap of which lines of ``feed``'s domain are LLC-resident.
-
-        Built once, at the instant the queue goes quiescent; from then on
-        only this core mutates the LLC, and the slow-path miss branch keeps
-        the bitmap in sync with insertions and evictions.
-        """
-        dom_base = feed.dom_base
-        dom_end = dom_base + feed.dom_size
-        bitmap = np.zeros(feed.dom_size, dtype=bool)
-        num_sets = self.llc._num_sets
-        for set_index, cache_set in enumerate(self.llc._sets):
-            for tag in cache_set:
-                line = tag * num_sets + set_index
-                if dom_base <= line < dom_end:
-                    bitmap[line - dom_base] = True
-        return bitmap
-
-    # ------------------------------------------------------------------ #
-
-    def _drain(self):
-        """Advance every core until all benign budgets are exhausted.
-
-        Structured exactly like :meth:`BatchedSimulator._drain` (same
-        hoists, same inlined hit/miss/bypass branches, same write-back
-        discipline), with three changes: the scheduler heap is an
-        :class:`EventQueue` of :class:`CoreIssue` events, bus subscribers
-        reroute servicing through the observed reference path, and a
-        quiescent queue engages the vectorized stretch executor.
-        """
-        cores_by_id = {core.core_id: core for core in self.cores}
-        benign_pending = {
-            core.core_id
-            for core in self.cores
-            if core.request_budget is not None
-        }
-        if not benign_pending:
-            raise ValueError("at least one core needs a finite request budget")
-
-        bus = self.events
-        controller = self.controller
-        # Component adapter: the controller publishes window/epoch events
-        # itself (lazily, inside _check_refresh_window) when a sink is set.
-        controller.event_sink = (
-            bus if bus.wants_any(RefreshWindow, TrackerEpoch) else None
-        )
-        observing = bus.wants_any(
-            ServiceComplete, BankActivate, BankPrecharge, RefreshTick
-        )
-        self._ticks_wanted = bus.wants(RefreshTick)
-        # Read numpy through the batch module so the pure-python fallback
-        # (tests monkeypatch repro.sim.batch._np to None) disables the
-        # vectorized stretch executor here too.
-        np = _batch._np
-
-        feeds = {
-            core.core_id: _EventFeed(
-                core, self.mapper, self.config, self.BATCH
-            )
-            for core in self.cores
-        }
-
-        llc = self.llc
-        sets = llc._sets
-        num_sets = llc._num_sets
-        data_ways = llc._data_ways
-        stats = llc.stats
-        per_core_hits = stats.per_core_hits
-        per_core_misses = stats.per_core_misses
-        hit_latency = self.config.llc.hit_latency_ns
-        line_size = self.config.llc.line_size_bytes
-        service_row = controller.service_row
-        service = controller.service
-        row_from_flat = controller.row_address_from_flat
-        row_cache = controller._row_addr_cache
-        rows_per_bank = self.config.dram.rows_per_bank
-        fast_service = (
-            controller.auditor is None
-            and not controller._tracker_notes_source
-            and not controller._tracker_throttles
-            and not controller._tracker_delays_completion
-            and not controller._tracker_extends_act
-        )
-        cstats = controller.stats
-        access_flat = controller.dram.access_flat
-        on_activation = controller.tracker.on_activation
-        apply_response = controller._apply_response
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        probe = self.probe
-        # A probe or a subscribed bus routes every request through the
-        # scalar reference path (arithmetic-identical, parity-pinned), so
-        # hook sites fire and events are emitted; only wall-clock changes.
-        if observing:
-            route = self._service_addr_observed
-        elif probe is not None:
-            route = self._service_addr
-        else:
-            route = None
-        prof = probe.profiler if probe is not None else None
-
-        queue = EventQueue()
-        for core in self.cores:
-            queue.push(core.issue_event())
-
-        # Quiescent stretch executor state.  Eligibility is per drain; the
-        # bitmap is built at most once (only one core can ever go quiescent:
-        # the last budgeted one, after every other core left the queue).
-        fast_env = route is None and np is not None
-        fastmap = None
-        dom_base = dom_end = 0
-
-        while benign_pending and queue:
-            core_id = queue.pop().core_id
-            core = cores_by_id[core_id]
-            feed = feeds[core_id]
-            budget = core.request_budget
-            bypasses = feed.bypasses_llc
-            fast = False
-            if (
-                not queue
-                and fast_env
-                and budget is not None
-                and not bypasses
-                and data_ways
-                and feed.dom_size
-            ):
-                if fastmap is None:
-                    fastmap = self._build_residency(feed, np)
-                    dom_base = feed.dom_base
-                    dom_end = dom_base + feed.dom_size
-                feed.activate_fast()
-                fast = True
-            outstanding = core._outstanding
-            mlp = core.effective_mlp
-            peak = core.config.peak_instructions_per_ns
-            cpu_time = core.cpu_time_ns
-            instructions = core.instructions_retired
-            requests = core.requests_issued
-            i = feed.idx
-            size = feed.size
-            gaps = feed.gaps
-            writes = feed.writes
-            rows = feed.rows
-            flat_banks = feed.flat_banks
-            rank_idx = feed.rank_idx
-            channels = feed.channels
-            tags_arr = feed.tags
-            set_arr = feed.set_idx
-            addresses = feed.addresses
-            gap_ns = feed.gap_ns
-            gap_ns_np = feed.gap_ns_np
-            gaps_np = feed.gaps_np
-            lines_np = feed.lines_np
-            writes_np = feed.writes_np
-            while True:
-                if i >= size:
-                    core.requests_issued = requests  # refill reads the budget
-                    if prof is not None:
-                        _t = perf_counter()
-                        feed.refill()
-                        prof.add("generation", perf_counter() - _t)
-                    else:
-                        feed.refill()
-                    i = 0
-                    size = feed.size
-                    gaps = feed.gaps
-                    writes = feed.writes
-                    rows = feed.rows
-                    flat_banks = feed.flat_banks
-                    rank_idx = feed.rank_idx
-                    channels = feed.channels
-                    tags_arr = feed.tags
-                    set_arr = feed.set_idx
-                    addresses = feed.addresses
-                    gap_ns = feed.gap_ns
-                    gap_ns_np = feed.gap_ns_np
-                    gaps_np = feed.gaps_np
-                    lines_np = feed.lines_np
-                    writes_np = feed.writes_np
-
-                if fast:
-                    # Classify the next block: the leading run of resident
-                    # lines is provably all LLC hits, executed in a tight
-                    # loop with bulk statistics; the first non-resident
-                    # entry (a miss) falls through to the reference branch
-                    # below, which keeps the bitmap in sync.
-                    end = i + _FAST_CHUNK
-                    if end > size:
-                        end = size
-                    cap = budget - requests
-                    if end - i > cap:
-                        end = i + cap
-                    resident = fastmap[lines_np[i:end] - dom_base]
-                    run = int(resident.argmin())
-                    if resident[run]:
-                        run = end - i
-                    if run:
-                        stop = i + run
-                        # Whole-run vector mode.  When (a) every inter-access
-                        # gap is at least the hit latency and (b) nothing in
-                        # the outstanding-miss heap completes after the first
-                        # issue, the MLP release clamp provably never binds:
-                        # every issue time is exactly ``previous + gap``.
-                        # ``np.add.accumulate`` performs that identical chain
-                        # of IEEE additions, the per-set LRU state only
-                        # depends on each line's *last* access, and the heap's
-                        # final content is the tail of the sorted union of old
-                        # entries and in-run hit completions (pops always
-                        # remove the global minimum because completions arrive
-                        # in non-decreasing order).
-                        if (
-                            run >= 16
-                            and float(gap_ns_np[i:stop].min()) >= hit_latency
-                            and (
-                                not outstanding
-                                or max(outstanding) <= cpu_time + gap_ns[i]
-                            )
-                        ):
-                            seq = np.empty(run + 1)
-                            seq[0] = cpu_time
-                            seq[1:] = gap_ns_np[i:stop]
-                            issues = np.add.accumulate(seq)
-                            cpu_time = float(issues[run])
-                            run_writes = writes_np[i:stop]
-                            last_rev = np.unique(
-                                lines_np[i:stop][::-1], return_index=True
-                            )[1]
-                            for p in np.sort((run - 1) - last_rev).tolist():
-                                j = i + p
-                                sets[set_arr[j]].move_to_end(tags_arr[j])
-                            for p in np.nonzero(run_writes)[0].tolist():
-                                j = i + p
-                                sets[set_arr[j]][tags_arr[j]] = True
-                            # Only the heap's final content matters, and it
-                            # is the largest ``final_len`` values of the
-                            # union -- materialise just that tail.
-                            read_pos = np.nonzero(~run_writes)[0]
-                            n_reads = read_pos.shape[0]
-                            if n_reads >= mlp:
-                                outstanding[:] = (
-                                    issues[1:][read_pos[n_reads - mlp:]]
-                                    + hit_latency
-                                ).tolist()
-                            elif n_reads:
-                                merged = sorted(outstanding)
-                                merged.extend(
-                                    (
-                                        issues[1:][read_pos] + hit_latency
-                                    ).tolist()
-                                )
-                                outstanding[:] = merged[
-                                    max(0, len(merged) - mlp):
-                                ]
-                        else:
-                            j = i
-                            while j < stop:
-                                issue_ns = cpu_time + gap_ns[j]
-                                if len(outstanding) >= mlp:
-                                    release = heappop(outstanding)
-                                    if release > issue_ns:
-                                        issue_ns = release
-                                cpu_time = issue_ns
-                                tag = tags_arr[j]
-                                cache_set = sets[set_arr[j]]
-                                cache_set.move_to_end(tag)
-                                if writes[j]:
-                                    cache_set[tag] = True
-                                else:
-                                    heappush(
-                                        outstanding, issue_ns + hit_latency
-                                    )
-                                j += 1
-                        stats.hits += run
-                        per_core_hits[core_id] = (
-                            per_core_hits.get(core_id, 0) + run
-                        )
-                        requests += run
-                        instructions += int(gaps_np[i:stop].sum())
-                        i = stop
-                        if requests >= budget:
-                            feed.idx = i
-                            core.cpu_time_ns = cpu_time
-                            core.instructions_retired = instructions
-                            core.requests_issued = requests
-                            core.note_progress()
-                            benign_pending.discard(core_id)
-                            break
-                        continue
-
-                is_write = writes[i]
-                gap = gaps[i]
-                issue_ns = cpu_time + gap / peak
-                if len(outstanding) >= mlp:
-                    release = heappop(outstanding)
-                    if release > issue_ns:
-                        issue_ns = release
-                cpu_time = issue_ns
-                instructions += gap
-                requests += 1
-
-                if route is not None:
-                    completion_ns = route(
-                        core, addresses[i], is_write, issue_ns
-                    )
-                elif bypasses:
-                    row = rows[i]
-                    flat = flat_banks[i]
-                    row_addr = row_cache.get(flat * rows_per_bank + row)
-                    if row_addr is None:
-                        row_addr = row_from_flat(flat, row)
-                    if fast_service:
-                        cstats.requests += 1
-                        if is_write:
-                            cstats.write_requests += 1
-                        else:
-                            cstats.read_requests += 1
-                        if issue_ns >= controller._next_window_ns:
-                            controller._check_refresh_window(issue_ns)
-                        _s, completion_ns, activated, _h = access_flat(
-                            flat, rank_idx[i], channels[i], row,
-                            is_write, issue_ns, 0.0,
-                        )
-                        if activated:
-                            response = on_activation(row_addr, completion_ns)
-                            if not response.is_empty:
-                                apply_response(
-                                    response, row_addr, completion_ns
-                                )
-                    else:
-                        completion_ns = service_row(
-                            row_addr, flat, rank_idx[i],
-                            channels[i], row, is_write, issue_ns, core_id,
-                        )
-                else:
-                    tag = tags_arr[i]
-                    cache_set = sets[set_arr[i]]
-                    if tag in cache_set:
-                        cache_set.move_to_end(tag)
-                        if is_write:
-                            cache_set[tag] = True
-                        stats.hits += 1
-                        per_core_hits[core_id] = (
-                            per_core_hits.get(core_id, 0) + 1
-                        )
-                        completion_ns = issue_ns + hit_latency
-                    else:
-                        stats.misses += 1
-                        per_core_misses[core_id] = (
-                            per_core_misses.get(core_id, 0) + 1
-                        )
-                        writeback_line = None
-                        if data_ways:
-                            if len(cache_set) >= data_ways:
-                                evicted_tag, dirty = cache_set.popitem(
-                                    last=False
-                                )
-                                stats.evictions += 1
-                                if dirty:
-                                    stats.dirty_evictions += 1
-                                    writeback_line = (
-                                        evicted_tag * num_sets + set_arr[i]
-                                    )
-                                if fast:
-                                    evicted_line = (
-                                        evicted_tag * num_sets + set_arr[i]
-                                    )
-                                    if dom_base <= evicted_line < dom_end:
-                                        fastmap[evicted_line - dom_base] = (
-                                            False
-                                        )
-                            cache_set[tag] = is_write
-                            if fast:
-                                line = tag * num_sets + set_arr[i]
-                                if dom_base <= line < dom_end:
-                                    fastmap[line - dom_base] = True
-                        if flat_banks is not None:
-                            row = rows[i]
-                            flat = flat_banks[i]
-                            row_addr = row_cache.get(
-                                flat * rows_per_bank + row
-                            )
-                            if row_addr is None:
-                                row_addr = row_from_flat(flat, row)
-                            if fast_service:
-                                cstats.requests += 1
-                                if is_write:
-                                    cstats.write_requests += 1
-                                else:
-                                    cstats.read_requests += 1
-                                if issue_ns >= controller._next_window_ns:
-                                    controller._check_refresh_window(issue_ns)
-                                _s, completion_ns, activated, _h = access_flat(
-                                    flat, rank_idx[i], channels[i], row,
-                                    is_write, issue_ns, 0.0,
-                                )
-                                if activated:
-                                    response = on_activation(
-                                        row_addr, completion_ns
-                                    )
-                                    if not response.is_empty:
-                                        apply_response(
-                                            response, row_addr, completion_ns
-                                        )
-                            else:
-                                completion_ns = service_row(
-                                    row_addr, flat,
-                                    rank_idx[i], channels[i], row,
-                                    is_write, issue_ns, core_id,
-                                )
-                        else:
-                            completion_ns = service(
-                                addresses[i], is_write, issue_ns, core_id
-                            )
-                        if writeback_line is not None:
-                            service(
-                                writeback_line * line_size, True,
-                                completion_ns, core_id,
-                            )
-                        completion_ns += hit_latency
-
-                i += 1
-                if not is_write:
-                    heappush(outstanding, completion_ns)
-                if budget is not None and requests >= budget:
-                    feed.idx = i
-                    core.cpu_time_ns = cpu_time
-                    core.instructions_retired = instructions
-                    core.requests_issued = requests
-                    core.note_progress()
-                    benign_pending.discard(core_id)
-                    break
-                if outstanding and len(outstanding) >= mlp:
-                    head = outstanding[0]
-                    next_ns = head if head > cpu_time else cpu_time
-                else:
-                    next_ns = cpu_time
-                # Strictly earlier than the queue head: on a tie the scalar
-                # engine serves the queue entry first (older sequence).
-                if queue and queue.head_time() <= next_ns:
-                    feed.idx = i
-                    core.cpu_time_ns = cpu_time
-                    core.instructions_retired = instructions
-                    core.requests_issued = requests
-                    queue.push(CoreIssue(next_ns, core_id))
-                    break
+EventDrivenSimulator = BatchedSimulator

@@ -1,10 +1,9 @@
 """Typed simulation events and the subscription bus they flow through.
 
-The discrete-event engine (:mod:`repro.sim.events.engine`) represents every
-scheduling decision and every observable state change as a typed event:
+The fast engine (:class:`~repro.sim.batch.BatchedSimulator`) publishes every
+observable state change as a typed event:
 
 ===================  ======================================================
-:class:`CoreIssue`       a core is ready to issue its next memory request
 :class:`ServiceComplete` the controller finished servicing a request
 :class:`BankActivate`    a DRAM bank opened a row (ACT)
 :class:`BankPrecharge`   a DRAM bank closed its open row (PRE)
@@ -13,11 +12,9 @@ scheduling decision and every observable state change as a typed event:
 :class:`TrackerEpoch`    the tracker ran its periodic refresh-window reset
 ===================  ======================================================
 
-:class:`CoreIssue` events are *scheduling* events: they live in the engine's
-:class:`~repro.sim.events.queue.EventQueue` and drive simulated time forward.
-All other event kinds are *observational*: component adapters emit them into
-the :class:`EventBus` only while at least one handler is subscribed to the
-kind, so an unobserved simulation pays nothing for the event fabric (a single
+Events are *observational*: component adapters emit them into the
+:class:`EventBus` only while at least one handler is subscribed to the kind,
+so an unobserved simulation pays nothing for the event fabric (a single
 ``None`` check on the controller, and a hoisted boolean in the engine).
 
 Handlers never influence timing or results -- the engine is parity-pinned
@@ -40,18 +37,6 @@ class Event:
     """Base class: something that happens at one simulated instant."""
 
     time_ns: float
-
-
-@dataclass(frozen=True, slots=True)
-class CoreIssue(Event):
-    """Core ``core_id`` is ready to issue its next request at ``time_ns``.
-
-    The engine's scheduling event: the event queue holds one per runnable
-    core, ordered by time with stable FIFO tie-breaking, exactly mirroring
-    the scalar engine's ``(time, sequence, core_id)`` scheduler heap.
-    """
-
-    core_id: int
 
 
 @dataclass(frozen=True, slots=True)

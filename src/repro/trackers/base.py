@@ -181,8 +181,8 @@ class RowHammerTracker(abc.ABC):
         """Event-source adapter: this tracker's mitigation-epoch event.
 
         Published by the memory controller right after
-        :meth:`on_refresh_window` whenever the discrete-event engine's bus
-        has a :class:`~repro.sim.events.events.TrackerEpoch` subscriber.
+        :meth:`on_refresh_window` whenever the engine's event bus has a
+        :class:`~repro.sim.events.events.TrackerEpoch` subscriber.
         """
         from repro.sim.events.events import TrackerEpoch
 

@@ -1,12 +1,12 @@
-"""Pinned multi-tREFW horizon behaviour, under the scalar and event engines.
+"""Pinned multi-tREFW horizon behaviour, under the scalar and fast engines.
 
 A run sized by the ``multi-refresh-window`` family must actually cross the
 requested number of refresh windows, and crossing a window must do the two
 things the paper's long-horizon experiments depend on: the controller books
 the window (and the energy model the elapsed auto-refresh REF commands), and
 the tracker runs its periodic epoch reset.  Both engines must agree on all
-of it bit-for-bit -- the event engine's zero-cost idle time is only useful
-if a multi-window horizon means the same thing there.
+of it bit-for-bit -- the fast engine's quiescent stretch executor is only
+useful if a multi-window horizon means the same thing there.
 """
 
 import json
@@ -52,7 +52,7 @@ def _canon(result) -> dict:
 
 
 class TestRefreshHorizon:
-    @pytest.mark.parametrize("engine", ["scalar", "event"])
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_run_spans_requested_windows(self, engine):
         spec = _spec()
         result = _run(spec, engine)
@@ -62,7 +62,7 @@ class TestRefreshHorizon:
         assert result.elapsed_ns >= WINDOWS * timings.trefw_ns
         assert result.controller_stats.refresh_windows >= WINDOWS
 
-    @pytest.mark.parametrize("engine", ["scalar", "event"])
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_refresh_commands_match_elapsed_time(self, engine):
         spec = _spec()
         result = _run(spec, engine)
@@ -77,7 +77,7 @@ class TestRefreshHorizon:
             timings.trefw_ns // timings.trefi_ns
         ) * num_ranks
 
-    @pytest.mark.parametrize("engine", ["scalar", "event"])
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_tracker_epoch_resets_once_per_window(self, engine):
         spec = _spec()
         result = _run(spec, engine)
@@ -90,11 +90,11 @@ class TestRefreshHorizon:
 
     def test_engines_agree_bit_for_bit_on_the_horizon(self):
         spec = _spec()
-        assert _canon(_run(spec, "event")) == _canon(_run(spec, "scalar"))
+        assert _canon(_run(spec, "batched")) == _canon(_run(spec, "scalar"))
 
     def test_deeper_horizon_crosses_more_windows(self):
-        two = _run(_spec(windows=2), "event")
-        three = _run(_spec(windows=3), "event")
+        two = _run(_spec(windows=2), "batched")
+        three = _run(_spec(windows=3), "batched")
         assert (
             three.controller_stats.refresh_windows
             > two.controller_stats.refresh_windows

@@ -126,13 +126,14 @@ def _profile_stages(specs) -> dict[str, float]:
 
 
 def _longhorizon_case(tmp: Path, requests: int) -> dict:
-    """Idle-heavy long-horizon case: the event engine vs the scalar reference.
+    """Idle-heavy long-horizon case: the fast engine vs the scalar reference.
 
     Replays a hot-set trace (256 distinct lines, inter-access gaps far above
     the LLC hit latency) for ``requests`` accesses on one core next to idle
-    cores -- the shape the event engine's quiescent stretch executor exists
-    for.  Both engines run the same spec; the case records their wall-clock
-    and asserts bit-identical results.
+    cores -- the shape the fast engine's quiescent stretch executor exists
+    for.  Both engines run the same spec (the fast one under its ``event``
+    name, which the report's ``event_*`` fields keep); the case records
+    their wall-clock and asserts bit-identical results.
     """
     import random
 
@@ -152,7 +153,7 @@ def _longhorizon_case(tmp: Path, requests: int) -> dict:
     trace_path = tmp / "longhorizon.trace"
     write_trace(trace_path, entries, header="bench: hot-set idle-heavy trace")
     # The full 32 ms window is the whole point: most of the horizon is
-    # idle stretch between sparse hits, which the event engine skips.
+    # idle stretch between sparse hits, which the stretch executor skips.
     spec = family_by_name("trace-replay").expand(
         {
             "tracker": "graphene",
@@ -233,7 +234,7 @@ def main(argv=None) -> int:
         "--longhorizon-requests",
         type=int,
         default=4_000_000,
-        help="request budget of the idle-heavy long-horizon case (event "
+        help="request budget of the idle-heavy long-horizon case (fast "
         "engine vs scalar reference)",
     )
     parser.add_argument(
@@ -340,7 +341,7 @@ def main(argv=None) -> int:
         )
         if not longhorizon["parity"]:
             print(
-                "ERROR: event engine diverged from the scalar reference "
+                "ERROR: fast engine diverged from the scalar reference "
                 "on the long-horizon case",
                 file=sys.stderr,
             )
