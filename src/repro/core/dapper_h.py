@@ -140,9 +140,6 @@ class DapperHTracker(RowHammerTracker):
         self.use_reset_counters = use_reset_counters
         self._ranks: dict[tuple[int, int], _RankState] = {}
         self._seed = config.seed ^ 0x44505248  # "DPRH"
-        # RowAddress -> (rank state, rank_row, bank index): the geometry is
-        # fixed for the tracker's lifetime, so this never invalidates.
-        self._row_memo: dict[RowAddress, tuple[_RankState, int, int]] = {}
         #: Count of mitigations by number of shared rows refreshed, used to
         #: validate the paper's claim that 99.9% of mitigations refresh a
         #: single row.
@@ -167,16 +164,14 @@ class DapperHTracker(RowHammerTracker):
 
     def on_activation(self, row: RowAddress, now_ns: float) -> TrackerResponse:
         self.stats.activations_observed += 1  # inlined _note_activation
-        memo = self._row_memo.get(row)
-        if memo is None:
-            org = self.org
-            memo = (
-                self._rank_state(row.bank.channel, row.bank.rank),
-                row.rank_row_index(org),
-                row.bank.rank_local_bank(org),
-            )
-            self._row_memo[row] = memo
-        state, rank_row, bank_index = memo
+        # Recomputed on every activation rather than memoized per row: most
+        # activated rows are new to the run (192,536 of 277,548 activations
+        # on the dapper-attack benchmark), so a row memo missed more than it
+        # hit and grew with every row.
+        org = self.org
+        state = self._rank_state(row.bank.channel, row.bank.rank)
+        rank_row = row.rank_row_index(org)
+        bank_index = row.bank.rank_local_bank(org)
 
         group1 = state.table1.group_of(rank_row)
         group2 = state.table2.group_of(rank_row)

@@ -42,6 +42,7 @@ class RowGroupCounterTable:
             raise ValueError("group_size must be a positive power of two")
         self.rank_row_bits = rank_row_bits
         self.group_size = group_size
+        self._group_shift = group_size.bit_length() - 1
         self.counter_bits = counter_bits
         self.cipher = LowLatencyBlockCipher(rank_row_bits, seed)
         self.num_groups = (1 << rank_row_bits) // group_size
@@ -56,7 +57,6 @@ class RowGroupCounterTable:
             else [0] * self.num_groups
         )
         self._member_cache: dict[int, list[int]] = {}
-        self._group_cache: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Mapping
@@ -65,15 +65,16 @@ class RowGroupCounterTable:
     def group_of(self, rank_row_index: int) -> int:
         """Group index the row currently maps to (depends on the key epoch).
 
-        Memoized until the next re-keying: the cipher is a fixed bijection
-        within a key epoch, and RowHammer workloads activate the same rows
-        repeatedly.
+        Not memoized: the cipher's round tables make an encryption four
+        table lookups.  On the benchmark's dapper-attack workload a
+        per-epoch memo hit 33% of 703,055 calls, and over 300,000 rows of
+        which a third revisit an earlier row it measured 947 ns per call
+        against 696 ns without (Intel Xeon, 2 vCPUs, Python 3.11); it also
+        grew with every distinct row of the epoch.  A stream that re-hashes
+        a few rows per epoch, like the mapping-capture attack (about 250
+        hashes of 3 rows per epoch), is the case a memo would still serve.
         """
-        group = self._group_cache.get(rank_row_index)
-        if group is None:
-            group = self.cipher.encrypt(rank_row_index) // self.group_size
-            self._group_cache[rank_row_index] = group
-        return group
+        return self.cipher.encrypt(rank_row_index) >> self._group_shift
 
     def members(self, group_index: int) -> list[int]:
         """All rank-row indices currently mapped to ``group_index``.
@@ -136,7 +137,6 @@ class RowGroupCounterTable:
         """Refresh the cipher keys (row-to-group mapping changes entirely)."""
         self.cipher.rekey()
         self._member_cache.clear()
-        self._group_cache.clear()
 
     def reset_and_rekey(self) -> None:
         self.reset_all()

@@ -1,10 +1,34 @@
 """Tests for the low-latency block cipher and PRNGs."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.llbc import LowLatencyBlockCipher
+import repro.crypto.llbc as llbc
+from repro.crypto.llbc import LowLatencyBlockCipher, _round_function
 from repro.crypto.prng import SplitMix64, XorShift64
+
+
+def _reference_feistel(cipher, value, inverse=False):
+    """The cipher as a per-round Feistel loop over ``_round_function``.
+
+    This is the untabulated cipher: each round recomputes the round function
+    under the current key.  The tabulated ``encrypt``/``decrypt`` must agree
+    with it on every input.
+    """
+    right_bits = cipher.block_bits - cipher.block_bits // 2
+    left_bits = cipher.block_bits // 2
+    left = value >> right_bits
+    right = value & ((1 << right_bits) - 1)
+    keys = cipher.round_keys
+    order = reversed(range(len(keys))) if inverse else range(len(keys))
+    for round_index in order:
+        if round_index % 2 == 0:
+            left ^= _round_function(right, keys[round_index], left_bits)
+        else:
+            right ^= _round_function(left, keys[round_index], right_bits)
+    return (left << right_bits) | right
 
 
 class TestLLBC:
@@ -58,8 +82,6 @@ class TestLLBC:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             LowLatencyBlockCipher(block_bits=1, seed=0)
-        with pytest.raises(ValueError):
-            LowLatencyBlockCipher(block_bits=8, seed=0, rounds=1)
 
     def test_mixing_moves_values(self):
         cipher = LowLatencyBlockCipher(block_bits=21, seed=99)
@@ -71,6 +93,80 @@ class TestLLBC:
     def test_roundtrip_property(self, value, seed):
         cipher = LowLatencyBlockCipher(block_bits=21, seed=seed)
         assert cipher.decrypt(cipher.encrypt(value)) == value
+
+
+class TestTabulatedRounds:
+    """The per-epoch round tables reproduce the per-round Feistel loop."""
+
+    EPOCHS = 3
+
+    @pytest.mark.parametrize("block_bits", [9, 10])
+    def test_matches_reference_on_every_input(self, block_bits):
+        cipher = LowLatencyBlockCipher(block_bits=block_bits, seed=0xDA99E2)
+        for _ in range(self.EPOCHS):
+            for value in range(1 << block_bits):
+                assert cipher.encrypt(value) == _reference_feistel(cipher, value)
+                assert cipher.decrypt(value) == _reference_feistel(
+                    cipher, value, inverse=True
+                )
+            cipher.rekey()
+
+    @pytest.mark.parametrize("block_bits", [17, 21])
+    def test_matches_reference_on_sampled_inputs(self, block_bits):
+        cipher = LowLatencyBlockCipher(block_bits=block_bits, seed=0x5EED)
+        rng = random.Random(block_bits)
+        for _ in range(self.EPOCHS):
+            for _ in range(10_000):
+                value = rng.randrange(1 << block_bits)
+                assert cipher.encrypt(value) == _reference_feistel(cipher, value)
+                assert cipher.decrypt(value) == _reference_feistel(
+                    cipher, value, inverse=True
+                )
+            cipher.rekey()
+
+    @pytest.mark.skipif(llbc._np is None, reason="needs numpy's table build")
+    @pytest.mark.parametrize("block_bits", [2, 9, 17, 21])
+    def test_numpy_and_pure_python_tables_are_equal(self, block_bits, monkeypatch):
+        cipher = LowLatencyBlockCipher(block_bits=block_bits, seed=11)
+        for _ in range(self.EPOCHS):
+            numpy_tables = cipher._build_tables()
+            with monkeypatch.context() as patch:
+                patch.setattr(llbc, "_np", None)
+                on_demand = cipher._build_tables()
+            for lazy, table in zip(on_demand, numpy_tables):
+                assert [lazy[value] for value in range(len(table))] == table
+            cipher.rekey()
+
+    def test_pure_python_tables_fill_only_the_inputs_hashed(self, monkeypatch):
+        # Without numpy an epoch costs at most the untabulated cipher's round
+        # work: one hashed row, however often, is four round-function calls.
+        calls = []
+
+        def counted(value, key, width):
+            calls.append(value)
+            return _round_function(value, key, width)
+
+        monkeypatch.setattr(llbc, "_np", None)
+        monkeypatch.setattr(llbc, "_round_function", counted)
+        cipher = LowLatencyBlockCipher(block_bits=21, seed=3)
+        for _ in range(self.EPOCHS):
+            for _ in range(250):
+                hashed = cipher.encrypt(12345)
+            assert cipher.decrypt(hashed) == 12345
+            assert len(calls) == 4
+            calls.clear()
+            cipher.rekey()
+
+    def test_tables_are_built_lazily_per_epoch(self):
+        cipher = LowLatencyBlockCipher(block_bits=12, seed=3)
+        assert cipher._tables is None
+        cipher.decrypt(5)
+        first = cipher._tables
+        assert first is not None
+        cipher.rekey()
+        assert cipher._tables is None
+        cipher.encrypt(5)
+        assert cipher._tables is not None and cipher._tables != first
 
 
 class TestPRNG:

@@ -174,6 +174,21 @@ class TestDapperS:
         assert response.is_empty
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="RGC counters are 8-bit and saturate at 255, below the NRH/2 "
+    "threshold of every NRH >= 512, so neither DAPPER tracker mitigates",
+)
+@pytest.mark.parametrize("tracker_cls", [DapperHTracker, DapperSTracker])
+def test_hammered_row_is_mitigated_at_nrh_1000(tracker_cls):
+    config = reduced_row_config(nrh=1000, rows_per_bank=2048)
+    tracker = tracker_cls(config)
+    row = _row(row=42)
+    for _ in range(3 * config.rowhammer.nrh):
+        tracker.on_activation(row, 0.0)
+    assert tracker.stats.mitigations_issued >= 1
+
+
 class TestDapperH:
     def test_benign_activations_do_not_mitigate(self, config):
         tracker = DapperHTracker(config)

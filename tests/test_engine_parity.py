@@ -17,6 +17,8 @@ import random
 import pytest
 
 import repro.core.dapper_h as dapper_h_mod
+import repro.crypto.llbc as llbc_mod
+import repro.dram.address as address_mod
 import repro.sim.batch as batch_mod
 from repro.config import CacheConfig, reduced_row_config
 from repro.core.rgc import RowGroupCounterTable
@@ -446,10 +448,15 @@ class TestExecutionModeParity:
 
 
 class TestPurePythonFallbackParity:
-    def test_dapper_h_without_numpy_matches(self, monkeypatch):
-        reference = _run("dapper-h", "batched")
+    @pytest.mark.parametrize("tracker", ["dapper-h", "dapper-s"])
+    def test_dapper_without_numpy_matches(self, tracker, monkeypatch):
+        reference = _run(tracker, "batched")
         monkeypatch.setattr(dapper_h_mod, "_np", None)
         monkeypatch.setattr(batch_mod, "_np", None)
+        monkeypatch.setattr(llbc_mod, "_np", None)
+        # The address mapper too: with numpy it decodes to int64 arrays, so
+        # the engine's list path would hand numpy rows to the tracker.
+        monkeypatch.setattr(address_mod, "_np", None)
         original_init = RowGroupCounterTable.__init__
 
         def pure_init(self, *args, **kwargs):
@@ -457,8 +464,8 @@ class TestPurePythonFallbackParity:
             original_init(self, *args, **kwargs)
 
         monkeypatch.setattr(RowGroupCounterTable, "__init__", pure_init)
-        assert _run("dapper-h", "scalar") == reference
-        assert _run("dapper-h", "batched") == reference
+        assert _run(tracker, "scalar") == reference
+        assert _run(tracker, "batched") == reference
 
 
 class TestEventBusObservation:
