@@ -78,26 +78,14 @@ class AttackGenerator:
 
     # ------------------------------------------------------------------ #
 
-    def next_batch(self, count: int):
-        """Next ``count`` entries as parallel ``(gaps, addresses, writes)``.
-
-        Generic implementation driving the subclass's :meth:`next_entry`, so
-        it is correct for every attack; subclasses whose ``next_entry`` is the
-        plain sequence-cycling pattern alias this to :meth:`_cycle_batch`.
-        """
-        gaps = [self.GAP_INSTRUCTIONS] * count
-        addresses = [0] * count
-        writes = [False] * count
-        next_entry = self.next_entry
-        for i in range(count):
-            entry = next_entry()
-            gaps[i] = entry.gap_instructions
-            addresses[i] = entry.address
-            writes[i] = entry.is_write
-        return gaps, addresses, writes
-
     def _cycle_batch(self, count: int):
-        """Batched equivalent of the read-only sequence-cycling next_entry."""
+        """Batched equivalent of the read-only sequence-cycling next_entry.
+
+        Subclasses cycling ``_sequence`` alias ``next_batch`` to this; the
+        streaming kernels have closed-form ``next_batch`` methods of their
+        own, and a kernel with neither is driven per entry by
+        :func:`repro.cpu.trace.generator_batch`.
+        """
         sequence = self._sequence
         length = len(sequence)
         cursor = self._cursor

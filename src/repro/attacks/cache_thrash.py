@@ -42,3 +42,21 @@ class CacheThrashingAttack(AttackGenerator):
         line = self.base_line + self._cursor
         self._cursor = (self._cursor + 1) % self.footprint_lines
         return self._entry(line * self.org.line_size_bytes)
+
+    def next_batch(self, count: int):
+        """Closed form of ``count`` :meth:`next_entry` calls: the addresses
+        of lines ``base_line + (cursor + k) % footprint_lines``."""
+        line_size = self.org.line_size_bytes
+        footprint = self.footprint_lines
+        cursor = self._cursor
+        addresses: list[int] = []
+        left = count
+        while left:
+            take = min(footprint - cursor, left)
+            first = (self.base_line + cursor) * line_size
+            addresses += range(first, first + take * line_size, line_size)
+            cursor = (cursor + take) % footprint
+            left -= take
+        self._cursor = cursor
+        self.requests_generated += count
+        return [self.GAP_INSTRUCTIONS] * count, addresses, [False] * count

@@ -59,6 +59,15 @@ class RowStreamingAttack(AttackGenerator):
         self._row_cursor = 0
         self._target_cursor = 0
         self._unique_counter = 0
+        # Row-0 address of every step of a row sweep, at index
+        # target + len(targets) * bank: the row is the mapper's most
+        # significant field, so any access is one of these ORed with
+        # ``row << mapper.row_shift``.
+        self._sweep = [
+            self._encode(channel, rank, bank_local, 0)
+            for bank_local in range(org.banks_per_rank)
+            for channel, rank in self._targets
+        ]
 
     def next_entry(self) -> TraceEntry:
         channel, rank = self._targets[self._target_cursor]
@@ -82,3 +91,40 @@ class RowStreamingAttack(AttackGenerator):
                     self._row_cursor + self.row_stride
                 ) % self.org.rows_per_bank
         return self._entry(address)
+
+    def next_batch(self, count: int):
+        """Closed form of ``count`` :meth:`next_entry` calls, with the same
+        cursors and ``requests_generated`` afterwards."""
+        sweep = self._sweep
+        length = len(sweep)
+        targets = len(self._targets)
+        rows_per_bank = self.org.rows_per_bank
+        shift = self.mapper.row_shift
+        step = self._target_cursor + targets * self._bank_cursor
+        row = self._row_cursor
+        unique = self._unique_counter
+        addresses: list[int] = []
+        left = count
+        while left:
+            take = min(length - step, left)
+            bases = sweep[step:step + take]
+            if self.distinct_row_ids:
+                addresses += [
+                    base | (((unique + i) % rows_per_bank) << shift)
+                    for i, base in enumerate(bases)
+                ]
+                unique += take
+            else:
+                high = row << shift
+                addresses += [base | high for base in bases]
+            left -= take
+            step += take
+            if step == length:
+                step = 0
+                row = (row + self.row_stride) % rows_per_bank
+        self._target_cursor = step % targets
+        self._bank_cursor = step // targets
+        self._row_cursor = row
+        self._unique_counter = unique
+        self.requests_generated += count
+        return [self.GAP_INSTRUCTIONS] * count, addresses, [False] * count

@@ -51,9 +51,10 @@ def generator_batch(generator, count: int):
     """Next ``count`` entries of any generator as parallel lists.
 
     Returns ``(gaps, addresses, writes)``.  Generators that implement a
-    ``next_batch`` fast path (workload traces, sequence-cycling attacks) are
-    used directly; anything else falls back to per-entry calls, so the result
-    is always exactly what ``count`` calls of ``next_entry`` would produce.
+    ``next_batch`` fast path (workload traces, trace files, the sequence-
+    cycling and streaming attacks) are used directly; anything else falls
+    back to per-entry calls, so the result is always exactly what ``count``
+    calls of ``next_entry`` would produce.
     """
     batch = getattr(generator, "next_batch", None)
     if batch is not None:

@@ -27,9 +27,10 @@ _XS_MULT = 0x2545F4914F6CDD1D
 #: yields ``_LANES`` outputs of the *sequential* stream.
 _LANES = 8192
 
-#: Block generation only pays off past this size (seeding the lanes costs
-#: ``_LANES`` scalar steps); smaller requests use a tight scalar loop, which
-#: is itself much faster than per-call next_u64.
+#: Seeding the lanes costs ``_LANES`` scalar steps, so a generator without
+#: live lanes only seeds them for requests of at least this size; smaller
+#: requests use a tight scalar loop, which is itself much faster than
+#: per-call next_u64.  Once seeded, the lanes serve requests of any size.
 _VECTOR_THRESHOLD = 8192
 
 
@@ -73,16 +74,37 @@ def _xs_jump_matrix(steps: int) -> list[int]:
     return result
 
 
-_JUMP_CACHE: dict[int, "object"] = {}
+_JUMP_TABLES = None
 
 
-def _jump_rows(steps: int):
-    """The jump matrix as a numpy uint64 array, cached per step count."""
-    rows = _JUMP_CACHE.get(steps)
-    if rows is None:
-        rows = _np.array(_xs_jump_matrix(steps), dtype=_np.uint64)
-        _JUMP_CACHE[steps] = rows
-    return rows
+def _jump_tables():
+    """The ``_LANES``-step jump as eight 256-entry numpy byte tables.
+
+    The jump is linear over GF(2), so its image of a state is the XOR of
+    its images of the state's eight bytes: ``tables[b][v]`` is the image of
+    ``v << 8 * b``.  Built on the first vector generation, then shared.
+    """
+    global _JUMP_TABLES
+    if _JUMP_TABLES is None:
+        columns = _np.array(_xs_jump_matrix(_LANES), dtype=_np.uint64)
+        values = _np.arange(256, dtype=_np.uint64)
+        tables = _np.zeros((8, 256), dtype=_np.uint64)
+        for bit in range(64):
+            byte, shift = divmod(bit, 8)
+            is_set = (values >> _np.uint64(shift)) & _np.uint64(1)
+            tables[byte] ^= is_set * columns[bit]
+        _JUMP_TABLES = tables
+    return _JUMP_TABLES
+
+
+def _jump(lanes):
+    """Advance every lane by ``_LANES`` xorshift64 steps."""
+    tables = _jump_tables()
+    low_byte = _np.uint64(0xFF)
+    advanced = tables[0][lanes & low_byte]
+    for byte in range(1, 8):
+        advanced ^= tables[byte][(lanes >> _np.uint64(8 * byte)) & low_byte]
+    return advanced
 
 
 class SplitMix64:
@@ -120,12 +142,18 @@ class XorShift64:
     sequence -- a block-mode consumer sees exactly the values a scalar loop
     would have seen.  Note that ``_state`` runs *ahead* of the emitted stream
     while buffered outputs remain.
+
+    The vectorized generator keeps its ``_LANES`` lane states between calls
+    (``_lanes``).  They are live while the last lane equals ``_state``, i.e.
+    until a scalar step advances the state past them; while live, every
+    further block costs one jump instead of re-seeding the lanes.
     """
 
     def __init__(self, seed: int):
         self._state = (seed & _MASK64) or 0x1234_5678_9ABC_DEF1
         self._block = None
         self._block_pos = 0
+        self._lanes = None
 
     def next_u64(self) -> int:
         block = self._block
@@ -183,9 +211,13 @@ class XorShift64:
 
     def _generate(self, count: int):
         """Generate the next ``count``-or-more outputs, advancing ``_state``."""
-        if _np is None or count < _VECTOR_THRESHOLD:
+        if _np is None or (count < _VECTOR_THRESHOLD and not self._lanes_live()):
             return self._generate_scalar(count)
         return self._generate_vector(count)
+
+    def _lanes_live(self) -> bool:
+        lanes = self._lanes
+        return lanes is not None and int(lanes[-1]) == self._state
 
     def _generate_scalar(self, count: int):
         x = self._state
@@ -201,30 +233,36 @@ class XorShift64:
         return out
 
     def _generate_vector(self, count: int):
-        # Lane i starts at state s_{i+1}; applying the T^LANES jump matrix to
-        # every lane advances the whole front by _LANES sequential steps, so
-        # each vectorized application yields _LANES outputs of the sequential
-        # stream (outputs are states times the xorshift64* multiplier).
+        """The next ``count`` outputs rounded up to whole ``_LANES`` blocks.
+
+        Lane ``i`` holds state ``s_{n+i+1}``, where ``s_n`` is the state
+        before the block, so the lanes times the xorshift64* multiplier are
+        the next ``_LANES`` outputs of the sequential stream; one jump
+        advances every lane by ``_LANES`` steps.  Live lanes already end at
+        ``_state``, so the first block is one jump; otherwise the lanes are
+        seeded with ``_LANES`` scalar steps from ``_state``.
+        """
         steps = -(-count // _LANES)
-        jump = _jump_rows(_LANES)
-        x = self._state
-        lane_states = [0] * _LANES
-        for i in range(_LANES):
-            x ^= x >> 12
-            x = (x ^ (x << 25)) & _MASK64
-            x ^= x >> 27
-            lane_states[i] = x
-        lanes = _np.array(lane_states, dtype=_np.uint64)
         mult = _np.uint64(_XS_MULT)
-        one = _np.uint64(1)
         out = _np.empty(steps * _LANES, dtype=_np.uint64)
-        out[:_LANES] = lanes * mult
-        for j in range(1, steps):
-            advanced = _np.zeros(_LANES, dtype=_np.uint64)
-            for b in range(64):
-                advanced ^= ((lanes >> _np.uint64(b)) & one) * jump[b]
-            lanes = advanced
+        if self._lanes_live():
+            lanes = self._lanes
+            first = 0
+        else:
+            x = self._state
+            lane_states = [0] * _LANES
+            for i in range(_LANES):
+                x ^= x >> 12
+                x = (x ^ (x << 25)) & _MASK64
+                x ^= x >> 27
+                lane_states[i] = x
+            lanes = _np.array(lane_states, dtype=_np.uint64)
+            out[:_LANES] = lanes * mult
+            first = 1
+        for j in range(first, steps):
+            lanes = _jump(lanes)
             out[j * _LANES:(j + 1) * _LANES] = lanes * mult
+        self._lanes = lanes
         self._state = int(lanes[-1])
         return out
 

@@ -103,6 +103,30 @@ class AddressMapper:
         self._column_bits = _bits(org.lines_per_row)
         self._rank_bits = _bits(org.ranks_per_channel)
         self._row_bits = _bits(org.rows_per_bank)
+        # (shift, mask) of the channel, bank group, bank, column, rank and
+        # row fields, for the batched decode.
+        self._fields = []
+        shift = self._offset_bits
+        for bits in (
+            self._channel_bits,
+            self._bg_bits,
+            self._bank_bits,
+            self._column_bits,
+            self._rank_bits,
+            self._row_bits,
+        ):
+            self._fields.append((shift, (1 << bits) - 1))
+            shift += bits
+        # Every bank by flat index (BankAddress.flat), and the
+        # row_address_from_flat memo keyed by flat bank * rows_per_bank + row.
+        self._flat_banks = [
+            BankAddress(channel, rank, bank_group, bank)
+            for channel in range(org.channels)
+            for rank in range(org.ranks_per_channel)
+            for bank_group in range(org.bank_groups_per_rank)
+            for bank in range(org.banks_per_group)
+        ]
+        self._row_addr_cache: dict[int, RowAddress] = {}
 
     @property
     def address_bits(self) -> int:
@@ -116,6 +140,12 @@ class AddressMapper:
             + self._rank_bits
             + self._row_bits
         )
+
+    @property
+    def row_shift(self) -> int:
+        """Bit position of the row field, the most significant one: the
+        address of ``row`` is the row-0 address ORed with ``row << row_shift``."""
+        return self._fields[-1][0]
 
     def decode(self, address: int) -> DecodedAddress:
         """Decode a physical byte address into DRAM coordinates."""
@@ -151,36 +181,59 @@ class AddressMapper:
         """
         org = self.org
         if _np is not None:
-            value = _np.asarray(addresses, dtype=_np.int64) >> self._offset_bits
-            channel = value & ((1 << self._channel_bits) - 1)
-            value >>= self._channel_bits
-            bank_group = value & ((1 << self._bg_bits) - 1)
-            value >>= self._bg_bits
-            bank = value & ((1 << self._bank_bits) - 1)
-            value >>= self._bank_bits
-            column = value & ((1 << self._column_bits) - 1)
-            value >>= self._column_bits
-            rank = value & ((1 << self._rank_bits) - 1)
-            value >>= self._rank_bits
-            row = value & ((1 << self._row_bits) - 1)
+            values = _np.asarray(addresses, dtype=_np.int64)
+            channel, bank_group, bank, column, rank, row = [
+                (values >> shift) & mask for shift, mask in self._fields
+            ]
             flat_bank = (
                 ((channel * org.ranks_per_channel + rank)
                  * org.bank_groups_per_rank + bank_group)
                 * org.banks_per_group + bank
             )
             return channel, rank, bank_group, bank, row, column, flat_bank
-        channels, ranks, bank_groups, banks = [], [], [], []
-        rows, columns, flat_banks = [], [], []
-        for address in addresses:
-            decoded = self.decode(address)
-            channels.append(decoded.channel)
-            ranks.append(decoded.rank)
-            bank_groups.append(decoded.bank_group)
-            banks.append(decoded.bank)
-            rows.append(decoded.row)
-            columns.append(decoded.column)
-            flat_banks.append(decoded.bank_address.flat(org))
-        return channels, ranks, bank_groups, banks, rows, columns, flat_banks
+        channel, bank_group, bank, column, rank, row = [
+            [(address >> shift) & mask for address in addresses]
+            for shift, mask in self._fields
+        ]
+        ranks = org.ranks_per_channel
+        groups = org.bank_groups_per_rank
+        banks = org.banks_per_group
+        flat_bank = [
+            ((c * ranks + r) * groups + g) * banks + b
+            for c, r, g, b in zip(channel, rank, bank_group, bank)
+        ]
+        return channel, rank, bank_group, bank, row, column, flat_bank
+
+    def row_address_from_flat(self, bank_index: int, row: int) -> RowAddress:
+        """Memoized flat bank index + row -> :class:`RowAddress`.
+
+        ``bank_index`` is :meth:`BankAddress.flat`, the ``flat_bank`` of
+        :meth:`decode_batch`.  The controller, the batched engine and the
+        tracker warm-up work in flat coordinates while trackers take
+        :class:`RowAddress` objects; hot rows repeat constantly, so the memo
+        turns the reconstruction into a dict hit.
+        """
+        key = bank_index * self.org.rows_per_bank + row
+        cached = self._row_addr_cache.get(key)
+        if cached is None:
+            cached = RowAddress(self._flat_banks[bank_index], row)
+            self._row_addr_cache[key] = cached
+        return cached
+
+    def row_addresses_from_flat(self, flat_banks, rows) -> list[RowAddress]:
+        """:meth:`row_address_from_flat` over the parallel ``flat_bank`` and
+        ``row`` arrays (or lists) of :meth:`decode_batch`, through the same
+        memo; only the (flat bank, row) pairs it lacks are built."""
+        rows_per_bank = self.org.rows_per_bank
+        if isinstance(rows, list):
+            keys = [bank * rows_per_bank + row for bank, row in zip(flat_banks, rows)]
+        else:
+            keys = (flat_banks * rows_per_bank + rows).tolist()
+        cache = self._row_addr_cache
+        for key in set(keys).difference(cache):
+            bank_index, row = divmod(key, rows_per_bank)
+            cache[key] = RowAddress(self._flat_banks[bank_index], row)
+        return list(map(cache.__getitem__, keys))
 
     def encode(
         self,

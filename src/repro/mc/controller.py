@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.config import SystemConfig
-from repro.dram.address import AddressMapper, BankAddress, RowAddress
+from repro.dram.address import AddressMapper, RowAddress
 from repro.dram.commands import Blackout, CommandKind, MitigationScope
 from repro.dram.dram_system import DRAMSystem
 from repro.trackers.base import GroupMitigation, RowHammerTracker, TrackerResponse
@@ -77,7 +77,6 @@ class MemoryController:
         # before it skip the window bookkeeping, anything at or past it
         # re-runs the exact floor-division check.
         self._next_window_ns = config.timings.trefw_ns - 1.0
-        self._row_addr_cache: dict[int, RowAddress] = {}
         # Hook-override flags: the base-class hooks are documented no-ops
         # (return 0.0 / do nothing), so the hot path skips the calls entirely
         # for trackers that do not override them.  Behaviour-identical.
@@ -111,9 +110,10 @@ class MemoryController:
     ) -> float:
         """Service one request and return its completion time."""
         decoded = self.mapper.decode(address)
+        bank_index = decoded.bank_address.flat(self.config.dram)
         return self.service_row(
-            decoded.row_address,
-            decoded.bank_address.flat(self.config.dram),
+            self.mapper.row_address_from_flat(bank_index, decoded.row),
+            bank_index,
             decoded.channel * self.config.dram.ranks_per_channel + decoded.rank,
             decoded.channel,
             decoded.row,
@@ -201,27 +201,6 @@ class MemoryController:
             stats.throttled_requests += 1
 
         return completion_ns
-
-    def row_address_from_flat(self, bank_index: int, row: int) -> RowAddress:
-        """Memoized flat-bank-index + row -> :class:`RowAddress`.
-
-        The batched engine works in predecoded flat coordinates; trackers
-        expect :class:`RowAddress` objects.  Hot rows repeat constantly, so
-        the cache turns reconstruction into a dict hit.
-        """
-        org = self.config.dram
-        key = bank_index * org.rows_per_bank + row
-        cached = self._row_addr_cache.get(key)
-        if cached is None:
-            bank = bank_index % org.banks_per_group
-            rest = bank_index // org.banks_per_group
-            bank_group = rest % org.bank_groups_per_rank
-            rest //= org.bank_groups_per_rank
-            rank = rest % org.ranks_per_channel
-            channel = rest // org.ranks_per_channel
-            cached = RowAddress(BankAddress(channel, rank, bank_group, bank), row)
-            self._row_addr_cache[key] = cached
-        return cached
 
     # ------------------------------------------------------------------ #
     # Tracker response handling

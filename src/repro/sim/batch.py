@@ -6,13 +6,14 @@
 the per-request hot path around batches:
 
 * request generation is prefetched in blocks through
-  :func:`repro.cpu.trace.generator_batch` (workload traces and
-  sequence-cycling attacks have vectorized ``next_batch`` fast paths over a
-  pregenerated RNG block);
+  :func:`repro.cpu.trace.generator_batch` (workload traces run their
+  ``next_batch`` over a pregenerated RNG block; sequence-cycling and
+  streaming attacks have closed-form ``next_batch`` methods);
 * address decode runs vectorized over each prefetched block
   (:meth:`repro.dram.address.AddressMapper.decode_batch`), so the event loop
   works in predecoded flat coordinates and only reconstructs
-  :class:`~repro.dram.address.RowAddress` objects -- memoized -- when a
+  :class:`~repro.dram.address.RowAddress` objects -- memoized by
+  :meth:`~repro.dram.address.AddressMapper.row_address_from_flat` -- when a
   request actually reaches DRAM;
 * the LLC warm-up phase is settled in bulk: its statistics are discarded
   anyway, so only the final tag/LRU/dirty state is materialised;
@@ -466,7 +467,7 @@ class BatchedSimulator(Simulator):
         previous_row = bank.open_row
         activations_before = bank.activations
         completion = controller.service_row(
-            decoded.row_address,
+            self.mapper.row_address_from_flat(flat, decoded.row),
             flat,
             decoded.channel * org.ranks_per_channel + decoded.rank,
             decoded.channel,
@@ -608,8 +609,8 @@ class BatchedSimulator(Simulator):
         line_size = self.config.llc.line_size_bytes
         service_row = controller.service_row
         service = controller.service
-        row_from_flat = controller.row_address_from_flat
-        row_cache = controller._row_addr_cache
+        row_from_flat = self.mapper.row_address_from_flat
+        row_cache = self.mapper._row_addr_cache
         rows_per_bank = self.config.dram.rows_per_bank
         # Hookless fast path: when the tracker overrides none of the
         # per-request hooks and no auditor is attached, service_row reduces

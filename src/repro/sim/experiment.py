@@ -325,20 +325,16 @@ def _replay_warmup(
     step_ns = config.timings.trrd_s_ns
     now_ns = 0.0
     performed = 0
-    # Per-generator prefetched address blocks.  The choice sequence depends
-    # only on the rates, so each chunk's entries can be batch-generated and
-    # replayed in choice order; over-generation past an early stop is
-    # harmless because the generators live only for this warm-up.
-    feed_addrs: list[list[int]] = [[] for _ in range(num)]
-    feed_pos = [0] * num
-    addr_cache: dict[int, RowAddress] = {}
-    decode = mapper.decode
     on_activation = tracker.on_activation
     chunk_size = 4096
     while performed < activations:
         count = min(chunk_size, activations - performed)
+        # The choice sequence depends only on the rates, so each chunk
+        # generates exactly the entries its choices draw from each generator
+        # and replays them in choice order; over-generation past an early
+        # stop is harmless because the generators live only for this warm-up.
         if num == 1:
-            choices = [0] * count
+            sequence = _warmup_rows(generators[0], mapper, count)
         else:
             choices = [0] * count
             for i in range(count):
@@ -347,24 +343,12 @@ def _replay_warmup(
                 chosen = max(range(num), key=lambda which: credits[which])
                 credits[chosen] -= 1.0
                 choices[i] = chosen
-        needs = [0] * num
-        for chosen in choices:
-            needs[chosen] += 1
-        for which in range(num):
-            short = needs[which] - (len(feed_addrs[which]) - feed_pos[which])
-            if short > 0:
-                _, addresses, _ = generator_batch(generators[which], short)
-                feed_addrs[which] = feed_addrs[which][feed_pos[which]:]
-                feed_addrs[which] += addresses
-                feed_pos[which] = 0
-        stopped = False
-        for chosen in choices:
-            address = feed_addrs[chosen][feed_pos[chosen]]
-            feed_pos[chosen] += 1
-            row_addr = addr_cache.get(address)
-            if row_addr is None:
-                row_addr = decode(address).row_address
-                addr_cache[address] = row_addr
+            feeds = [
+                iter(_warmup_rows(generators[which], mapper, choices.count(which)))
+                for which in range(num)
+            ]
+            sequence = [next(feeds[chosen]) for chosen in choices]
+        for row_addr in sequence:
             response = on_activation(row_addr, now_ns)
             now_ns += step_ns
             performed += 1
@@ -373,11 +357,21 @@ def _replay_warmup(
                 or response.group_mitigations
                 or response.blackouts
             ):
-                stopped = True
-                break
-        if stopped:
-            break
+                return performed
     return performed
+
+
+def _warmup_rows(generator, mapper: AddressMapper, count: int) -> list[RowAddress]:
+    """The rows of ``generator``'s next ``count`` activations.
+
+    One batch from the kernel, one :meth:`AddressMapper.decode_batch` over
+    it, and :class:`RowAddress` objects from the mapper's (flat bank, row)
+    memo, which repeated-row kernels hit almost always.  Fields are Python
+    ints: trackers index on-demand tables with them.
+    """
+    _, addresses, _ = generator_batch(generator, count)
+    _, _, _, _, rows, _, flat_banks = mapper.decode_batch(addresses)
+    return mapper.row_addresses_from_flat(flat_banks, rows)
 
 
 def run_workload(

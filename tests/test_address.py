@@ -1,8 +1,11 @@
 """Tests for physical-address <-> DRAM-coordinate mapping."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.dram.address as address_mod
 from repro.config import DRAMOrganization
 from repro.dram.address import AddressMapper, BankAddress, RowAddress
 
@@ -109,3 +112,43 @@ class TestRowAddress:
     def test_rank_row_out_of_range(self, mapper, org):
         with pytest.raises(ValueError):
             mapper.rank_row_to_row_address(0, 0, org.rows_per_rank)
+
+
+class TestBatchDecode:
+    @pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "pure-python"])
+    @pytest.mark.parametrize(
+        "org",
+        [DRAMOrganization(), DRAMOrganization(channels=8, ranks_per_channel=4)],
+        ids=["baseline", "large"],
+    )
+    def test_batch_paths_match_decode(self, org, use_numpy, monkeypatch):
+        if not use_numpy:
+            monkeypatch.setattr(address_mod, "_np", None)
+        elif address_mod._np is None:
+            pytest.skip("numpy is not installed")
+        mapper = AddressMapper(org)
+        rng = random.Random(3)
+        # Repeats too, so the row memo serves hits as well as misses.
+        addresses = [rng.randrange(1 << mapper.address_bits) for _ in range(500)]
+        addresses += addresses[:100]
+        decoded = [mapper.decode(address) for address in addresses]
+        channel, rank, bank_group, bank, row, column, flat_bank = (
+            mapper.decode_batch(addresses)
+        )
+        assert list(channel) == [d.channel for d in decoded]
+        assert list(rank) == [d.rank for d in decoded]
+        assert list(bank_group) == [d.bank_group for d in decoded]
+        assert list(bank) == [d.bank for d in decoded]
+        assert list(row) == [d.row for d in decoded]
+        assert list(column) == [d.column for d in decoded]
+        assert list(flat_bank) == [d.bank_address.flat(org) for d in decoded]
+
+        rows = mapper.row_addresses_from_flat(flat_bank[:300], row[:300])
+        rows += [
+            mapper.row_address_from_flat(int(b), int(r))
+            for b, r in zip(flat_bank[300:], row[300:])
+        ]
+        assert rows == [d.row_address for d in decoded]
+        assert all(
+            type(field) is int for r in rows for field in (*r.bank, r.row)
+        )

@@ -1,14 +1,17 @@
 """Tests for the attack kernels."""
 
+import random
+
 import pytest
 
-from repro.attacks import attack_by_name, tailored_attack_for
+from repro.attacks import attack_by_name, available_attacks, tailored_attack_for
 from repro.attacks.cache_thrash import CacheThrashingAttack
 from repro.attacks.comet_attack import RATThrashingAttack
 from repro.attacks.hydra_attack import RCCConflictAttack
 from repro.attacks.refresh_attack import DoubleSidedRowHammerAttack, RefreshAttack
 from repro.attacks.streaming import RowStreamingAttack
-from repro.config import DRAMOrganization
+from repro.config import DRAMOrganization, baseline_config, reduced_row_config
+from repro.cpu.trace import generator_batch
 from repro.dram.address import AddressMapper
 
 
@@ -175,3 +178,76 @@ class TestDoubleSidedRowHammer:
             for _ in range(16)
         }
         assert len(banks) == 4
+
+
+def _state(attack) -> dict:
+    """Cursors, counters and sequences (the RNG is only used to build)."""
+    return {key: value for key, value in vars(attack).items() if key != "rng"}
+
+
+def _assert_twins_agree(batched, stepped, sizes, rng):
+    """Drive one twin through generator_batch and the other through
+    next_entry, with a few next_entry calls on both after every batch."""
+    for size in sizes:
+        expected = [stepped.next_entry() for _ in range(size)]
+        assert generator_batch(batched, size) == (
+            [entry.gap_instructions for entry in expected],
+            [entry.address for entry in expected],
+            [entry.is_write for entry in expected],
+        )
+        for _ in range(rng.randrange(1, 4)):
+            assert batched.next_entry() == stepped.next_entry()
+        assert _state(batched) == _state(stepped)
+    assert batched.requests_generated == stepped.requests_generated
+
+
+class TestBatchEntryIdentity:
+    """Every kernel's batch path emits what ``next_entry`` would, and leaves
+    the same cursors and ``requests_generated`` behind."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [baseline_config(), reduced_row_config()],
+        ids=["baseline", "reduced-rows"],
+    )
+    @pytest.mark.parametrize("name", available_attacks())
+    def test_batch_matches_next_entry(self, name, config):
+        org = config.dram
+        mapper = AddressMapper(org)
+        batched = attack_by_name(name, org, mapper, seed=7)
+        stepped = attack_by_name(name, org, mapper, seed=7)
+        # One bank sweep of the streaming kernels covers every bank once.
+        sweep = org.total_banks
+        # Wraps counter-streaming's row cursor (stride 64) and id-streaming's
+        # row ids at both geometries.
+        wrap = sweep * (org.rows_per_bank // 64) + 1
+        rng = random.Random(name)
+        sizes = [
+            sweep - 1,  # ends on the last bank of the first sweep
+            1,
+            sweep,
+            sweep + 1,
+            rng.randrange(2, 3 * sweep),
+            wrap,
+            rng.randrange(2, 5_000),
+        ]
+        _assert_twins_agree(batched, stepped, sizes, rng)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda org, mapper: RowStreamingAttack(org, mapper),
+            lambda org, mapper: CacheThrashingAttack(
+                org, mapper, footprint_bytes=64 * 1024
+            ),
+        ],
+        ids=["row-streaming", "cache-thrashing"],
+    )
+    def test_batches_wrap_the_row_cursor_and_the_footprint(self, make):
+        # 64 rows per bank: row-streaming wraps after 128 x 64 accesses;
+        # the 64 KiB footprint wraps every 1,024.
+        org = reduced_row_config(rows_per_bank=64).dram
+        mapper = AddressMapper(org)
+        rng = random.Random(5)
+        sizes = [1, 1_023, 1_025, 8_191, 8_193, rng.randrange(2, 20_000)]
+        _assert_twins_agree(make(org, mapper), make(org, mapper), sizes, rng)

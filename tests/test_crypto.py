@@ -6,8 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.crypto.llbc as llbc
+import repro.crypto.prng as prng
 from repro.crypto.llbc import LowLatencyBlockCipher, _round_function
 from repro.crypto.prng import SplitMix64, XorShift64
+
+_MASK64 = (1 << 64) - 1
+
+
+def _xorshift64_star(seed, count):
+    """The xorshift64* output stream, one step at a time."""
+    x = (seed & _MASK64) or 0x1234_5678_9ABC_DEF1
+    out = []
+    for _ in range(count):
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK64
+        x ^= x >> 27
+        out.append((x * 0x2545F4914F6CDD1D) & _MASK64)
+    return out
 
 
 def _reference_feistel(cipher, value, inverse=False):
@@ -212,3 +227,46 @@ class TestPRNG:
         for _ in range(8000):
             buckets[rng.next_below(8)] += 1
         assert min(buckets) > 800
+
+    @pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "pure-python"])
+    def test_block_and_scalar_calls_emit_one_stream(self, use_numpy, monkeypatch):
+        if not use_numpy:
+            monkeypatch.setattr(prng, "_np", None)
+        elif prng._np is None:
+            pytest.skip("numpy is not installed")
+        seed = 0xC0FFEE
+        rng = XorShift64(seed)
+        emitted = []
+
+        def draw(op, size):
+            if op == "next_u64":
+                emitted.extend(rng.next_u64() for _ in range(size))
+            elif op == "take":
+                emitted.extend(int(value) for value in rng.take(size))
+            else:  # reserve, then consume only part of the reservation
+                block, pos = rng.reserve(size)
+                used = (size + 1) // 2
+                emitted.extend(int(value) for value in block[pos:pos + used])
+                rng.consume(used)
+
+        # Below the vector threshold without lanes: the scalar loop.
+        draw("take", 8_191)
+        # Seeds the lanes; two blocks, 8,191 outputs stay buffered.
+        draw("take", 8_193)
+        # The buffer plus a 41-output top-up, served by the live lanes (one
+        # more block); half of it is consumed, 12,267 outputs stay buffered.
+        draw("reserve", 8_191 + 41)
+        assert use_numpy == rng._lanes_live()
+        # Drains the buffer, then scalar steps leave the lanes stale.
+        draw("next_u64", 12_300)
+        assert not rng._lanes_live()
+        # Stale lanes below the threshold: the scalar loop again.
+        draw("reserve", 100)
+        # Re-seeds the lanes.
+        draw("take", 20_000)
+        order = random.Random(14)
+        for _ in range(40):
+            op = order.choice(["next_u64", "take", "reserve"])
+            high = 3_000 if op == "next_u64" else 20_000
+            draw(op, order.choice([1, 8_191, 8_192, 8_193, order.randrange(1, high)]))
+        assert emitted == _xorshift64_star(seed, len(emitted))
