@@ -69,8 +69,6 @@ class SharedLLC:
             OrderedDict() for _ in range(self._num_sets)
         ]
         self.stats = CacheStats()
-        # Optional instrumentation probe (repro.obs); None on the hot path.
-        self.probe = None
 
     # ------------------------------------------------------------------ #
     # Configuration
@@ -132,16 +130,12 @@ class SharedLLC:
             self.stats.per_core_hits[core_id] = (
                 self.stats.per_core_hits.get(core_id, 0) + 1
             )
-            if self.probe is not None:
-                self.probe.on_llc_access(core_id, True, is_write)
             return CacheAccessResult(hit=True, writeback=False)
 
         self.stats.misses += 1
         self.stats.per_core_misses[core_id] = (
             self.stats.per_core_misses.get(core_id, 0) + 1
         )
-        if self.probe is not None:
-            self.probe.on_llc_access(core_id, False, is_write)
         writeback = False
         evicted_line = None
         if self._data_ways == 0:

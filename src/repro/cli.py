@@ -1590,7 +1590,7 @@ def _obs_spec(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs import MetricsSampler, PipelineProfiler, Probe, TraceRecorder
+    from repro.obs import MetricsSampler, PipelineProfiler, TraceRecorder
 
     if args.obs_command != "trace":  # pragma: no cover
         raise AssertionError(f"unhandled obs command {args.obs_command}")
@@ -1602,7 +1602,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"obs: {error}", file=sys.stderr)
         return 2
-    probe = Probe(trace=trace, metrics=metrics, profiler=profiler)
     result = run_workload(
         config=spec.resolved_config(),
         tracker=spec.tracker,
@@ -1616,7 +1615,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         llc_warmup_accesses=spec.llc_warmup_accesses,
         core_plan=spec.core_plan,
         engine=args.engine,
-        probe=probe,
+        observers=(trace, metrics),
+        profiler=profiler,
     )
 
     trace.write(args.output)

@@ -50,27 +50,3 @@ class Bank:
     def precharge(self) -> None:
         """Close the open row (used after refreshes and structure resets)."""
         self.open_row = None
-
-    def activation_events(
-        self,
-        bank_index: int,
-        previous_row: int | None,
-        row: int,
-        time_ns: float,
-    ) -> list:
-        """Event-source adapter: the command events implied by one ACT.
-
-        Under the open-page policy an activation of ``row`` while
-        ``previous_row`` was open implies a PRE of the old row first, so a
-        row conflict yields ``[BankPrecharge, BankActivate]`` and a miss on
-        an idle bank yields ``[BankActivate]`` alone.  Events are stamped
-        with the completion time of the triggering request (the
-        request-level model does not expose per-command start times).
-        """
-        from repro.sim.events.events import BankActivate, BankPrecharge
-
-        events: list = []
-        if previous_row is not None and previous_row != row:
-            events.append(BankPrecharge(time_ns, bank_index, previous_row))
-        events.append(BankActivate(time_ns, bank_index, row))
-        return events

@@ -47,23 +47,3 @@ class RefreshScheduler:
     def refresh_overhead_fraction(self) -> float:
         """Fraction of time a rank is unavailable due to auto refresh."""
         return self.timings.trfc_ns / self.timings.trefi_ns
-
-    # ------------------------------------------------------------------ #
-    # Event-source adapter for the event bus.
-
-    def tick_events(self, after_index: int, now_ns: float) -> list:
-        """Refresh-tick events for REF commands in ``(after_index, now_ns]``.
-
-        The engine enumerates ticks lazily between serviced requests (idle
-        stretches cost nothing); each
-        :class:`~repro.sim.events.events.RefreshTick` is stamped with its
-        nominal command time ``index * tREFI``.
-        """
-        from repro.sim.events.events import RefreshTick
-
-        last = self.refreshes_elapsed(now_ns)
-        trefi = self.timings.trefi_ns
-        return [
-            RefreshTick(index * trefi, index)
-            for index in range(after_index + 1, last + 1)
-        ]

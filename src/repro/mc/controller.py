@@ -26,6 +26,15 @@ from repro.config import SystemConfig
 from repro.dram.address import AddressMapper, RowAddress
 from repro.dram.commands import Blackout, CommandKind, MitigationScope
 from repro.dram.dram_system import DRAMSystem
+from repro.sim.events.events import (
+    BankActivate,
+    CounterTraffic,
+    GroupRefresh,
+    MitigativeRefresh,
+    RefreshWindow,
+    ResetBlackout,
+    Throttle,
+)
 from repro.trackers.base import GroupMitigation, RowHammerTracker, TrackerResponse
 
 
@@ -62,15 +71,11 @@ class MemoryController:
         self.mapper = mapper or AddressMapper(config.dram)
         self.auditor = auditor
         self.stats = ControllerStats()
-        # Optional instrumentation probe (repro.obs); attached by the
-        # simulator after warm-up.  None keeps every hook site below a
-        # single pointer comparison.
-        self.probe = None
-        # Event-source adapter for the event bus: when set to an
-        # EventBus with RefreshWindow/TrackerEpoch subscribers, window
-        # crossings publish typed events.  None keeps the hot path to a
-        # single pointer comparison per crossed window.
-        self.event_sink = None
+        # The simulation's event bus while it has subscribers, and the
+        # pipeline profiler; the simulator attaches both after warm-up.
+        # None keeps every emission site below one pointer comparison.
+        self.events = None
+        self.profiler = None
         self._last_refresh_window = 0
         # Conservative lower bound (1 ns of slack for float rounding) on the
         # first timestamp at which a new refresh window starts; requests
@@ -153,21 +158,21 @@ class MemoryController:
         if self._tracker_notes_source:
             tracker.note_request_source(core_id)
 
-        probe = self.probe
+        events = self.events
         throttled = False
         if self._tracker_throttles:
             delay = tracker.throttle_delay_ns(row_addr, earliest_ns)
             if delay > 0.0:
                 throttled = True
                 stats.throttle_time_ns += delay
-                if probe is not None:
-                    probe.on_throttle(core_id, delay, earliest_ns)
+                if events is not None:
+                    events.emit(Throttle(earliest_ns, core_id, delay))
                 earliest_ns += delay
 
         extra_act = (
             tracker.activation_extension_ns() if self._tracker_extends_act else 0.0
         )
-        start, completion_ns, activated, row_hit = self.dram.access_flat(
+        _start, completion_ns, activated, _row_hit = self.dram.access_flat(
             bank_index,
             rank_index,
             channel_index,
@@ -176,12 +181,9 @@ class MemoryController:
             earliest_ns,
             extra_act,
         )
-        if probe is not None:
-            probe.on_dram_access(
-                bank_index, row, is_write, completion_ns, activated, row_hit
-            )
-
         if activated:
+            if events is not None:
+                events.emit(BankActivate(completion_ns, bank_index, row))
             if self.auditor is not None:
                 self.auditor.on_activation(row_addr, completion_ns)
             response = tracker.on_activation(row_addr, completion_ns)
@@ -212,9 +214,9 @@ class MemoryController:
         trigger: RowAddress,
         now_ns: float,
     ) -> None:
-        probe = self.probe
-        prof = probe.profiler if probe is not None else None
-        started = perf_counter() if prof is not None else 0.0
+        events = self.events
+        profiler = self.profiler
+        started = perf_counter() if profiler is not None else 0.0
         channel = trigger.bank.channel
         rank = trigger.bank.rank
 
@@ -224,9 +226,9 @@ class MemoryController:
         for _ in range(response.counter_writes):
             self.dram.counter_access(channel, rank, now_ns, is_write=True)
             self.stats.tracker_counter_accesses += 1
-        if probe is not None and (response.counter_reads or response.counter_writes):
-            probe.on_counter_traffic(
-                response.counter_reads, response.counter_writes, now_ns
+        if events is not None and (response.counter_reads or response.counter_writes):
+            events.emit(
+                CounterTraffic(now_ns, response.counter_reads, response.counter_writes)
             )
 
         blast_radius = self.config.rowhammer.blast_radius
@@ -234,8 +236,8 @@ class MemoryController:
         for aggressor in response.mitigations:
             self.dram.victim_refresh(aggressor, blast_radius, command, now_ns)
             self.stats.mitigation_refreshes += 1
-            if probe is not None:
-                probe.on_mitigation(aggressor, now_ns)
+            if events is not None:
+                events.emit(MitigativeRefresh(now_ns, aggressor))
             if self.auditor is not None:
                 self.auditor.on_mitigation(aggressor, blast_radius)
 
@@ -245,8 +247,8 @@ class MemoryController:
         for blackout in response.blackouts:
             self.dram.apply_blackout(blackout, now_ns)
             self.stats.structure_reset_blackouts += 1
-            if probe is not None:
-                probe.on_blackout(blackout, now_ns)
+            if events is not None:
+                events.emit(ResetBlackout(now_ns, blackout))
             # A rank/channel-wide blackout issued by a tracker corresponds to
             # refreshing every row of that scope, so the ground truth resets.
             if self.auditor is not None and blackout.scope in (
@@ -264,8 +266,8 @@ class MemoryController:
             )
             self.dram.energy.record(CommandKind.REF, refresh_equivalents)
 
-        if prof is not None:
-            prof.add("mitigation-scan", perf_counter() - started)
+        if profiler is not None:
+            profiler.add("mitigation-scan", perf_counter() - started)
 
     def _apply_group_mitigation(self, group: GroupMitigation, now_ns: float) -> None:
         """Charge a DAPPER-S style bulk refresh of one row group.
@@ -293,8 +295,10 @@ class MemoryController:
         self.dram.stats.victim_refreshes += group.num_rows
         self.dram.stats.victim_rows_refreshed += group.num_rows * victims_per_row
         self.stats.group_mitigations += 1
-        if self.probe is not None:
-            self.probe.on_group_mitigation(group, now_ns)
+        if self.events is not None:
+            self.events.emit(
+                GroupRefresh(now_ns, group.channel, group.rank, group.num_rows)
+            )
         if self.auditor is not None:
             self.auditor.on_group_mitigation(group)
 
@@ -309,27 +313,10 @@ class MemoryController:
             return
         for crossed in range(self._last_refresh_window + 1, window + 1):
             self.tracker.on_refresh_window(crossed, now_ns)
-            if self.probe is not None:
-                self.probe.on_refresh_window(crossed, now_ns)
+            if self.events is not None:
+                self.events.emit(RefreshWindow(now_ns, crossed))
             if self.auditor is not None:
                 self.auditor.on_refresh_window(crossed)
-            if self.event_sink is not None:
-                self._emit_window_events(crossed, now_ns)
             self.stats.refresh_windows += 1
         self._last_refresh_window = window
         self._next_window_ns = (window + 1) * trefw - 1.0
-
-    def _emit_window_events(self, window_index: int, now_ns: float) -> None:
-        """Publish window-crossing events to the attached event sink.
-
-        Out of line (and lazily importing the event types) so the refresh
-        bookkeeping above stays import-cycle-free and pays one ``None``
-        check when no event bus is attached.
-        """
-        from repro.sim.events.events import RefreshWindow, TrackerEpoch
-
-        sink = self.event_sink
-        if sink.wants(RefreshWindow):
-            sink.emit(RefreshWindow(now_ns, window_index))
-        if sink.wants(TrackerEpoch):
-            sink.emit(self.tracker.epoch_event(window_index, now_ns))

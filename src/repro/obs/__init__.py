@@ -1,6 +1,7 @@
 """Zero-overhead instrumentation: tracing, metrics and pipeline profiling.
 
-Three planes over one probe (see docs/observability.md):
+Two observers of the simulation's event bus and one profiler (see
+docs/observability.md):
 
 * :class:`TraceRecorder` -- cycle-domain event tracing to Chrome-trace /
   Perfetto JSON, one track per component.
@@ -9,31 +10,31 @@ Three planes over one probe (see docs/observability.md):
 * :class:`PipelineProfiler` -- host wall-time per pipeline stage
   (generation / warm-up / drain / mitigation scan / collect).
 
-Attach any combination through a :class:`Probe`::
+An observer is any object with an ``attach(simulator)`` method; it is
+called after warm-up and subscribes handlers to ``simulator.events``
+(:mod:`repro.sim.events.events`)::
 
-    from repro.obs import MetricsSampler, PipelineProfiler, Probe, TraceRecorder
+    from repro.obs import MetricsSampler, PipelineProfiler, TraceRecorder
     from repro.sim.experiment import run_workload
 
-    probe = Probe(trace=TraceRecorder(), metrics=MetricsSampler(),
-                  profiler=PipelineProfiler())
-    result = run_workload(tracker="dapper-h", attack="refresh", probe=probe)
-    probe.trace.write("trace.json")
+    trace = TraceRecorder()
+    result = run_workload(tracker="dapper-h", attack="refresh",
+                          observers=(trace, MetricsSampler()),
+                          profiler=PipelineProfiler())
+    trace.write("trace.json")
 
-With no probe attached every hook site is a single ``is not None`` check;
-with a probe attached the ``SimulationResult`` stays bit-identical (pinned
-by ``tests/test_obs.py``).
+With no subscriber every emission site is a single ``is not None`` check;
+with observers or a profiler attached the ``SimulationResult`` stays
+bit-identical (pinned by ``tests/test_obs.py``).
 """
 
 from repro.obs.metrics import MetricsSampler
-from repro.obs.probe import EventSink, Probe
 from repro.obs.profiler import PipelineProfiler
 from repro.obs.trace import TraceRecorder, validate_chrome_trace
 
 __all__ = [
-    "EventSink",
     "MetricsSampler",
     "PipelineProfiler",
-    "Probe",
     "TraceRecorder",
     "validate_chrome_trace",
 ]

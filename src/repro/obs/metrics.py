@@ -1,10 +1,11 @@
 """Metrics time-series sampling in the simulated-time (cycle) domain.
 
-:class:`MetricsSampler` is an :class:`~repro.obs.probe.EventSink` that
-samples a fixed registry of gauges every ``interval_ns`` of *simulated*
-time and accumulates ``(t_ns, value)`` series.  The gauges are captured at
-:meth:`bind` time as bound callables over the live stats objects, so each
-sample is a handful of attribute reads -- no dict lookups on the hot path.
+:class:`MetricsSampler` is an observer that samples a fixed registry of
+gauges every ``interval_ns`` of *simulated* time, read off the completion
+times of the simulation's requests, and accumulates ``(t_ns, value)``
+series.  The gauges are captured at :meth:`attach` time as bound callables
+over the live stats objects, so each sample is a handful of attribute reads
+-- no dict lookups on the hot path.
 
 Recorded gauges:
 
@@ -28,10 +29,10 @@ The series persist to the warehouse ``metrics`` table (schema v3) via
 
 from __future__ import annotations
 
-from repro.obs.probe import EventSink
+from repro.sim.events.events import RequestComplete, RunEnd
 
 
-class MetricsSampler(EventSink):
+class MetricsSampler:
     """Sample simulator gauges on a fixed simulated-time grid."""
 
     def __init__(self, interval_ns: float = 100_000.0):
@@ -43,7 +44,9 @@ class MetricsSampler(EventSink):
         self._next_ns = self.interval_ns
         self._last_ns = 0.0
 
-    def bind(self, simulator) -> None:
+    def attach(self, simulator) -> None:
+        """Bind the gauges and subscribe to ``simulator.events``; called
+        after warm-up."""
         llc = simulator.llc
         llc_stats = llc.stats
         cstats = simulator.controller.stats
@@ -67,8 +70,11 @@ class MetricsSampler(EventSink):
             )
         self._gauges = tuple(gauges)
         self.series = {name: [] for name, _ in self._gauges}
+        simulator.events.subscribe(RequestComplete, self._on_request)
+        simulator.events.subscribe(RunEnd, self._on_run_end)
 
-    def on_request(self, core_id, issue_ns, completion_ns, is_write, llc_hit, bypassed):
+    def _on_request(self, event: RequestComplete) -> None:
+        completion_ns = event.time_ns
         self._last_ns = completion_ns
         if completion_ns >= self._next_ns:
             self._sample(completion_ns)
@@ -82,13 +88,11 @@ class MetricsSampler(EventSink):
         # sample, not a burst of catch-up samples.
         self._next_ns = (now_ns // interval + 1.0) * interval
 
-    def finish(self) -> None:
-        # Close every series with a final sample at the simulation horizon so
-        # short runs (< one interval) still produce data.  Skipped when the
-        # horizon equals the last grid sample: t_ns is a primary-key column
-        # in the warehouse metrics table, so timestamps must not repeat.
-        if not self._gauges:
-            return
+    def _on_run_end(self, _event: RunEnd) -> None:
+        # Close every series with a final sample at the last completion so
+        # short runs (< one interval) still produce data.  Skipped when that
+        # equals the last grid sample: t_ns is a primary-key column in the
+        # warehouse metrics table, so timestamps must not repeat.
         last_recorded = max(
             (points[-1][0] for points in self.series.values() if points),
             default=-1.0,

@@ -8,9 +8,9 @@ loops that cannot afford a ``with`` block per iteration.
 
 Unlike the trace/metrics planes this measures *host* time, not simulated
 time, so it is the tool for answering "where does a sweep's wall-clock
-go".  It is carried on the probe as a plain attribute (not an event sink)
-and consulted directly by the engines, ``run_workload`` and
-``tools/bench_sweep.py``.
+go".  It is not an observer of the event bus: the engines, the memory
+controller and ``run_workload`` consult it directly (``profiler=``), and
+profiling never moves a run off its fast paths.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Cycle-domain event tracing in the Chrome trace (Perfetto) JSON format.
 
-:class:`TraceRecorder` is an :class:`~repro.obs.probe.EventSink` that turns
-probe events into ``traceEvents`` records viewable in Perfetto
+:class:`TraceRecorder` is an observer: attached to a simulation, it
+subscribes to the simulation's event bus (:mod:`repro.sim.events.events`)
+and turns the events into ``traceEvents`` records viewable in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``:
 
 * each core gets its own track of ``X`` (complete) events, one per serviced
@@ -27,7 +28,18 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.probe import EventSink
+from repro.sim.events.events import (
+    BankActivate,
+    CounterTraffic,
+    GroupRefresh,
+    MitigativeRefresh,
+    RefreshWindow,
+    RequestComplete,
+    ResetBlackout,
+    Throttle,
+    TrackerEvict,
+    TrackerInsert,
+)
 
 #: Synthetic process id for the whole simulated machine.
 PID = 1
@@ -37,8 +49,27 @@ TID_TRACKER = 2
 TID_CORE_BASE = 100
 
 
-class TraceRecorder(EventSink):
-    """Record probe events as Chrome-trace JSON."""
+#: Event kinds recorded as instants: (kind, track, name, args of an event).
+_INSTANTS = (
+    (BankActivate, TID_CONTROLLER, "ACT",
+     lambda e: {"bank": e.bank_index, "row": e.row}),
+    (Throttle, TID_CONTROLLER, "throttle",
+     lambda e: {"core": e.core_id, "delay_ns": e.delay_ns}),
+    (CounterTraffic, TID_CONTROLLER, "counter-traffic",
+     lambda e: {"reads": e.reads, "writes": e.writes}),
+    (RefreshWindow, TID_CONTROLLER, "tREFW",
+     lambda e: {"window": e.window_index}),
+    (MitigativeRefresh, TID_TRACKER, "mitigation",
+     lambda e: {"row": str(e.row)}),
+    (GroupRefresh, TID_TRACKER, "group-mitigation", lambda e: None),
+    (TrackerInsert, TID_TRACKER, "insert",
+     lambda e: {"row": e.row, "count": e.count}),
+    (TrackerEvict, TID_TRACKER, "evict", lambda e: {"row": e.row}),
+)
+
+
+class TraceRecorder:
+    """Record a simulation's events as Chrome-trace JSON."""
 
     def __init__(self, max_events: int = 1_000_000, counter_stride: int = 64):
         self.max_events = int(max_events)
@@ -46,8 +77,8 @@ class TraceRecorder(EventSink):
         self.events: list[dict] = []
         self.dropped = 0
         self._cores_seen: set[int] = set()
-        self._last_ns = 0.0
         self._requests = 0
+        self._llc_stats = None
 
     # -- helpers --------------------------------------------------------
 
@@ -70,95 +101,62 @@ class TraceRecorder(EventSink):
             event["args"] = args
         self._emit(event)
 
-    # -- EventSink ------------------------------------------------------
+    # -- observer -------------------------------------------------------
 
-    def bind(self, simulator) -> None:
-        self._llc_stats = getattr(simulator.llc, "stats", None)
+    def attach(self, simulator) -> None:
+        """Subscribe to ``simulator.events``; called after warm-up."""
+        self._llc_stats = simulator.llc.stats
+        subscribe = simulator.events.subscribe
+        subscribe(RequestComplete, self._on_request)
+        subscribe(ResetBlackout, self._on_blackout)
+        for kind, tid, name, args in _INSTANTS:
+            subscribe(
+                kind,
+                lambda event, tid=tid, name=name, args=args: self._instant(
+                    tid, name, event.time_ns, args(event)
+                ),
+            )
 
-    def on_request(self, core_id, issue_ns, completion_ns, is_write, llc_hit, bypassed):
+    def _on_request(self, event: RequestComplete) -> None:
+        core_id = event.core_id
         self._cores_seen.add(core_id)
-        self._last_ns = completion_ns
-        outcome = "bypass" if bypassed else ("hit" if llc_hit else "miss")
         self._emit(
             {
                 "ph": "X",
                 "pid": PID,
                 "tid": TID_CORE_BASE + core_id,
-                "ts": issue_ns / 1000.0,
-                "dur": (completion_ns - issue_ns) / 1000.0,
-                "name": "write" if is_write else "read",
-                "args": {"llc": outcome},
+                "ts": event.issue_ns / 1000.0,
+                "dur": (event.time_ns - event.issue_ns) / 1000.0,
+                "name": "write" if event.is_write else "read",
+                "args": {"llc": event.llc},
             }
         )
         self._requests += 1
         if self._requests % self.counter_stride == 0:
-            stats = getattr(self, "_llc_stats", None)
-            if stats is not None:
-                self._emit(
-                    {
-                        "ph": "C",
-                        "pid": PID,
-                        "tid": 0,
-                        "ts": completion_ns / 1000.0,
-                        "name": "llc",
-                        "args": {"hits": stats.hits, "misses": stats.misses},
-                    }
-                )
-
-    def on_dram_access(self, bank_index, row, is_write, completion_ns, activated, row_hit):
-        self._last_ns = completion_ns
-        if activated:
-            self._instant(
-                TID_CONTROLLER,
-                "ACT",
-                completion_ns,
-                {"bank": bank_index, "row": row},
+            stats = self._llc_stats
+            self._emit(
+                {
+                    "ph": "C",
+                    "pid": PID,
+                    "tid": 0,
+                    "ts": event.time_ns / 1000.0,
+                    "name": "llc",
+                    "args": {"hits": stats.hits, "misses": stats.misses},
+                }
             )
 
-    def on_throttle(self, core_id, delay_ns, now_ns):
-        self._instant(
-            TID_CONTROLLER,
-            "throttle",
-            now_ns,
-            {"core": core_id, "delay_ns": delay_ns},
-        )
-
-    def on_mitigation(self, row_addr, now_ns):
-        self._instant(TID_TRACKER, "mitigation", now_ns, {"row": str(row_addr)})
-
-    def on_group_mitigation(self, group, now_ns):
-        self._instant(TID_TRACKER, "group-mitigation", now_ns)
-
-    def on_blackout(self, blackout, now_ns):
-        duration_ns = float(getattr(blackout, "duration_ns", 0.0))
+    def _on_blackout(self, event: ResetBlackout) -> None:
         self._emit(
             {
                 "ph": "X",
                 "pid": PID,
                 "tid": TID_CONTROLLER,
-                "ts": now_ns / 1000.0,
-                "dur": duration_ns / 1000.0,
+                "ts": event.time_ns / 1000.0,
+                "dur": float(event.blackout.duration_ns) / 1000.0,
                 "name": "blackout",
                 "args": {},
             }
         )
-
-    def on_counter_traffic(self, reads, writes, now_ns):
-        self._instant(
-            TID_CONTROLLER,
-            "counter-traffic",
-            now_ns,
-            {"reads": reads, "writes": writes},
-        )
-
-    def on_refresh_window(self, window, now_ns):
-        self._instant(TID_CONTROLLER, "tREFW", now_ns, {"window": window})
-
-    def on_tracker_insert(self, row, count, now_ns):
-        self._instant(TID_TRACKER, "insert", now_ns, {"row": row, "count": count})
-
-    def on_tracker_evict(self, row, now_ns):
-        self._instant(TID_TRACKER, "evict", now_ns, {"row": row})
 
     # -- output ---------------------------------------------------------
 

@@ -32,10 +32,15 @@ the per-request hot path around batches:
   so the executor is entered only when the core's remaining budget is at
   least that many requests; shorter tails stay on the per-request loop.
 
-The engine also carries the observational event bus (``self.events``, see
-:mod:`repro.sim.events.events`).  With no subscriber it costs one hoisted
-boolean per drain; with a per-request subscriber (or a probe) every request
-routes through the scalar reference service path with emission added.
+Observation goes through the simulation's event bus (``self.events``, see
+:mod:`repro.sim.events.events`).  Only a subscriber to a per-request kind
+(:class:`~repro.sim.events.events.RequestComplete` or
+:class:`~repro.sim.events.events.BankActivate`) moves the drain off its
+fast paths: every request then routes through the scalar reference
+:meth:`~repro.sim.simulator.Simulator._service_addr`, which emits them.
+Every other kind is emitted by the controller and tracker code that all
+paths share, so those subscribers -- and a pipeline profiler -- keep the
+inlined paths and the stretch executor.
 
 Why bit-identity holds: every request generator is feedback-free (its
 ``next_entry`` consumes only private state seeded at construction), so
@@ -67,15 +72,7 @@ from time import perf_counter
 from repro.cpu.trace import WorkloadTraceGenerator, generator_batch
 from repro.cpu.tracefile import FileTraceGenerator
 from repro.crypto.prng import XorShift64
-from repro.sim.events.events import (
-    BankActivate,
-    BankPrecharge,
-    EventBus,
-    RefreshTick,
-    RefreshWindow,
-    ServiceComplete,
-    TrackerEpoch,
-)
+from repro.sim.events.events import BankActivate, RequestComplete
 from repro.sim.simulator import Simulator
 
 try:  # numpy accelerates decode/set-index precompute; optional.
@@ -307,23 +304,12 @@ class _CoreFeed:
 
 
 class BatchedSimulator(Simulator):
-    """Batch-structured engine, bit-identical to :class:`Simulator`.
-
-    Subscribe handlers on :attr:`events` *before* :meth:`run` to observe the
-    simulation; see :mod:`repro.sim.events.events` for the taxonomy.
-    """
+    """Batch-structured engine, bit-identical to :class:`Simulator`."""
 
     #: Entries prefetched per core per refill of the measured loop.
     BATCH = 4096
     #: Warm-up accesses generated per core per chunk (bounds peak memory).
     WARM_CHUNK = 16384
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        #: The observational event bus for this simulation.
-        self.events = EventBus()
-        self._tick_index = 0
-        self._ticks_wanted = False
 
     # ------------------------------------------------------------------ #
 
@@ -448,102 +434,6 @@ class BatchedSimulator(Simulator):
             )
 
     # ------------------------------------------------------------------ #
-    # Observed service path: the scalar reference path plus event emission.
-
-    def _observed_service(
-        self, address: int, is_write: bool, earliest_ns: float, core_id: int
-    ) -> float:
-        """Service one DRAM request and publish its observational events.
-
-        Arithmetic-identical to :meth:`MemoryController.service` (same
-        decode, same ``service_row``); the only additions are reads of bank
-        state before/after to reconstruct ACT/PRE command events.
-        """
-        controller = self.controller
-        org = self.config.dram
-        decoded = self.mapper.decode(address)
-        flat = decoded.bank_address.flat(org)
-        bank = self.dram._banks[flat]
-        previous_row = bank.open_row
-        activations_before = bank.activations
-        completion = controller.service_row(
-            self.mapper.row_address_from_flat(flat, decoded.row),
-            flat,
-            decoded.channel * org.ranks_per_channel + decoded.rank,
-            decoded.channel,
-            decoded.row,
-            is_write,
-            earliest_ns,
-            core_id,
-        )
-        bus = self.events
-        if bank.activations != activations_before:
-            for event in bank.activation_events(
-                flat, previous_row, decoded.row, completion
-            ):
-                if bus.wants(type(event)):
-                    bus.emit(event)
-        if self._ticks_wanted:
-            ticks = self.dram.refresh.tick_events(self._tick_index, completion)
-            if ticks:
-                self._tick_index = ticks[-1].index
-                for event in ticks:
-                    bus.emit(event)
-        if bus.wants(ServiceComplete):
-            bus.emit(
-                ServiceComplete(
-                    completion, core_id, address, is_write, earliest_ns
-                )
-            )
-        return completion
-
-    def _service_addr_observed(
-        self, core, address: int, is_write: bool, issue_ns: float
-    ) -> float:
-        """:meth:`Simulator._service_addr` with event emission on DRAM work.
-
-        Active whenever the bus has a subscriber to a per-request event kind;
-        probe hooks fire exactly as in the reference path, so probes and
-        subscribers compose.
-        """
-        probe = self.probe
-        if core.generator.bypasses_llc:
-            completion = self._observed_service(
-                address, is_write, issue_ns, core.core_id
-            )
-            if probe is not None:
-                probe.on_request(
-                    core.core_id, issue_ns, completion, is_write, False, True
-                )
-            return completion
-
-        llc_result = self.llc.access(address, is_write, core.core_id)
-        if llc_result.hit:
-            completion = issue_ns + self.config.llc.hit_latency_ns
-            if probe is not None:
-                probe.on_request(
-                    core.core_id, issue_ns, completion, is_write, True, False
-                )
-            return completion
-
-        completion = self._observed_service(
-            address, is_write, issue_ns, core.core_id
-        )
-        if llc_result.writeback and llc_result.evicted_line is not None:
-            writeback_address = (
-                llc_result.evicted_line * self.config.llc.line_size_bytes
-            )
-            self._observed_service(
-                writeback_address, True, completion, core.core_id
-            )
-        completion += self.config.llc.hit_latency_ns
-        if probe is not None:
-            probe.on_request(
-                core.core_id, issue_ns, completion, is_write, False, False
-            )
-        return completion
-
-    # ------------------------------------------------------------------ #
 
     def _build_residency(self, feed: _CoreFeed):
         """Bool bitmap of which lines of ``feed``'s domain are LLC-resident.
@@ -581,18 +471,7 @@ class BatchedSimulator(Simulator):
         if not benign_pending:
             raise ValueError("at least one core needs a finite request budget")
 
-        bus = self.events
         controller = self.controller
-        # The controller publishes window/epoch events itself (lazily,
-        # inside _check_refresh_window) when it has a sink.
-        controller.event_sink = (
-            bus if bus.wants_any(RefreshWindow, TrackerEpoch) else None
-        )
-        observing = bus.wants_any(
-            ServiceComplete, BankActivate, BankPrecharge, RefreshTick
-        )
-        self._ticks_wanted = bus.wants(RefreshTick)
-
         feeds = {
             core.core_id: _CoreFeed(core, self.mapper, self.config, self.BATCH)
             for core in self.cores
@@ -630,19 +509,16 @@ class BatchedSimulator(Simulator):
         apply_response = controller._apply_response
         heappush = heapq.heappush
         heappop = heapq.heappop
-        # A probe or a per-request bus subscriber routes every serviced
-        # request through the scalar reference path so hook sites fire and
-        # events are emitted; it is arithmetic-identical to the inlined fast
-        # paths (parity-pinned), so only wall-clock -- never the
-        # SimulationResult -- changes.
-        probe = self.probe
-        if observing:
-            route = self._service_addr_observed
-        elif probe is not None:
-            route = self._service_addr
-        else:
-            route = None
-        prof = probe.profiler if probe is not None else None
+        # A subscriber to a per-request kind routes every request through
+        # the scalar reference path, which emits it; that path is
+        # arithmetic-identical to the inlined fast paths (parity-pinned), so
+        # only wall-clock -- never the SimulationResult -- changes.
+        route = (
+            self._service_addr
+            if self.events.wants_any(RequestComplete, BankActivate)
+            else None
+        )
+        prof = self.profiler
 
         sequence = 0
         heap: list[tuple[float, int, int]] = []
@@ -991,9 +867,9 @@ class BatchedSimulator(Simulator):
                     break
 
 
-#: ``event`` is an alias of ``batched``: the stretch executor and the event
-#: bus live on the one fast engine, and the name keeps working in scripts
-#: and ``REPRO_SIM_ENGINE``.
+#: ``event`` is an alias of ``batched``: the stretch executor lives on the
+#: one fast engine, and the name keeps working in scripts and
+#: ``REPRO_SIM_ENGINE``.
 _ENGINES = {
     "scalar": Simulator,
     "batched": BatchedSimulator,

@@ -1,31 +1,40 @@
-"""The observational event fabric.
+"""The observation fabric.
 
-* :mod:`repro.sim.events.events` -- typed event classes and the
-  :class:`EventBus` subscription fabric (dependency-free).  The fast engine
-  (:class:`~repro.sim.batch.BatchedSimulator`) publishes into one bus per
-  simulation, ``simulator.events``.
+* :mod:`repro.sim.events.events` -- the typed event vocabulary and the
+  :class:`EventBus` subscription fabric (dependency-free).  Every
+  simulation, on either engine, publishes into one bus, ``simulator.events``.
 * :mod:`repro.sim.events.engine` -- ``EventDrivenSimulator``, an alias of
   the fast engine.
 """
 
 from repro.sim.events.events import (
     BankActivate,
-    BankPrecharge,
+    CounterTraffic,
     Event,
     EventBus,
-    RefreshTick,
+    GroupRefresh,
+    MitigativeRefresh,
     RefreshWindow,
-    ServiceComplete,
-    TrackerEpoch,
+    RequestComplete,
+    ResetBlackout,
+    RunEnd,
+    Throttle,
+    TrackerEvict,
+    TrackerInsert,
 )
 
 __all__ = [
     "BankActivate",
-    "BankPrecharge",
+    "CounterTraffic",
     "Event",
     "EventBus",
-    "RefreshTick",
+    "GroupRefresh",
+    "MitigativeRefresh",
     "RefreshWindow",
-    "ServiceComplete",
-    "TrackerEpoch",
+    "RequestComplete",
+    "ResetBlackout",
+    "RunEnd",
+    "Throttle",
+    "TrackerEvict",
+    "TrackerInsert",
 ]

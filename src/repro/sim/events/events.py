@@ -1,29 +1,33 @@
 """Typed simulation events and the subscription bus they flow through.
 
-The fast engine (:class:`~repro.sim.batch.BatchedSimulator`) publishes every
-observable state change as a typed event:
+Every simulation owns one :class:`EventBus`, ``simulator.events``, on both
+engines.  It is the only way to observe a run: the trace recorder and the
+metrics sampler (:mod:`repro.obs`) are subscribers like any other.  Each
+kind has exactly one emission site:
 
-===================  ======================================================
-:class:`ServiceComplete` the controller finished servicing a request
-:class:`BankActivate`    a DRAM bank opened a row (ACT)
-:class:`BankPrecharge`   a DRAM bank closed its open row (PRE)
-:class:`RefreshTick`     one per-tREFI auto-refresh (REF) command elapsed
-:class:`RefreshWindow`   the simulation crossed a tREFW boundary
-:class:`TrackerEpoch`    the tracker ran its periodic refresh-window reset
-===================  ======================================================
+==========================  ============================================
+:class:`RequestComplete`    ``Simulator._service_addr``
+:class:`BankActivate`       ``MemoryController.service_row``
+:class:`Throttle`           ``MemoryController.service_row``
+:class:`CounterTraffic`     ``MemoryController._apply_response``
+:class:`MitigativeRefresh`  ``MemoryController._apply_response``
+:class:`GroupRefresh`       ``MemoryController._apply_group_mitigation``
+:class:`ResetBlackout`      ``MemoryController._apply_response``
+:class:`RefreshWindow`      ``MemoryController._check_refresh_window``
+:class:`TrackerInsert`      ``GrapheneTracker.on_activation``
+:class:`TrackerEvict`       ``GrapheneTracker.on_activation``
+:class:`RunEnd`             ``Simulator.run``
+==========================  ============================================
 
-Events are *observational*: component adapters emit them into the
-:class:`EventBus` only while at least one handler is subscribed to the kind,
-so an unobserved simulation pays nothing for the event fabric (a single
-``None`` check on the controller, and a hoisted boolean in the engine).
-
-Handlers never influence timing or results -- the engine is parity-pinned
-against the scalar reference with and without subscribers -- which is what
-makes the bus safe to use for tracing, assertions and ad-hoc analysis.
+Events are *observational*: handlers never influence timing or results
+(both engines are parity-pinned with and without subscribers).  The
+controller and the tracker hold the bus in their ``events`` attribute only
+while it has subscribers; otherwise it is ``None`` and each emission site
+costs one ``is not None`` check.
 
 This module is intentionally dependency-free (no imports from the rest of
-:mod:`repro`) so component adapters can import it lazily without creating
-import cycles through :mod:`repro.sim`.
+:mod:`repro`) so every component can import it without creating import
+cycles through :mod:`repro.sim`.
 """
 
 from __future__ import annotations
@@ -40,34 +44,25 @@ class Event:
 
 
 @dataclass(frozen=True, slots=True)
-class ServiceComplete(Event):
-    """The memory controller finished servicing one request.
+class RequestComplete(Event):
+    """A core's request completed; ``time_ns`` is its completion time.
 
-    ``time_ns`` is the completion time.  Only requests that reach the
-    controller produce one -- LLC hits complete inside the cache and never
-    become controller work, in every engine.
+    Every request produces one, LLC hits included.  ``llc`` is ``"hit"``,
+    ``"miss"`` or ``"bypass"`` (the core's generator skips the LLC).
     """
 
     core_id: int
-    address: int
-    is_write: bool
     issue_ns: float
+    is_write: bool
+    llc: str
 
 
 @dataclass(frozen=True, slots=True)
 class BankActivate(Event):
-    """Bank ``bank_index`` activated (opened) ``row`` at ``time_ns``."""
+    """Bank ``bank_index`` activated (opened) ``row``.
 
-    bank_index: int
-    row: int
-
-
-@dataclass(frozen=True, slots=True)
-class BankPrecharge(Event):
-    """Bank ``bank_index`` precharged (closed) ``row``.
-
-    Emitted on row conflicts, where the open-page policy implies a PRE of
-    the previously open row before the new ACT.
+    Stamped with the completion time of the DRAM access that activated it
+    (the request-level model does not expose per-command start times).
     """
 
     bank_index: int
@@ -75,23 +70,56 @@ class BankPrecharge(Event):
 
 
 @dataclass(frozen=True, slots=True)
-class RefreshTick(Event):
-    """One per-tREFI auto-refresh (REF) command, issued to every rank.
+class Throttle(Event):
+    """The tracker delayed core ``core_id``'s request by ``delay_ns`` before
+    it reached DRAM; ``time_ns`` is the undelayed issue time."""
 
-    ``index`` counts REF commands since time zero (``index * tREFI`` is the
-    command's nominal time).  Ticks are enumerated lazily between serviced
-    requests, so long idle stretches cost nothing unless someone subscribes.
-    """
+    core_id: int
+    delay_ns: float
 
-    index: int
+
+@dataclass(frozen=True, slots=True)
+class CounterTraffic(Event):
+    """A tracker response cost ``reads`` + ``writes`` in-DRAM counter
+    accesses."""
+
+    reads: int
+    writes: int
+
+
+@dataclass(frozen=True, slots=True)
+class MitigativeRefresh(Event):
+    """The controller refreshed the victims of aggressor ``row`` (a
+    :class:`~repro.dram.address.RowAddress`)."""
+
+    row: object
+
+
+@dataclass(frozen=True, slots=True)
+class GroupRefresh(Event):
+    """The controller refreshed a whole row group of ``num_rows`` rows in
+    rank ``rank`` of channel ``channel`` (DAPPER-S style)."""
+
+    channel: int
+    rank: int
+    num_rows: int
+
+
+@dataclass(frozen=True, slots=True)
+class ResetBlackout(Event):
+    """A structure-reset blackout (a :class:`~repro.dram.commands.Blackout`)
+    started at ``time_ns``."""
+
+    blackout: object
 
 
 @dataclass(frozen=True, slots=True)
 class RefreshWindow(Event):
     """The simulation crossed into refresh window ``window_index``.
 
-    Window crossings are detected lazily at request-service time (the same
-    rule every engine uses), so ``time_ns`` is the service time of the first
+    Emitted once the tracker has run its per-window housekeeping.  Window
+    crossings are detected lazily at request-service time (the same rule
+    every engine uses), so ``time_ns`` is the service time of the first
     DRAM request observed inside or after the new window -- not the nominal
     boundary ``window_index * tREFW``.
     """
@@ -100,25 +128,30 @@ class RefreshWindow(Event):
 
 
 @dataclass(frozen=True, slots=True)
-class TrackerEpoch(Event):
-    """The tracker ran its periodic per-tREFW housekeeping.
+class TrackerInsert(Event):
+    """The tracker inserted ``row`` into its summary table with ``count``."""
 
-    Emitted right after :meth:`RowHammerTracker.on_refresh_window` for
-    window ``window_index`` returned; ``tracker_name`` identifies which
-    mitigation's epoch elapsed.
-    """
+    row: int
+    count: int
 
-    window_index: int
-    tracker_name: str
+
+@dataclass(frozen=True, slots=True)
+class TrackerEvict(Event):
+    """The tracker spilled ``row`` from its summary table."""
+
+    row: int
+
+
+@dataclass(frozen=True, slots=True)
+class RunEnd(Event):
+    """The run finished; ``time_ns`` is its elapsed simulated time."""
 
 
 class EventBus:
     """Exact-type publish/subscribe fabric for observational events.
 
     ``subscribe`` registers a handler for one event class; ``emit``
-    dispatches an event to the handlers of its exact type.  Emission sites
-    guard on :meth:`wants` (or on a hoisted boolean derived from it), so a
-    bus with no subscribers adds no per-request work.
+    dispatches an event to the handlers of its exact type.
     """
 
     def __init__(self):

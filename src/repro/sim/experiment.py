@@ -386,7 +386,8 @@ def run_workload(
     llc_warmup_accesses: int = 25_000,
     core_plan: tuple[CoreAssignment, ...] | None = None,
     engine: str | None = None,
-    probe=None,
+    observers=(),
+    profiler=None,
 ) -> SimulationResult:
     """Run one scenario and return its :class:`SimulationResult`.
 
@@ -399,8 +400,11 @@ def run_workload(
     the choice is not part of any cache key.  ``None`` defers to the
     ``REPRO_SIM_ENGINE`` environment variable.
 
-    ``probe`` attaches a :class:`repro.obs.Probe` (tracing / metrics /
-    profiling); instrumentation never changes the result, only wall-clock.
+    ``observers`` (e.g. :class:`repro.obs.TraceRecorder`,
+    :class:`repro.obs.MetricsSampler`) subscribe to the simulation's event
+    bus after warm-up, and ``profiler`` (a
+    :class:`repro.obs.PipelineProfiler`) times the pipeline stages; neither
+    changes the result, only wall-clock.
     """
     config = config or baseline_config()
     seed = config.seed if seed is None else seed
@@ -414,7 +418,6 @@ def run_workload(
         profile = _resolve_workload(workload)
         specs = build_core_specs(config, profile, attack, requests_per_core, seed)
     tracker_obj = create_tracker(tracker, config) if isinstance(tracker, str) else tracker
-    profiler = probe.profiler if probe is not None else None
     warmup_stage = (
         profiler.stage("tracker-warmup") if profiler is not None else nullcontext()
     )
@@ -433,7 +436,8 @@ def run_workload(
         specs,
         enable_auditor=enable_auditor,
         llc_warmup_accesses=llc_warmup_accesses,
-        probe=probe,
+        observers=observers,
+        profiler=profiler,
     )
     return simulator.run()
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.analysis.security import GroundTruthAuditor, SecurityReport, SecurityViolation
@@ -30,6 +31,7 @@ from repro.dram.commands import CommandKind
 from repro.dram.dram_system import DRAMStats, DRAMSystem
 from repro.dram.energy import EnergyReport
 from repro.mc.controller import ControllerStats, MemoryController
+from repro.sim.events.events import EventBus, RequestComplete, RunEnd
 from repro.trackers.base import RowHammerTracker, TrackerStats
 from repro.trackers.registry import create_tracker
 
@@ -195,17 +197,27 @@ class Simulator:
         core_specs: list[CoreSpec],
         enable_auditor: bool = False,
         llc_warmup_accesses: int = 0,
-        probe=None,
+        observers=(),
+        profiler=None,
     ):
         """``llc_warmup_accesses`` pre-plays that many accesses per core
         through the shared LLC (tags only, no timing) before measurement, so
         short windows start from a warm steady-state cache instead of a cold
-        one.  ``probe`` is an optional :class:`repro.obs.Probe`; attaching
-        one never changes the :class:`SimulationResult` (only wall-clock)."""
+        one.
+
+        ``observers`` are objects with an ``attach(simulator)`` method,
+        called after warm-up, that subscribe handlers to :attr:`events`;
+        ``profiler`` is an optional :class:`repro.obs.PipelineProfiler`.
+        Neither ever changes the :class:`SimulationResult` (only
+        wall-clock)."""
         if not core_specs:
             raise ValueError("at least one core is required")
         self.config = config
-        self.probe = probe
+        #: The observational event bus for this simulation (see
+        #: :mod:`repro.sim.events.events`); subscribe before :meth:`run`.
+        self.events = EventBus()
+        self.observers = tuple(observers)
+        self.profiler = profiler
         self.mapper = AddressMapper(config.dram)
         self.llc = SharedLLC(config.llc)
         self.dram = DRAMSystem(config)
@@ -256,37 +268,31 @@ class Simulator:
 
     def run(self) -> SimulationResult:
         """Advance every core until all benign budgets are exhausted."""
-        probe = self.probe
-        profiler = probe.profiler if probe is not None else None
-        try:
-            if profiler is not None:
-                with profiler.stage("llc-warmup"):
-                    self._warm_llc()
-                self._attach_probe()
-                with profiler.stage("drain"):
-                    self._drain()
-                with profiler.stage("collect"):
-                    return self._collect()
+        profiler = self.profiler
+        stage = profiler.stage if profiler is not None else nullcontext
+        with stage("llc-warmup"):
             self._warm_llc()
-            self._attach_probe()
+        self._attach()
+        with stage("drain"):
             self._drain()
-            return self._collect()
-        finally:
-            if probe is not None:
-                probe.finish()
+        with stage("collect"):
+            result = self._collect()
+        if self.controller.events is not None:
+            self.events.emit(RunEnd(result.elapsed_ns))
+        return result
 
-    def _attach_probe(self) -> None:
-        """Wire the probe into every component, after warm-up.
+    def _attach(self) -> None:
+        """Attach the observers and the profiler, after warm-up.
 
-        Attaching after :meth:`_warm_llc` keeps warm-up untraced and lets
-        metric sinks bind to the freshly reset LLC stats object."""
-        probe = self.probe
-        if probe is None:
-            return
-        self.controller.probe = probe
-        self.llc.probe = probe
-        self.tracker.probe = probe
-        probe.bind(self)
+        Attaching after :meth:`_warm_llc` keeps warm-up unobserved and lets
+        observers bind to the freshly reset LLC stats object.  The bus goes
+        to the controller and the tracker only if it has subscribers."""
+        for observer in self.observers:
+            observer.attach(self)
+        if self.events.has_subscribers:
+            self.controller.events = self.events
+            self.tracker.events = self.events
+        self.controller.profiler = self.profiler
 
     def _drain(self) -> None:
         """The event loop: pump requests until the benign budgets drain."""
@@ -333,42 +339,35 @@ class Simulator:
     ) -> float:
         """Service one request by address; the shared scalar reference path.
 
-        The batched engine routes through this too whenever a probe is
-        attached, so the hook sites below cover both engines."""
-        probe = self.probe
+        The batched engine routes through this too whenever the bus wants a
+        per-request kind, so the emission sites cover both engines."""
         if core.generator.bypasses_llc:
             completion = self.controller.service(
                 address, is_write, issue_ns, core.core_id
             )
-            if probe is not None:
-                probe.on_request(
-                    core.core_id, issue_ns, completion, is_write, False, True
+            llc = "bypass"
+        else:
+            llc_result = self.llc.access(address, is_write, core.core_id)
+            if llc_result.hit:
+                completion = issue_ns + self.config.llc.hit_latency_ns
+                llc = "hit"
+            else:
+                completion = self.controller.service(
+                    address, is_write, issue_ns, core.core_id
                 )
-            return completion
-
-        llc_result = self.llc.access(address, is_write, core.core_id)
-        if llc_result.hit:
-            completion = issue_ns + self.config.llc.hit_latency_ns
-            if probe is not None:
-                probe.on_request(
-                    core.core_id, issue_ns, completion, is_write, True, False
-                )
-            return completion
-
-        completion = self.controller.service(
-            address, is_write, issue_ns, core.core_id
-        )
-        if llc_result.writeback and llc_result.evicted_line is not None:
-            writeback_address = (
-                llc_result.evicted_line * self.config.llc.line_size_bytes
-            )
-            self.controller.service(
-                writeback_address, True, completion, core.core_id
-            )
-        completion += self.config.llc.hit_latency_ns
-        if probe is not None:
-            probe.on_request(
-                core.core_id, issue_ns, completion, is_write, False, False
+                if llc_result.writeback and llc_result.evicted_line is not None:
+                    writeback_address = (
+                        llc_result.evicted_line * self.config.llc.line_size_bytes
+                    )
+                    self.controller.service(
+                        writeback_address, True, completion, core.core_id
+                    )
+                completion += self.config.llc.hit_latency_ns
+                llc = "miss"
+        events = self.controller.events
+        if events is not None:
+            events.emit(
+                RequestComplete(completion, core.core_id, issue_ns, is_write, llc)
             )
         return completion
 

@@ -121,9 +121,10 @@ class RowHammerTracker(abc.ABC):
     #: Human-readable tracker name used by the evaluation harness.
     name: str = "base"
 
-    #: Optional instrumentation probe (repro.obs), attached by the simulator.
-    #: Class attribute so uninstrumented instances carry no per-object cost.
-    probe = None
+    #: The simulation's event bus, attached by the simulator only while it
+    #: has subscribers.  Class attribute so unobserved instances carry no
+    #: per-object cost.
+    events = None
 
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -176,17 +177,6 @@ class RowHammerTracker(abc.ABC):
     def on_refresh_window(self, window_index: int, now_ns: float) -> TrackerResponse:
         """Hook called when the simulation crosses a tREFW boundary."""
         return EMPTY_RESPONSE
-
-    def epoch_event(self, window_index: int, now_ns: float):
-        """Event-source adapter: this tracker's mitigation-epoch event.
-
-        Published by the memory controller right after
-        :meth:`on_refresh_window` whenever the engine's event bus has a
-        :class:`~repro.sim.events.events.TrackerEpoch` subscriber.
-        """
-        from repro.sim.events.events import TrackerEpoch
-
-        return TrackerEpoch(now_ns, window_index, self.name)
 
     # ------------------------------------------------------------------ #
     # Reporting / configuration

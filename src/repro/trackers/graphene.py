@@ -27,6 +27,7 @@ import math
 
 from repro.config import SystemConfig
 from repro.dram.address import RowAddress
+from repro.sim.events.events import TrackerEvict, TrackerInsert
 from repro.trackers.base import (
     EMPTY_RESPONSE,
     RowHammerTracker,
@@ -89,20 +90,20 @@ class GrapheneTracker(RowHammerTracker):
         if table is None:
             table = self._table(row.bank.flat(self.org))
             self._row_table[row] = table
-        probe = self.probe
-        if probe is None:
+        events = self.events
+        if events is None:
             entry, _counted = table.observe(row.row, 0)
         else:
-            # Snapshot insert/evict outcomes for the trace without touching
-            # the summary's behaviour: spill_victim mirrors observe's own
-            # replacement scan, and the hooks fire only on a new insertion.
+            # Snapshot insert/evict outcomes without touching the summary's
+            # behaviour: spill_victim mirrors observe's own replacement
+            # scan, and the events fire only on a new insertion.
             tracked = row.row in table
             victim = None if tracked else table.spill_victim()
             entry, _counted = table.observe(row.row, 0)
             if not tracked and entry is not None:
                 if victim is not None:
-                    probe.on_tracker_evict(victim, now_ns)
-                probe.on_tracker_insert(row.row, entry.count, now_ns)
+                    events.emit(TrackerEvict(now_ns, victim))
+                events.emit(TrackerInsert(now_ns, row.row, entry.count))
 
         if entry is not None and entry.count >= self.mitigation_threshold:
             self._note_mitigation()

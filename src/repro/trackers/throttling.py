@@ -165,8 +165,20 @@ class BreakHammerShim(RowHammerTracker):
         self._next_allowed_ns.clear()
         return self.inner.on_refresh_window(window_index, now_ns)
 
+    @property
+    def events(self):
+        """The event bus, held by the inner tracker, which emits into it."""
+        return self.inner.events
+
+    @events.setter
+    def events(self, bus) -> None:
+        self.inner.events = bus
+
     def configure_llc(self, llc) -> None:
         self.inner.configure_llc(llc)
+
+    def table_occupancy(self) -> float | None:
+        return self.inner.table_occupancy()
 
     def storage_report(self) -> StorageReport:
         inner = self.inner.storage_report()

@@ -20,6 +20,7 @@ import repro.core.dapper_h as dapper_h_mod
 import repro.crypto.llbc as llbc_mod
 import repro.dram.address as address_mod
 import repro.sim.batch as batch_mod
+import repro.sim.events.events as events_mod
 from repro.config import CacheConfig, reduced_row_config
 from repro.core.rgc import RowGroupCounterTable
 from repro.cpu.trace import TraceEntry
@@ -31,6 +32,7 @@ from repro.cpu.tracefile import (
 )
 from repro.cpu.workloads import WorkloadProfile
 from repro.dram.address import AddressMapper
+from repro.obs import PipelineProfiler
 from repro.scenarios import family_by_name
 from repro.sim.batch import BatchedSimulator, engine_class
 from repro.sim.experiment import run_workload
@@ -55,6 +57,7 @@ def _run(
     core_plan=None,
     requests=REQUESTS,
     config=None,
+    profiler=None,
 ):
     return _canon(
         run_workload(
@@ -67,11 +70,12 @@ def _run(
             llc_warmup_accesses=LLC_WARMUP,
             core_plan=core_plan,
             engine=engine,
+            profiler=profiler,
         )
     )
 
 
-def _run_spec(spec, engine):
+def _run_spec(spec, engine, observers=()):
     return _canon(
         run_workload(
             config=spec.config,
@@ -84,6 +88,7 @@ def _run_spec(spec, engine):
             llc_warmup_accesses=spec.llc_warmup_accesses,
             core_plan=spec.core_plan,
             engine=engine,
+            observers=observers,
         )
     )
 
@@ -307,6 +312,32 @@ class TestQuiescentFastPath:
         if tracker != "none":
             assert stats["mitigations_issued"] + stats["throttled_requests"] > 0
 
+    def test_profiling_keeps_the_stretch_executor(
+        self, tmp_path, residency_builds
+    ):
+        # A profiler times the fast paths an unprofiled run takes; it never
+        # routes requests through the scalar service path.
+        config = _small_llc(64 * 1024)
+        path = tmp_path / "hammer.trace"
+        _write_hammer_trace(path, config.dram)
+        plan = (
+            CoreAssignment(role="trace", trace=str(path)),
+            CoreAssignment(role="idle"),
+            CoreAssignment(role="idle"),
+            CoreAssignment(role="idle"),
+        )
+        kwargs = dict(
+            attack=None, core_plan=plan, requests=20_000, config=config
+        )
+        profiler = PipelineProfiler()
+        assert _run(
+            "graphene", "batched", profiler=profiler, **kwargs
+        ) == _run("graphene", "scalar", **kwargs)
+        assert residency_builds == _built([17_345])
+        assert {"generation", "drain", "mitigation-scan"} <= set(
+            profiler.stage_seconds
+        )
+
     def test_engages_once_the_other_budgeted_core_finishes(
         self, tmp_path, monkeypatch
     ):
@@ -478,14 +509,74 @@ class TestPurePythonFallbackParity:
         assert _run(tracker, "batched") == reference
 
 
+#: Every observational kind of the simulation's event bus.
+_KINDS = (
+    events_mod.RequestComplete,
+    events_mod.BankActivate,
+    events_mod.Throttle,
+    events_mod.CounterTraffic,
+    events_mod.MitigativeRefresh,
+    events_mod.GroupRefresh,
+    events_mod.ResetBlackout,
+    events_mod.RefreshWindow,
+    events_mod.TrackerInsert,
+    events_mod.TrackerEvict,
+    events_mod.RunEnd,
+)
+
+
+class _EventLog:
+    """Observer recording every event of every kind, in emission order."""
+
+    def __init__(self):
+        self.events = []
+
+    def attach(self, simulator):
+        for kind in _KINDS:
+            simulator.events.subscribe(kind, self.events.append)
+
+    def count(self, kind) -> int:
+        return sum(type(event) is kind for event in self.events)
+
+
+def _observed_spec_run(spec, engine):
+    log = _EventLog()
+    return _run_spec(spec, engine, (log,)), log
+
+
 class TestEventBusObservation:
     """Subscribers observe the run without perturbing it."""
 
-    def _spec(self):
+    #: (tracker, attack, kinds the case must emit) on the 2-window spec.
+    CASES = {
+        "graphene/row-streaming": (
+            "graphene",
+            "row-streaming",
+            (events_mod.TrackerInsert, events_mod.TrackerEvict),
+        ),
+        "graphene/refresh": (
+            "graphene", "refresh", (events_mod.MitigativeRefresh,)
+        ),
+        "blockhammer/refresh": (
+            "blockhammer", "refresh", (events_mod.Throttle,)
+        ),
+        "hydra/rcc-conflict": (
+            "hydra", "rcc-conflict", (events_mod.CounterTraffic,)
+        ),
+        "dapper-s/refresh": (
+            "dapper-s", "refresh", (events_mod.GroupRefresh,)
+        ),
+        "abacus/id-streaming": (
+            "abacus", "id-streaming", (events_mod.ResetBlackout,)
+        ),
+    }
+
+    def _spec(self, tracker, attack):
         return family_by_name("multi-refresh-window").expand(
             {
-                "tracker": "graphene",
+                "tracker": tracker,
                 "workload": "453.povray",
+                "attack": attack,
                 "windows": 2,
                 "trefw_scale": 1.0 / 256.0,
                 "geometry": "reduced",
@@ -493,62 +584,67 @@ class TestEventBusObservation:
             }
         )[0]
 
-    def test_subscribers_preserve_results_and_count_consistently(self):
-        from repro.sim.events.events import (
-            BankActivate,
-            RefreshTick,
-            RefreshWindow,
-            ServiceComplete,
-            TrackerEpoch,
-        )
-        from repro.sim.experiment import build_core_specs, _resolve_workload
-        from repro.trackers.registry import create_tracker
+    @pytest.fixture(scope="class")
+    def scalar_side(self):
+        """Per case, the unobserved reference result and the scalar event
+        log, kept from the scalar instance for the batched one (next)."""
+        return {}
 
-        spec = self._spec()
-        reference = _run_spec(spec, "scalar")
-
-        config = spec.config
-        core_specs = build_core_specs(
-            config,
-            _resolve_workload(spec.workload),
-            spec.attack,
-            spec.requests_per_core,
-            spec.resolved_seed(),
-        )
-        simulator = BatchedSimulator(
-            config,
-            create_tracker(spec.tracker, config),
-            core_specs,
-            llc_warmup_accesses=spec.llc_warmup_accesses,
-        )
-        counts: dict[type, int] = {}
-        for kind in (
-            ServiceComplete,
-            BankActivate,
-            RefreshTick,
-            RefreshWindow,
-            TrackerEpoch,
-        ):
-            def _count(event, _kind=kind):
-                counts[_kind] = counts.get(_kind, 0) + 1
-
-            simulator.events.subscribe(kind, _count)
-        observed = _canon(simulator.run())
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_subscribers_preserve_results_and_count_consistently(
+        self, case, engine, scalar_side
+    ):
+        tracker, attack, emitted = self.CASES[case]
+        spec = self._spec(tracker, attack)
+        # The unobserved fast engine is the reference: the suite above pins
+        # it to the unobserved scalar engine.
+        reference, scalar_events = scalar_side.pop(case, (None, None))
+        if reference is None:
+            reference = _run_spec(spec, "batched")
+        observed, log = _observed_spec_run(spec, engine)
 
         # Observation is free of side effects on the simulation itself.
         assert observed == reference
 
+        # Both engines emit one event stream.
+        if engine == "scalar":
+            scalar_side[case] = (reference, log.events)
+        else:
+            if scalar_events is None:
+                scalar_events = _observed_spec_run(spec, "scalar")[1].events
+            assert log.events == scalar_events
+
+        for kind in emitted:
+            assert log.count(kind) > 0, kind.__name__
         stats = observed["controller_stats"]
-        assert counts[ServiceComplete] == stats["requests"]
-        assert counts[RefreshWindow] == stats["refresh_windows"] >= 2
-        assert counts[TrackerEpoch] == counts[RefreshWindow]
-        assert counts[BankActivate] > 0
-        assert counts[RefreshTick] > 0
+        counter_traffic = [
+            e for e in log.events if type(e) is events_mod.CounterTraffic
+        ]
+        assert log.count(events_mod.RequestComplete) == sum(
+            core["requests"] for core in observed["core_results"]
+        )
+        assert log.count(events_mod.RefreshWindow) == stats["refresh_windows"]
+        assert stats["refresh_windows"] >= 2
+        assert (
+            log.count(events_mod.MitigativeRefresh)
+            == stats["mitigation_refreshes"]
+        )
+        assert log.count(events_mod.GroupRefresh) == stats["group_mitigations"]
+        assert (
+            log.count(events_mod.ResetBlackout)
+            == stats["structure_reset_blackouts"]
+        )
+        assert (
+            sum(e.reads + e.writes for e in counter_traffic)
+            == stats["tracker_counter_accesses"]
+        )
+        assert log.count(events_mod.RunEnd) == 1
+        assert log.events[-1] == events_mod.RunEnd(observed["elapsed_ns"])
 
     def test_subscriber_keeps_a_quiescent_run_off_the_stretch_executor(
         self, tmp_path, residency_builds
     ):
-        from repro.sim.events.events import ServiceComplete
         from repro.sim.experiment import build_core_specs_from_plan
         from repro.trackers.registry import create_tracker
 
@@ -575,16 +671,18 @@ class TestEventBusObservation:
             build_core_specs_from_plan(config, plan, 20_000, config.seed),
             llc_warmup_accesses=LLC_WARMUP,
         )
-        serviced = []
-        simulator.events.subscribe(ServiceComplete, serviced.append)
+        completed = []
+        simulator.events.subscribe(events_mod.RequestComplete, completed.append)
         observed = _canon(simulator.run())
 
         # A per-request subscriber routes every request through the scalar
         # service path, which the stretch executor would bypass.
         assert observed == reference
         assert residency_builds == _built([17_345])
-        assert len(serviced) == observed["controller_stats"]["requests"]
-        assert len(serviced) == 10_000
+        assert len(completed) == 20_000
+        assert sum(e.llc == "miss" for e in completed) == (
+            observed["controller_stats"]["requests"]
+        )
 
     def test_unsubscribed_bus_emits_nothing(self):
         from repro.sim.events.events import EventBus, RefreshWindow

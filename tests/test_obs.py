@@ -2,32 +2,32 @@
 
 The observability contract has two hard requirements, both pinned here:
 
-* **Off is free.**  Every hook site is ``if probe is not None`` guarded and
-  the no-op :class:`EventSink` allocates nothing per event, so uninstrumented
-  simulations carry no measurable cost.
-* **On changes nothing.**  Attaching a full probe (trace + metrics +
-  profiler) must leave the :class:`SimulationResult` byte-identical on both
+* **Off is free.**  With no subscriber on the simulation's event bus, the
+  controller and the tracker hold no bus at all, so every emission site is
+  one ``is not None`` check.
+* **On changes nothing.**  Attaching the observers (trace + metrics) and a
+  profiler must leave the :class:`SimulationResult` byte-identical on both
   engines -- instrumentation observes the simulation, it never participates.
 """
 
 from __future__ import annotations
 
 import json
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from repro.config import reduced_row_config
+from repro.cpu.workloads import get_workload
 from repro.obs import (
-    EventSink,
     MetricsSampler,
     PipelineProfiler,
-    Probe,
     TraceRecorder,
     validate_chrome_trace,
 )
-from repro.sim.experiment import run_workload
+from repro.sim.batch import engine_class
+from repro.sim.experiment import build_core_specs, run_workload
+from repro.trackers.registry import create_tracker
 
 REQUESTS = 300
 ATTACK_WARMUP = 5_000
@@ -40,7 +40,7 @@ def _canon(result) -> dict:
     return json.loads(json.dumps(result.to_dict(), sort_keys=True, default=str))
 
 
-def _run(tracker: str, engine: str, probe=None, attack="refresh"):
+def _run(tracker: str, engine: str, observers=(), profiler=None, attack="refresh"):
     return run_workload(
         config=reduced_row_config(nrh=500),
         tracker=tracker,
@@ -50,96 +50,89 @@ def _run(tracker: str, engine: str, probe=None, attack="refresh"):
         attack_warmup_activations=ATTACK_WARMUP,
         llc_warmup_accesses=LLC_WARMUP,
         engine=engine,
-        probe=probe,
+        observers=observers,
+        profiler=profiler,
     )
 
 
-def _full_probe():
-    return Probe(
-        trace=TraceRecorder(),
-        metrics=MetricsSampler(interval_ns=50_000.0),
-        profiler=PipelineProfiler(),
-    )
+def _full_observers():
+    return TraceRecorder(), MetricsSampler(interval_ns=50_000.0)
 
 
 class TestZeroOverhead:
-    def test_noop_sink_allocates_nothing_per_event(self):
-        sink = EventSink()
-        for _ in range(10):            # warm up any lazy interpreter state
-            sink.on_request(0, 1.0, 2.0, False, True, False)
-            sink.on_llc_access(0, True, False)
-            sink.on_dram_access(1, 2, False, 3.0, True, False)
-        tracemalloc.start()
-        before, _ = tracemalloc.get_traced_memory()
-        for _ in range(1_000):
-            sink.on_request(0, 1.0, 2.0, False, True, False)
-            sink.on_llc_access(0, True, False)
-            sink.on_dram_access(1, 2, False, 3.0, True, False)
-            sink.on_throttle(0, 5.0, 6.0)
-            sink.on_mitigation(7, 8.0)
-        after, _ = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert after - before <= 512   # bookkeeping noise only, not per-event
-
-    def test_probe_with_no_sinks_fans_out_to_nothing(self):
-        probe = Probe()
-        assert probe._sinks == ()
-        probe.on_request(0, 1.0, 2.0, False, True, False)   # must not raise
-        probe.finish()
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_unobserved_run_attaches_no_bus(self, engine):
+        # A profiler is not an observer: it leaves the bus detached too.
+        config = reduced_row_config(nrh=500)
+        simulator = engine_class(engine)(
+            config,
+            create_tracker("graphene", config),
+            build_core_specs(
+                config, get_workload("453.povray"), "refresh", REQUESTS, config.seed
+            ),
+            llc_warmup_accesses=LLC_WARMUP,
+            profiler=PipelineProfiler(),
+        )
+        simulator.run()
+        assert simulator.controller.events is None
+        assert simulator.tracker.events is None
 
 
 class TestInstrumentedParity:
-    """A full probe must never change the simulation result."""
+    """Observers and a profiler must never change the simulation result."""
 
     @pytest.mark.parametrize("tracker", ["graphene", "blockhammer"])
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_probe_is_invisible_to_results(self, tracker, engine):
+    def test_observers_are_invisible_to_results(self, tracker, engine):
         reference = _canon(_run(tracker, engine))
-        instrumented = _canon(_run(tracker, engine, probe=_full_probe()))
+        instrumented = _canon(
+            _run(tracker, engine, _full_observers(), PipelineProfiler())
+        )
         assert instrumented == reference
 
     def test_instrumented_engines_match_each_other(self):
-        scalar_probe, batched_probe = _full_probe(), _full_probe()
-        scalar = _canon(_run("graphene", "scalar", probe=scalar_probe))
-        batched = _canon(_run("graphene", "batched", probe=batched_probe))
+        scalar_trace, batched_trace = TraceRecorder(), TraceRecorder()
+        scalar = _canon(_run("graphene", "scalar", (scalar_trace,)))
+        batched = _canon(_run("graphene", "batched", (batched_trace,)))
         assert scalar == batched
-        # Both engines route instrumented requests through the same service
-        # path, so the traces must agree event-for-event too.
-        assert scalar_probe.trace.events == batched_probe.trace.events
+        # Both engines emit every kind from the same sites, so the traces
+        # must agree event-for-event too.
+        assert scalar_trace.events == batched_trace.events
 
 
 class TestTraceRecorder:
     def test_trace_validates_against_checked_in_schema(self, tmp_path):
-        probe = _full_probe()
-        _run("graphene", "batched", probe=probe)
+        trace = TraceRecorder()
+        _run("graphene", "batched", (trace,))
         path = tmp_path / "trace.json"
-        probe.trace.write(path)
+        trace.write(path)
         with open(path, encoding="utf-8") as handle:
-            trace = json.load(handle)
+            document = json.load(handle)
         with open(SCHEMA_PATH, encoding="utf-8") as handle:
             schema = json.load(handle)
-        assert validate_chrome_trace(trace, schema) == []
-        assert trace["otherData"]["recorded_events"] == len(probe.trace.events)
+        assert validate_chrome_trace(document, schema) == []
+        assert document["otherData"]["recorded_events"] == len(trace.events)
 
-    def test_trace_carries_all_tracks(self):
-        probe = _full_probe()
-        _run("graphene", "batched", probe=probe)
+    @pytest.mark.parametrize("tracker", ["graphene", "breakhammer:graphene"])
+    def test_trace_carries_all_tracks(self, tracker):
+        trace = TraceRecorder()
+        _run(tracker, "batched", (trace,))
         from repro.obs.trace import TID_CONTROLLER, TID_CORE_BASE, TID_TRACKER
 
-        tids = {event["tid"] for event in probe.trace.events}
+        tids = {event["tid"] for event in trace.events}
         assert TID_CONTROLLER in tids           # ACT instants
         assert TID_TRACKER in tids              # mitigations / inserts
         assert any(tid >= TID_CORE_BASE for tid in tids)  # request spans
-        names = {event["name"] for event in probe.trace.events}
+        names = {event["name"] for event in trace.events}
         assert {"read", "ACT", "mitigation", "insert"} <= names
 
     def test_event_cap_counts_drops_instead_of_growing(self):
-        probe = Probe(trace=TraceRecorder(max_events=100))
-        _run("graphene", "batched", probe=probe)
-        assert len(probe.trace.events) == 100
-        assert probe.trace.dropped > 0
-        data = probe.trace.chrome_trace()
-        assert data["otherData"]["dropped_events"] == probe.trace.dropped
+        trace = TraceRecorder(max_events=100)
+        _run("graphene", "batched", (trace,))
+        assert len(trace.events) == 100
+        assert trace.dropped > 0
+        data = trace.chrome_trace()
+        assert data["otherData"]["dropped_events"] == trace.dropped
 
     def test_validator_flags_malformed_documents(self):
         with open(SCHEMA_PATH, encoding="utf-8") as handle:
@@ -156,9 +149,10 @@ class TestMetricsSampler:
         with pytest.raises(ValueError, match="positive"):
             MetricsSampler(interval_ns=0)
 
-    def test_series_sampled_on_grid_and_monotonic(self):
+    @pytest.mark.parametrize("tracker", ["graphene", "breakhammer:graphene"])
+    def test_series_sampled_on_grid_and_monotonic(self, tracker):
         sampler = MetricsSampler(interval_ns=50_000.0)
-        _run("graphene", "batched", probe=Probe(metrics=sampler))
+        _run(tracker, "batched", (sampler,))
         assert sampler.samples > 0
         assert "tracker.table_occupancy" in sampler.series   # graphene has one
         for name, points in sampler.series.items():
@@ -173,7 +167,7 @@ class TestMetricsSampler:
 
     def test_to_rows_round_trips_the_series(self):
         sampler = MetricsSampler(interval_ns=50_000.0)
-        _run("none", "batched", probe=Probe(metrics=sampler), attack=None)
+        _run("none", "batched", (sampler,), attack=None)
         rows = sampler.to_rows()
         assert rows and all(len(row) == 3 for row in rows)
         assert rows == sorted(rows, key=lambda row: (row[0], row[1]))
@@ -182,7 +176,7 @@ class TestMetricsSampler:
         # One sample at the horizon even when the run is shorter than the
         # sampling interval.
         sampler = MetricsSampler(interval_ns=1e12)
-        _run("none", "batched", probe=Probe(metrics=sampler), attack=None)
+        _run("none", "batched", (sampler,), attack=None)
         assert sampler.samples == len(sampler.series)
         assert all(len(points) == 1 for points in sampler.series.values())
 
@@ -190,8 +184,8 @@ class TestMetricsSampler:
 class TestPipelineProfiler:
     def test_scalar_and_batched_stage_sets(self):
         scalar, batched = PipelineProfiler(), PipelineProfiler()
-        _run("graphene", "scalar", probe=Probe(profiler=scalar))
-        _run("graphene", "batched", probe=Probe(profiler=batched))
+        _run("graphene", "scalar", profiler=scalar)
+        _run("graphene", "batched", profiler=batched)
         base = {"llc-warmup", "tracker-warmup", "drain", "collect",
                 "mitigation-scan"}
         assert base <= set(scalar.stage_seconds)
@@ -200,7 +194,7 @@ class TestPipelineProfiler:
 
     def test_report_fractions_sum_to_one(self):
         profiler = PipelineProfiler()
-        _run("graphene", "batched", probe=Probe(profiler=profiler))
+        _run("graphene", "batched", profiler=profiler)
         report = profiler.report()
         assert report["total_seconds"] > 0
         fractions = [stage["fraction"] for stage in report["stages"].values()]

@@ -94,14 +94,15 @@ def _run_mode(specs, runner: SweepRunner, engine: str | None = None) -> tuple[di
 
 
 def _profile_stages(specs) -> dict[str, float]:
-    """Per-stage wall time of one representative instrumented simulation.
+    """Per-stage wall time of one representative profiled simulation.
 
     Picks the first mitigated attack scenario of the suite (the most work per
-    stage) and runs it once with a pipeline profiler attached; the breakdown
+    stage) and runs it once with a pipeline profiler attached, on the same
+    fast paths an unprofiled run takes; the breakdown
     (generation / warm-up / drain / mitigation scan) lands in the report so
     stage-level cost shifts show up next to the headline speedups.
     """
-    from repro.obs import PipelineProfiler, Probe
+    from repro.obs import PipelineProfiler
     from repro.sim.experiment import run_workload
 
     spec = next(
@@ -117,7 +118,7 @@ def _profile_stages(specs) -> dict[str, float]:
         seed=spec.resolved_seed(),
         attack_warmup_activations=spec.attack_warmup_activations,
         llc_warmup_accesses=spec.llc_warmup_accesses,
-        probe=Probe(profiler=profiler),
+        profiler=profiler,
     )
     report = profiler.report()
     return {
