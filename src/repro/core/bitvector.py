@@ -46,8 +46,7 @@ class PerBankBitVector:
         self._bits[entry_index] = 0
 
     def reset_all(self) -> None:
-        for index in range(self.num_entries):
-            self._bits[index] = 0
+        self._bits[:] = [0] * self.num_entries
 
     @property
     def storage_bytes(self) -> int:

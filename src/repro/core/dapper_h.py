@@ -31,11 +31,6 @@ from repro.trackers.base import (
 from repro.core.bitvector import PerBankBitVector
 from repro.core.rgc import RowGroupCounterTable
 
-try:  # numpy vectorizes the mitigation-time cross-table scan; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
-
 
 class _RankState:
     """Both RGC tables plus the bit-vector for one rank."""
@@ -44,77 +39,15 @@ class _RankState:
         self.table1 = RowGroupCounterTable(rank_row_bits, group_size, seed ^ 0x1111)
         self.table2 = RowGroupCounterTable(rank_row_bits, group_size, seed ^ 0x2222)
         self.bitvector = PerBankBitVector(self.table1.num_groups, num_banks)
-        # Cache of a group's members annotated with their group in the other
-        # table; valid until the next re-keying.  The pair-list and the
-        # array-form caches are kept separate so the scalar API stays usable
-        # alongside the vectorized mitigation path.
-        self.cross_cache_1: dict[int, list[tuple[int, int]]] = {}
-        self.cross_cache_2: dict[int, list[tuple[int, int]]] = {}
-        self.cross_array_cache_1: dict[int, tuple] = {}
-        self.cross_array_cache_2: dict[int, tuple] = {}
         # (group1, group2) -> the mitigation scan's key-epoch-invariant
-        # products: the shared rows and the two "other groups to read"
-        # index arrays (see DapperHTracker._mitigate).
+        # products (see DapperHTracker._pair_products); valid until the next
+        # re-keying.
         self.pair_cache: dict[tuple[int, int], tuple] = {}
-
-    def cross_members_1(self, group1: int) -> list[tuple[int, int]]:
-        """Members of table-1 group ``group1`` as ``(rank_row, group2)`` pairs."""
-        cached = self.cross_cache_1.get(group1)
-        if cached is None:
-            cached = [
-                (member, self.table2.group_of(member))
-                for member in self.table1.members(group1)
-            ]
-            self.cross_cache_1[group1] = cached
-        return cached
-
-    def cross_members_2(self, group2: int) -> list[tuple[int, int]]:
-        """Members of table-2 group ``group2`` as ``(rank_row, group1)`` pairs."""
-        cached = self.cross_cache_2.get(group2)
-        if cached is None:
-            cached = [
-                (member, self.table1.group_of(member))
-                for member in self.table2.members(group2)
-            ]
-            self.cross_cache_2[group2] = cached
-        return cached
-
-    def cross_arrays_1(self, group1: int):
-        """:meth:`cross_members_1` as ``(members, groups2)`` int64 arrays."""
-        cached = self.cross_array_cache_1.get(group1)
-        if cached is None:
-            members = self.table1.members(group1)
-            cached = (
-                _np.asarray(members, dtype=_np.int64),
-                _np.asarray(
-                    [self.table2.group_of(m) for m in members], dtype=_np.int64
-                ),
-            )
-            self.cross_array_cache_1[group1] = cached
-        return cached
-
-    def cross_arrays_2(self, group2: int):
-        """:meth:`cross_members_2` as ``(members, groups1)`` int64 arrays."""
-        cached = self.cross_array_cache_2.get(group2)
-        if cached is None:
-            members = self.table2.members(group2)
-            cached = (
-                _np.asarray(members, dtype=_np.int64),
-                _np.asarray(
-                    [self.table1.group_of(m) for m in members], dtype=_np.int64
-                ),
-            )
-            self.cross_array_cache_2[group2] = cached
-        return cached
 
     def reset_and_rekey(self) -> None:
         self.table1.reset_and_rekey()
         self.table2.reset_and_rekey()
         self.bitvector.reset_all()
-        self.cross_cache_1.clear()
-        self.cross_cache_2.clear()
-        self.cross_array_cache_1.clear()
-        self.cross_array_cache_2.clear()
         self.pair_cache.clear()
 
 
@@ -163,30 +96,31 @@ class DapperHTracker(RowHammerTracker):
     # ------------------------------------------------------------------ #
 
     def on_activation(self, row: RowAddress, now_ns: float) -> TrackerResponse:
-        self.stats.activations_observed += 1  # inlined _note_activation
+        self.stats.activations_observed += 1
         # Recomputed on every activation rather than memoized per row: most
         # activated rows are new to the run (192,536 of 277,548 activations
         # on the dapper-attack benchmark), so a row memo missed more than it
         # hit and grew with every row.
+        bank = row.bank
+        state = self._ranks.get((bank.channel, bank.rank))
+        if state is None:
+            state = self._rank_state(bank.channel, bank.rank)
         org = self.org
-        state = self._rank_state(row.bank.channel, row.bank.rank)
-        rank_row = row.rank_row_index(org)
-        bank_index = row.bank.rank_local_bank(org)
+        bank_index = bank.bank_group * org.banks_per_group + bank.bank
+        rank_row = bank_index * org.rows_per_bank + row.row
 
-        group1 = state.table1.group_of(rank_row)
-        group2 = state.table2.group_of(rank_row)
+        table1 = state.table1
+        table2 = state.table2
+        group1 = table1.group_of(rank_row)
+        group2 = table2.group_of(rank_row)
 
         # Table 2 is always incremented; table 1 only when the bit-vector
         # confirms repeated activity from the same bank.
-        count2 = state.table2.increment(group2)
-        if self.use_bitvector:
-            count_table1 = state.bitvector.observe(group1, bank_index)
+        count2 = table2.increment(group2)
+        if not self.use_bitvector or state.bitvector.observe(group1, bank_index):
+            count1 = table1.increment(group1)
         else:
-            count_table1 = True
-        if count_table1:
-            count1 = state.table1.increment(group1)
-        else:
-            count1 = state.table1.count(group1)
+            count1 = table1.count(group1)
 
         threshold = self.mitigation_threshold
         if count1 < threshold or count2 < threshold:
@@ -204,94 +138,39 @@ class DapperHTracker(RowHammerTracker):
         group1: int,
         group2: int,
     ) -> TrackerResponse:
-        """Refresh the rows shared by ``group1`` and ``group2`` and reset."""
-        # Decrypt table-1's group and annotate each member with its table-2
-        # group; shared rows are those whose table-2 group is ``group2``.
-        #
-        # Reset counters: a non-refreshed member of the mitigated group may
-        # have accumulated up to its counter in the *other* table, so each
-        # group is reset to the maximum such value rather than to zero
-        # (Section VI-B step 3/4).  Groups that are themselves at or past the
-        # mitigation threshold are excluded from this maximum: they are about
-        # to trigger their own mitigation, and folding their (saturated)
-        # counts back in would let a synchronised multi-row attack pin every
-        # counter at the threshold and force a refresh storm.
-        threshold = self.mitigation_threshold
-        if _np is not None:
-            # Vectorized cross-table scan: identical member sets and counter
-            # reads as the scalar loops below; the reductions (max over
-            # integer counts below the threshold) are order-independent.
-            # Which rows are shared and which opposite-table groups each scan
-            # reads depend only on the key epoch, so they are cached per
-            # (group1, group2) pair -- mitigation-heavy attacks hammer the
-            # same pair repeatedly.
-            cached = state.pair_cache.get((group1, group2))
-            if cached is None:
-                members1, groups2_of = state.cross_arrays_1(group1)
-                shared_mask = groups2_of == group2
-                shared_arr = members1[shared_mask]
-                members2, groups1_of = state.cross_arrays_2(group2)
-                keep = ~_np.isin(members2, shared_arr)
-                shared_rows = shared_arr.tolist()
-                channel = row.bank.channel
-                rank = row.bank.rank
-                cached = (
-                    frozenset(shared_rows),
-                    groups2_of[~shared_mask],
-                    groups1_of[keep],
-                    tuple(
-                        self._to_row_address(channel, rank, member)
-                        for member in shared_rows
-                    ),
-                )
-                state.pair_cache[(group1, group2)] = cached
-            shared_set, read_groups2, read_groups1, mitigations = cached
-            if rank_row not in shared_set:
-                # Safeguard only: the activated row is shared by construction.
-                mitigations = mitigations + (
-                    self._to_row_address(row.bank.channel, row.bank.rank, rank_row),
-                )
-            reset1 = 0
-            reset2 = 0
-            if self.use_reset_counters:
-                # max over the counts below the threshold; zero if none are
-                # (counts are non-negative, so the default cannot win).
-                counts2 = state.table2.counts_at(read_groups2)
-                reset1 = int(_np.max(
-                    counts2, initial=0, where=counts2 < threshold
-                ))
-                counts1 = state.table1.counts_at(read_groups1)
-                reset2 = int(_np.max(
-                    counts1, initial=0, where=counts1 < threshold
-                ))
-        else:
-            shared = []
-            reset1 = 0
-            for member, member_group2 in state.cross_members_1(group1):
-                if member_group2 == group2:
-                    shared.append(member)
-                elif self.use_reset_counters:
-                    other_count = state.table2.count(member_group2)
-                    if other_count < threshold:
-                        reset1 = max(reset1, other_count)
+        """Refresh the rows shared by ``group1`` and ``group2`` and reset.
 
-            reset2 = 0
-            if self.use_reset_counters:
-                shared_set = set(shared)
-                for member, member_group1 in state.cross_members_2(group2):
-                    if member in shared_set:
-                        continue
-                    other_count = state.table1.count(member_group1)
-                    if other_count < threshold:
-                        reset2 = max(reset2, other_count)
-
-            # The activated row is always shared by construction.
-            if rank_row not in shared:
-                shared.append(rank_row)
-
-            mitigations = tuple(
-                self._to_row_address(row.bank.channel, row.bank.rank, member)
-                for member in shared
+        Reset counters: a non-refreshed member of the mitigated group may
+        have accumulated up to its counter in the *other* table, so each
+        group is reset to the maximum such value rather than to zero
+        (Section VI-B step 3/4).  Groups that are themselves at or past the
+        mitigation threshold are excluded from this maximum: they are about
+        to trigger their own mitigation, and folding their (saturated)
+        counts back in would let a synchronised multi-row attack pin every
+        counter at the threshold and force a refresh storm.
+        """
+        cached = state.pair_cache.get((group1, group2))
+        if cached is None:
+            cached = state.pair_cache[(group1, group2)] = self._pair_products(
+                state, row.bank.channel, row.bank.rank, group1, group2
+            )
+        shared_set, read_groups2, read_groups1, mitigations = cached
+        if rank_row not in shared_set:
+            # Safeguard only: the activated row is shared by construction.
+            mitigations = mitigations + (
+                self._to_row_address(row.bank.channel, row.bank.rank, rank_row),
+            )
+        reset1 = 0
+        reset2 = 0
+        if self.use_reset_counters:
+            threshold = self.mitigation_threshold
+            reset1 = max(
+                (c for c in state.table2.counts_at(read_groups2) if c < threshold),
+                default=0,
+            )
+            reset2 = max(
+                (c for c in state.table1.counts_at(read_groups1) if c < threshold),
+                default=0,
             )
 
         num_shared = len(mitigations)
@@ -305,6 +184,39 @@ class DapperHTracker(RowHammerTracker):
         state.table2.set_count(group2, min(ceiling, reset2))
         state.bitvector.clear_entry(group1)
         return TrackerResponse(mitigations=mitigations)
+
+    def _pair_products(
+        self, state: _RankState, channel: int, rank: int, group1: int, group2: int
+    ) -> tuple:
+        """What a mitigation of ``(group1, group2)`` refreshes and reads.
+
+        Returns the shared rows (as a set, and as :class:`RowAddress` objects
+        in table-1 member order) and the other-table groups whose counters
+        the reset values scan: the table-2 groups of table-1's unshared
+        members, and the table-1 groups of table-2's unshared members.  All
+        of it depends only on the key epoch, and mitigation-heavy attacks
+        hammer the same pair repeatedly.
+        """
+        table1 = state.table1
+        table2 = state.table2
+        shared = []
+        read_groups2 = []
+        for member in table1.members(group1):
+            member_group2 = table2.group_of(member)
+            if member_group2 == group2:
+                shared.append(member)
+            else:
+                read_groups2.append(member_group2)
+        shared_set = frozenset(shared)
+        read_groups1 = [
+            table1.group_of(member)
+            for member in table2.members(group2)
+            if member not in shared_set
+        ]
+        mitigations = tuple(
+            self._to_row_address(channel, rank, member) for member in shared
+        )
+        return shared_set, read_groups2, read_groups1, mitigations
 
     def _to_row_address(self, channel: int, rank: int, rank_row: int) -> RowAddress:
         org = self.org

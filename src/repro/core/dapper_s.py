@@ -17,6 +17,8 @@ analysed in Table II.  Those weaknesses motivate DAPPER-H.
 
 from __future__ import annotations
 
+import math
+
 from repro.config import SystemConfig
 from repro.dram.address import RowAddress
 from repro.trackers.base import (
@@ -49,7 +51,7 @@ class DapperSTracker(RowHammerTracker):
         self.group_size = group_size
         self.reset_period_ns = reset_period_ns
         self._tables: dict[tuple[int, int], RowGroupCounterTable] = {}
-        self._next_reset_ns = reset_period_ns
+        self._next_reset_ns = math.inf if reset_period_ns is None else reset_period_ns
         self._seed = config.seed ^ 0x44505253  # "DPRS"
 
     # ------------------------------------------------------------------ #
@@ -66,9 +68,8 @@ class DapperSTracker(RowHammerTracker):
             self._tables[key] = table
         return table
 
-    def _maybe_periodic_reset(self, now_ns: float) -> None:
-        if self.reset_period_ns is None or now_ns < self._next_reset_ns:
-            return
+    def _periodic_reset(self, now_ns: float) -> None:
+        """Reset and re-key every table, then advance past ``now_ns``."""
         for table in self._tables.values():
             table.reset_and_rekey()
         self.stats.periodic_resets += 1
@@ -78,11 +79,18 @@ class DapperSTracker(RowHammerTracker):
     # ------------------------------------------------------------------ #
 
     def on_activation(self, row: RowAddress, now_ns: float) -> TrackerResponse:
-        self._note_activation()
-        self._maybe_periodic_reset(now_ns)
+        self.stats.activations_observed += 1
+        if now_ns >= self._next_reset_ns:
+            self._periodic_reset(now_ns)
 
-        table = self._table(row.bank.channel, row.bank.rank)
-        rank_row = row.rank_row_index(self.org)
+        bank = row.bank
+        table = self._tables.get((bank.channel, bank.rank))
+        if table is None:
+            table = self._table(bank.channel, bank.rank)
+        org = self.org
+        rank_row = (
+            bank.bank_group * org.banks_per_group + bank.bank
+        ) * org.rows_per_bank + row.row
         group = table.group_of(rank_row)
         count = table.increment(group)
         if count < self.mitigation_threshold:

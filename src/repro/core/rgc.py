@@ -7,28 +7,20 @@ group size selects the counter.  Because the cipher is a bijection, the
 members of a group can always be recovered by decrypting the ``group_size``
 consecutive hashed addresses the group covers -- that is how DAPPER finds the
 rows to refresh when a counter reaches the mitigation threshold.
+
+The counters are a plain list of Python ints: DAPPER touches one or two of
+them per activation, and reading a numpy element back and storing it costs
+more than the increment itself.  The mitigation-time cross-table scan reads
+many counters at once through :meth:`RowGroupCounterTable.counts_at`.
 """
 
 from __future__ import annotations
 
 from repro.crypto.llbc import LowLatencyBlockCipher
 
-try:  # numpy backs the counter array and batch reads; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
-
 
 class RowGroupCounterTable:
-    """One RGC table with its own cipher over the rank's row-address space.
-
-    The counter table is numpy-backed when numpy is available
-    (``use_numpy=False`` keeps the plain-list reference model); the scalar
-    ``count``/``increment``/``set_count`` API always deals in Python ints, so
-    both backings are observationally identical.  :meth:`counts_at` reads many
-    group counters at once, which is what makes DAPPER's mitigation-time
-    cross-table scan (one read per group member) vectorizable.
-    """
+    """One RGC table with its own cipher over the rank's row-address space."""
 
     def __init__(
         self,
@@ -36,7 +28,6 @@ class RowGroupCounterTable:
         group_size: int,
         seed: int,
         counter_bits: int = 8,
-        use_numpy: bool | None = None,
     ):
         if group_size < 1 or group_size & (group_size - 1):
             raise ValueError("group_size must be a positive power of two")
@@ -44,18 +35,10 @@ class RowGroupCounterTable:
         self.group_size = group_size
         self._group_shift = group_size.bit_length() - 1
         self.counter_bits = counter_bits
+        self._ceiling = (1 << counter_bits) - 1
         self.cipher = LowLatencyBlockCipher(rank_row_bits, seed)
         self.num_groups = (1 << rank_row_bits) // group_size
-        if use_numpy is None:
-            use_numpy = _np is not None
-        if use_numpy and _np is None:
-            raise ValueError("numpy backing requested but numpy is unavailable")
-        self.use_numpy = use_numpy
-        self._counters = (
-            _np.zeros(self.num_groups, dtype=_np.int64)
-            if use_numpy
-            else [0] * self.num_groups
-        )
+        self._counters = [0] * self.num_groups
         self._member_cache: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------------ #
@@ -100,38 +83,26 @@ class RowGroupCounterTable:
     # ------------------------------------------------------------------ #
 
     def count(self, group_index: int) -> int:
-        return int(self._counters[group_index])
+        return self._counters[group_index]
 
-    def counts_at(self, group_indices):
-        """Counts of many groups at once.
-
-        ``group_indices`` may be a sequence or (array-backed) a numpy index
-        array; the result is a numpy array in the array-backed case and a
-        list otherwise.  Reads only -- aggregation over the result (max,
-        comparisons) is order-independent, so it is exactly equivalent to a
-        loop of :meth:`count` calls.
-        """
-        counters = self._counters
-        if self.use_numpy:
-            return counters[group_indices]
-        return [counters[index] for index in group_indices]
+    def counts_at(self, group_indices) -> list[int]:
+        """Counts of many groups at once, in the order of ``group_indices``."""
+        return list(map(self._counters.__getitem__, group_indices))
 
     def increment(self, group_index: int) -> int:
         """Saturating increment; returns the new value."""
-        ceiling = (1 << self.counter_bits) - 1
-        value = min(ceiling, int(self._counters[group_index]) + 1)
-        self._counters[group_index] = value
+        counters = self._counters
+        value = counters[group_index] + 1
+        if value > self._ceiling:
+            value = self._ceiling
+        counters[group_index] = value
         return value
 
     def set_count(self, group_index: int, value: int) -> None:
         self._counters[group_index] = max(0, value)
 
     def reset_all(self) -> None:
-        if self.use_numpy:
-            self._counters.fill(0)
-        else:
-            for index in range(self.num_groups):
-                self._counters[index] = 0
+        self._counters[:] = [0] * self.num_groups
 
     def rekey(self) -> None:
         """Refresh the cipher keys (row-to-group mapping changes entirely)."""
@@ -145,9 +116,3 @@ class RowGroupCounterTable:
     @property
     def storage_bytes(self) -> int:
         return self.num_groups * self.counter_bits // 8
-
-    def nonzero_groups(self) -> int:
-        """Number of groups with a non-zero counter (useful in tests)."""
-        if self.use_numpy:
-            return int((self._counters != 0).sum())
-        return sum(1 for value in self._counters if value)

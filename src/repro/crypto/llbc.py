@@ -96,6 +96,7 @@ class LowLatencyBlockCipher:
         if block_bits < 2:
             raise ValueError("block_bits must be at least 2")
         self.block_bits = block_bits
+        self._block_size = 1 << block_bits
         self._left_bits = block_bits // 2
         self._right_bits = block_bits - self._left_bits
         self._right_mask = (1 << self._right_bits) - 1
@@ -144,7 +145,8 @@ class LowLatencyBlockCipher:
 
     def encrypt(self, value: int) -> int:
         """Encrypt a ``block_bits``-bit value."""
-        self._check_range(value)
+        if not 0 <= value < self._block_size:
+            self._check_range(value)
         f0, f1, f2, f3 = self._tables or self._build_tables()
         shift = self._right_bits
         left = value >> shift
@@ -157,7 +159,8 @@ class LowLatencyBlockCipher:
 
     def decrypt(self, value: int) -> int:
         """Invert :meth:`encrypt`."""
-        self._check_range(value)
+        if not 0 <= value < self._block_size:
+            self._check_range(value)
         f0, f1, f2, f3 = self._tables or self._build_tables()
         shift = self._right_bits
         left = value >> shift
@@ -169,7 +172,8 @@ class LowLatencyBlockCipher:
         return (left << shift) | right
 
     def _check_range(self, value: int) -> None:
-        if not 0 <= value < (1 << self.block_bits):
+        """Raise for a value outside the block (the hot paths test inline)."""
+        if not 0 <= value < self._block_size:
             raise ValueError(
                 f"value {value} out of range for {self.block_bits}-bit block"
             )

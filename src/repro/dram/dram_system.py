@@ -288,38 +288,36 @@ class DRAMSystem:
 
     def counter_access(
         self, channel: int, rank: int, earliest_ns: float, is_write: bool
-    ) -> DRAMAccessResult:
+    ) -> None:
         """Service one access to the reserved in-DRAM RowHammer-counter region.
 
         Used by trackers that keep per-row counters in DRAM (Hydra's RCT,
         START's spill region).  The access round-robins over a reserved set of
         rows spread across the banks of the rank so that repeated counter
-        misses exercise different banks, as the real designs do.
+        misses exercise different banks, as the real designs do.  It goes
+        straight to :meth:`access_flat`; nothing reads its timing.
         """
         org = self.org
+        banks_per_rank = org.bank_groups_per_rank * org.banks_per_group
         self._counter_cursor += 1
         cursor = self._counter_cursor
-        bank_local = cursor % org.banks_per_rank
-        bank_group = bank_local // org.banks_per_group
-        bank = bank_local % org.banks_per_group
+        rank_index = channel * org.ranks_per_channel + rank
         # The reserved region occupies the top rows of each bank.
         row = org.rows_per_bank - 1 - (
-            (cursor // org.banks_per_rank) % self.COUNTER_REGION_ROWS
+            (cursor // banks_per_rank) % self.COUNTER_REGION_ROWS
         )
-        decoded = DecodedAddress(
-            channel=channel,
-            rank=rank,
-            bank_group=bank_group,
-            bank=bank,
-            row=row,
-            column=cursor % org.lines_per_row,
+        self.access_flat(
+            rank_index * banks_per_rank + cursor % banks_per_rank,
+            rank_index,
+            channel,
+            row,
+            is_write,
+            earliest_ns,
         )
-        result = self.access(decoded, is_write, earliest_ns)
         if is_write:
             self.stats.counter_writes += 1
         else:
             self.stats.counter_reads += 1
-        return result
 
     # ------------------------------------------------------------------ #
     # Mitigations and blackouts

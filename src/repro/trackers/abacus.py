@@ -116,13 +116,20 @@ class AbacusTracker(RowHammerTracker):
     # ------------------------------------------------------------------ #
 
     def on_activation(self, row: RowAddress, now_ns: float) -> TrackerResponse:
-        self._note_activation()
+        self.stats.activations_observed += 1
         org = self.org
-        summary = self._summary(row.bank.channel)
+        bank = row.bank
+        summary = self._summaries.get(bank.channel)
+        if summary is None:
+            summary = self._summary(bank.channel)
         bank_index = (
-            row.bank.rank * org.banks_per_rank + row.bank.rank_local_bank(org)
-        )
+            bank.rank * org.bank_groups_per_rank + bank.bank_group
+        ) * org.banks_per_group + bank.bank
         entry, _counted = summary.observe(row.row, bank_index)
+        if (
+            entry is None or entry.count < self.mitigation_threshold
+        ) and summary.spillover < self.mitigation_threshold - 1:
+            return EMPTY_RESPONSE
 
         mitigations: tuple[RowAddress, ...] = ()
         blackouts: tuple[Blackout, ...] = ()
@@ -157,8 +164,6 @@ class AbacusTracker(RowHammerTracker):
             summary.reset()
             self.stats.structure_resets += 1
 
-        if not mitigations and not blackouts:
-            return EMPTY_RESPONSE
         return TrackerResponse(mitigations=mitigations, blackouts=blackouts)
 
     def on_refresh_window(self, window_index: int, now_ns: float) -> TrackerResponse:

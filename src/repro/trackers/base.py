@@ -22,7 +22,7 @@ mechanism the Perf-Attacks of Section III exploit.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.config import SystemConfig
@@ -71,6 +71,19 @@ class TrackerResponse:
 
 #: Response used on the fast path when a tracker has nothing to request.
 EMPTY_RESPONSE = TrackerResponse()
+
+#: Shared responses that carry only counter traffic, indexed
+#: ``COUNTER_TRAFFIC[counter_reads][counter_writes]`` for up to one read and
+#: one write (``[0][0]`` is :data:`EMPTY_RESPONSE`).  Trackers with in-DRAM
+#: counters return these, and build a fresh response only when it carries
+#: mitigations or blackouts.
+COUNTER_TRAFFIC = (
+    (EMPTY_RESPONSE, TrackerResponse(counter_writes=1)),
+    (
+        TrackerResponse(counter_reads=1),
+        TrackerResponse(counter_reads=1, counter_writes=1),
+    ),
+)
 
 
 @dataclass

@@ -72,9 +72,8 @@ class BlockHammerTracker(RowHammerTracker):
             self._filters[bank_flat] = cbf
         return cbf
 
-    def _rotate_if_needed(self, now_ns: float) -> None:
-        if now_ns < self._next_epoch_ns:
-            return
+    def _rotate(self, now_ns: float) -> None:
+        """Clear the filters once ``now_ns`` has reached the next epoch."""
         for cbf in self._filters.values():
             cbf.reset()
         self._next_allowed_ns.clear()
@@ -85,9 +84,12 @@ class BlockHammerTracker(RowHammerTracker):
     # ------------------------------------------------------------------ #
 
     def throttle_delay_ns(self, row: RowAddress, now_ns: float) -> float:
-        self._rotate_if_needed(now_ns)
+        if now_ns >= self._next_epoch_ns:
+            self._rotate(now_ns)
         bank_flat = row.bank.flat(self.org)
-        cbf = self._filter(bank_flat)
+        cbf = self._filters.get(bank_flat)
+        if cbf is None:
+            cbf = self._filter(bank_flat)
         if cbf.estimate(row.row) < self.blacklist_threshold:
             return 0.0
         key = (bank_flat, row.row)
@@ -102,9 +104,13 @@ class BlockHammerTracker(RowHammerTracker):
         return delay
 
     def on_activation(self, row: RowAddress, now_ns: float) -> TrackerResponse:
-        self._note_activation()
-        self._rotate_if_needed(now_ns)
-        cbf = self._filter(row.bank.flat(self.org))
+        self.stats.activations_observed += 1
+        if now_ns >= self._next_epoch_ns:
+            self._rotate(now_ns)
+        bank_flat = row.bank.flat(self.org)
+        cbf = self._filters.get(bank_flat)
+        if cbf is None:
+            cbf = self._filter(bank_flat)
         cbf.increment(row.row)
         return EMPTY_RESPONSE
 

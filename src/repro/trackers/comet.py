@@ -104,7 +104,8 @@ class CoMeTTracker(RowHammerTracker):
     # ------------------------------------------------------------------ #
 
     def on_activation(self, row: RowAddress, now_ns: float) -> TrackerResponse:
-        self._note_activation()
+        stats = self.stats
+        stats.activations_observed += 1
 
         # Periodic reset of the sketch and RAT every tREFW/3 (no bulk refresh:
         # the threshold of NRH/4 keeps the periodic reset safe, matching the
@@ -116,53 +117,63 @@ class CoMeTTracker(RowHammerTracker):
                     sketch.reset()
                 state.rat.clear()
                 state.miss_history.clear()
-            self.stats.periodic_resets += 1
+            stats.periodic_resets += 1
             self._next_periodic_reset_ns += (
                 self.config.timings.trefw_ns * self.PERIODIC_RESET_FRACTION
             )
 
         org = self.org
-        state = self._channel_state(row.bank.channel)
-        bank_flat = row.bank.flat(org)
-        sketch = self._sketch_for(state, bank_flat)
+        bank = row.bank
+        state = self._channels.get(bank.channel)
+        if state is None:
+            state = self._channel_state(bank.channel)
+        bank_flat = (
+            (bank.channel * org.ranks_per_channel + bank.rank)
+            * org.bank_groups_per_rank + bank.bank_group
+        ) * org.banks_per_group + bank.bank
+        sketch = state.sketches.get(bank_flat)
+        if sketch is None:
+            sketch = self._sketch_for(state, bank_flat)
         estimate = sketch.increment(row.row)
 
-        rat_key = (bank_flat, row.row)
-        mitigations: tuple[RowAddress, ...] = ()
-        blackouts: tuple[Blackout, ...] = ()
-
-        if rat_key in state.rat:
+        rat = state.rat
+        rat_key = bank_flat * org.rows_per_bank + row.row
+        count = rat.get(rat_key)
+        if count is not None:
             # Recently mitigated row: rely on its precise RAT counter rather
             # than the (saturated, non-resettable) sketch estimate.
-            state.rat[rat_key] += 1
-            state.rat.move_to_end(rat_key)
+            rat.move_to_end(rat_key)
             if estimate >= self.ct_threshold:
                 state.miss_history.append(False)
-            if state.rat[rat_key] >= self.ct_threshold:
-                mitigations = (row,)
-                self._note_mitigation()
-                state.rat[rat_key] = 0
-        elif estimate >= self.ct_threshold:
-            # Sketch saturated for a row the RAT does not know: mitigate it
-            # and start tracking it precisely.  This is a RAT miss.
-            mitigations = (row,)
+            if count + 1 < self.ct_threshold:
+                rat[rat_key] = count + 1
+                return EMPTY_RESPONSE
+            rat[rat_key] = 0
             self._note_mitigation()
-            state.miss_history.append(True)
-            if len(state.rat) >= self.RAT_ENTRIES:
-                state.rat.popitem(last=False)
-            state.rat[rat_key] = 0
-            # Early reset when the RAT miss rate over the last 256 saturation
-            # events exceeds 25%.
-            if (
-                len(state.miss_history) >= self.MISS_HISTORY
-                and (sum(state.miss_history) / len(state.miss_history))
-                > self.MISS_RATE_RESET_THRESHOLD
-            ):
-                blackouts = (self._structure_reset(row, "comet-early-reset"),)
-        else:
+            return TrackerResponse(mitigations=(row,))
+        if estimate < self.ct_threshold:
             return EMPTY_RESPONSE
 
-        return TrackerResponse(mitigations=mitigations, blackouts=blackouts)
+        # Sketch saturated for a row the RAT does not know: mitigate it and
+        # start tracking it precisely.  This is a RAT miss.
+        self._note_mitigation()
+        miss_history = state.miss_history
+        miss_history.append(True)
+        if len(rat) >= self.RAT_ENTRIES:
+            rat.popitem(last=False)
+        rat[rat_key] = 0
+        # Early reset when the RAT miss rate over the last 256 saturation
+        # events exceeds 25%.
+        if (
+            len(miss_history) >= self.MISS_HISTORY
+            and (sum(miss_history) / len(miss_history))
+            > self.MISS_RATE_RESET_THRESHOLD
+        ):
+            return TrackerResponse(
+                mitigations=(row,),
+                blackouts=(self._structure_reset(row, "comet-early-reset"),),
+            )
+        return TrackerResponse(mitigations=(row,))
 
     def on_refresh_window(self, window_index: int, now_ns: float) -> TrackerResponse:
         for state in self._channels.values():

@@ -22,20 +22,26 @@ from dataclasses import dataclass, field
 from repro.config import SystemConfig
 from repro.dram.address import RowAddress
 from repro.trackers.base import (
+    COUNTER_TRAFFIC,
     EMPTY_RESPONSE,
     RowHammerTracker,
     StorageReport,
     TrackerResponse,
 )
-from repro.trackers.structures import SetAssociativeCounterCache
+from repro.trackers.structures import MISS_EVICTED, SetAssociativeCounterCache
 
 
 @dataclass
 class _RankTrackingState:
-    """Per-rank Hydra state: group counters, per-row mode set, RCC, RCT."""
+    """Per-rank Hydra state: group counters, per-row mode set, RCC, RCT.
 
-    gct: dict[tuple[int, int], int] = field(default_factory=dict)
-    per_row_groups: set[tuple[int, int]] = field(default_factory=set)
+    Groups are keyed by ``bank_local * groups_per_bank + row // GROUP_SIZE``
+    and rows by ``bank_local * rows_per_bank + row``.  The RCT holds every
+    per-row count; the RCC models only which of them are cached.
+    """
+
+    gct: dict[int, int] = field(default_factory=dict)
+    per_row_groups: set[int] = field(default_factory=set)
     rct: dict[int, int] = field(default_factory=dict)
     rcc: SetAssociativeCounterCache | None = None
 
@@ -57,6 +63,7 @@ class HydraTracker(RowHammerTracker):
         )
         self._ranks: dict[tuple[int, int], _RankTrackingState] = {}
         self._rcc_seed = config.seed ^ 0x48_59_44_52  # "HYDR"
+        self._groups_per_bank = -(-self.org.rows_per_bank // self.GROUP_SIZE)
 
     # ------------------------------------------------------------------ #
 
@@ -75,60 +82,55 @@ class HydraTracker(RowHammerTracker):
             self._ranks[key] = state
         return state
 
-    @staticmethod
-    def _row_key(bank_local: int, row: int, rows_per_bank: int) -> int:
-        # Row index in the low bits so that the RCC set index is ``row % sets``
-        # (the structure the tailored Perf-Attack exploits).
-        return bank_local * rows_per_bank + row
-
     # ------------------------------------------------------------------ #
 
     def on_activation(self, row: RowAddress, now_ns: float) -> TrackerResponse:
-        self._note_activation()
+        stats = self.stats
+        stats.activations_observed += 1
         org = self.org
-        bank_local = row.bank.rank_local_bank(org)
-        state = self._rank_state(row.bank.channel, row.bank.rank)
-        group_key = (bank_local, row.row // self.GROUP_SIZE)
+        bank = row.bank
+        state = self._ranks.get((bank.channel, bank.rank))
+        if state is None:
+            state = self._rank_state(bank.channel, bank.rank)
+        bank_local = bank.bank_group * org.banks_per_group + bank.bank
+        group_key = bank_local * self._groups_per_bank + row.row // self.GROUP_SIZE
 
         if group_key not in state.per_row_groups:
-            count = state.gct.get(group_key, 0) + 1
-            state.gct[group_key] = count
+            gct = state.gct
+            count = gct.get(group_key, 0) + 1
+            gct[group_key] = count
             if count >= self.group_threshold:
                 state.per_row_groups.add(group_key)
             return EMPTY_RESPONSE
 
-        # Per-row tracking through the RCC / RCT.
-        row_key = self._row_key(bank_local, row.row, org.rows_per_bank)
-        counter_reads = 0
-        counter_writes = 0
-        cached = state.rcc.lookup(row_key)
-        if cached is None:
+        # Per-row tracking through the RCC / RCT.  Row index in the low bits
+        # so that the RCC set index is ``row % sets`` (the structure the
+        # tailored Perf-Attack exploits).  Every count is written to the RCT,
+        # so a cached count always equals its RCT entry: an RCC miss fetches
+        # the count (one DRAM read) and writes back the victim it evicts (one
+        # DRAM write), and the count itself always comes from the RCT.
+        row_key = bank_local * org.rows_per_bank + row.row
+        counter_reads = counter_writes = 0
+        outcome = state.rcc.access(row_key)
+        if outcome:
             counter_reads = 1
-            self.stats.counter_reads += 1
-            value = state.rct.get(row_key, self.group_threshold)
-            evicted = state.rcc.fill(row_key, value)
-            if evicted is not None:
+            stats.counter_reads += 1
+            if outcome == MISS_EVICTED:
                 counter_writes = 1
-                self.stats.counter_writes += 1
-                state.rct[evicted[0]] = evicted[1]
-            cached = value
+                stats.counter_writes += 1
 
-        new_value = cached + 1
-        mitigations: tuple[RowAddress, ...] = ()
-        if new_value >= self.mitigation_threshold:
-            mitigations = (row,)
+        rct = state.rct
+        count = rct.get(row_key, self.group_threshold) + 1
+        if count >= self.mitigation_threshold:
+            rct[row_key] = 0
             self._note_mitigation()
-            new_value = 0
-        state.rcc.update(row_key, new_value)
-        state.rct[row_key] = new_value
-
-        if counter_reads == 0 and not mitigations:
-            return EMPTY_RESPONSE
-        return TrackerResponse(
-            counter_reads=counter_reads,
-            counter_writes=counter_writes,
-            mitigations=mitigations,
-        )
+            return TrackerResponse(
+                counter_reads=counter_reads,
+                counter_writes=counter_writes,
+                mitigations=(row,),
+            )
+        rct[row_key] = count
+        return COUNTER_TRAFFIC[counter_reads][counter_writes]
 
     def on_refresh_window(self, window_index: int, now_ns: float) -> TrackerResponse:
         for state in self._ranks.values():

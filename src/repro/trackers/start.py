@@ -20,12 +20,13 @@ from __future__ import annotations
 from repro.config import SystemConfig
 from repro.dram.address import RowAddress
 from repro.trackers.base import (
+    COUNTER_TRAFFIC,
     EMPTY_RESPONSE,
     RowHammerTracker,
     StorageReport,
     TrackerResponse,
 )
-from repro.trackers.structures import SetAssociativeCounterCache
+from repro.trackers.structures import MISS_EVICTED, SetAssociativeCounterCache
 
 
 class StartTracker(RowHammerTracker):
@@ -64,43 +65,42 @@ class StartTracker(RowHammerTracker):
         reserved_ways = int(round(llc.config.ways * self.RESERVED_FRACTION))
         llc.reserve_ways(reserved_ways)
 
-    def _global_row_index(self, row: RowAddress) -> int:
-        org = self.org
-        bank_flat = row.bank.flat(org)
-        return bank_flat * org.rows_per_bank + row.row
-
     # ------------------------------------------------------------------ #
 
     def on_activation(self, row: RowAddress, now_ns: float) -> TrackerResponse:
-        self._note_activation()
-        row_index = self._global_row_index(row)
-        line_id = row_index // self.COUNTERS_PER_LINE
+        stats = self.stats
+        stats.activations_observed += 1
+        # The row's index across the whole system: its flat bank index
+        # (BankAddress.flat) times the rows per bank, plus the row.
+        org = self.org
+        bank = row.bank
+        row_index = (
+            ((bank.channel * org.ranks_per_channel + bank.rank)
+             * org.bank_groups_per_rank + bank.bank_group)
+            * org.banks_per_group + bank.bank
+        ) * org.rows_per_bank + row.row
 
-        counter_reads = 0
-        counter_writes = 0
-        if self._counter_cache.lookup(line_id) is None:
+        counter_reads = counter_writes = 0
+        outcome = self._counter_cache.access(row_index // self.COUNTERS_PER_LINE)
+        if outcome:
             counter_reads = 1
-            self.stats.counter_reads += 1
-            evicted = self._counter_cache.fill(line_id, 1)
-            if evicted is not None:
+            stats.counter_reads += 1
+            if outcome == MISS_EVICTED:
                 counter_writes = 1
-                self.stats.counter_writes += 1
+                stats.counter_writes += 1
 
-        count = self._counters.get(row_index, 0) + 1
-        mitigations: tuple[RowAddress, ...] = ()
+        counters = self._counters
+        count = counters.get(row_index, 0) + 1
         if count >= self.mitigation_threshold:
-            mitigations = (row,)
+            counters[row_index] = 0
             self._note_mitigation()
-            count = 0
-        self._counters[row_index] = count
-
-        if counter_reads == 0 and not mitigations:
-            return EMPTY_RESPONSE
-        return TrackerResponse(
-            counter_reads=counter_reads,
-            counter_writes=counter_writes,
-            mitigations=mitigations,
-        )
+            return TrackerResponse(
+                counter_reads=counter_reads,
+                counter_writes=counter_writes,
+                mitigations=(row,),
+            )
+        counters[row_index] = count
+        return COUNTER_TRAFFIC[counter_reads][counter_writes]
 
     def on_refresh_window(self, window_index: int, now_ns: float) -> TrackerResponse:
         self._counters.clear()

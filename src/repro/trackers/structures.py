@@ -4,38 +4,26 @@
 * :class:`MisraGriesSummary` -- ABACUS' shared aggressor tracker with a
   spillover counter and per-bank bit-vectors.
 * :class:`CountingBloomFilter` -- BlockHammer's blacklisting filter.
-* :class:`SetAssociativeCounterCache` -- Hydra's Row Counter Cache and the
-  counter-cache behaviour of START's reserved LLC region.
+* :class:`SetAssociativeCounterCache` -- the residency of Hydra's Row Counter
+  Cache and of START's reserved-LLC counter cache.
 
 All structures are deterministic: hash seeds are passed in explicitly.
 Per-tracker sizing (entry counts, thresholds) lives with each tracker module,
 which states its paper section and key parameters.
 
-The counter-table structures (:class:`CountMinSketch` and
-:class:`CountingBloomFilter`) are array-backed when numpy is available: the
-counters live in numpy integer arrays and bulk updates go through vectorized
-``increment_batch`` / ``estimate_batch`` methods.  The scalar API operates on
-the same storage and remains the semantic reference model -- constructing
-either structure with ``use_numpy=False`` forces the original pure-Python
-list storage, and the parity tests assert both backends produce identical
-counters and estimates for identical operation sequences.
-:class:`SetAssociativeCounterCache` intentionally keeps its dict-based design:
-its behaviour is dominated by per-access LRU recency updates and deterministic
-victim choice, which are inherently sequential, and its per-set population is
-bounded by the associativity, so there is no counter *table* to vectorize --
-the bulk tables it backs (Hydra's RCT, START's spill region) are plain dicts
-whose traffic the simulator charges through DRAM counter accesses.
+The structures sit on every tracked activation, so they keep their state in
+plain Python lists and dicts of ints: reading an element back from a numpy
+array and storing it costs more than the counting itself.  The two sketches
+(:class:`CountMinSketch` and :class:`CountingBloomFilter`) memoize each key's
+counter indices, a pure function of the key and the hash seeds, until their
+next :meth:`reset`: the Perf-Attacks revisit a bounded set of rows, so most
+activations skip the hashing.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-
-try:  # numpy backs the counter tables; everything works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 from repro.crypto.prng import XorShift64
 
@@ -52,97 +40,52 @@ def _mix(value: int, seed: int) -> int:
     return x & _MASK64
 
 
-def _mix_batch(values, seed: int):
-    """Vectorized :func:`_mix` over a numpy uint64 array (same bits)."""
-    x = values ^ _np.uint64(seed)
-    x = x * _np.uint64(0xFF51AFD7ED558CCD)
-    x ^= x >> _np.uint64(33)
-    x = x * _np.uint64(0xC4CEB9FE1A85EC53)
-    x ^= x >> _np.uint64(33)
-    return x
-
-
 class CountMinSketch:
     """Count-Min Sketch with ``depth`` hash rows of ``width`` counters each.
 
-    Counters are stored in a numpy ``(depth, width)`` int64 array when numpy
-    is available (``use_numpy=None`` auto-detects); ``use_numpy=False`` keeps
-    the pure-Python list-of-lists reference storage.  Both backends are exact
-    integer counters -- every scalar and batch operation produces identical
-    results on either.
+    The ``depth`` rows are stored back to back in one list, so a key's
+    indices (memoized per key until :meth:`reset`) address the flat list
+    directly.
     """
 
-    def __init__(self, depth: int, width: int, seed: int, use_numpy: bool | None = None):
+    def __init__(self, depth: int, width: int, seed: int):
         if depth < 1 or width < 1:
             raise ValueError("depth and width must be positive")
         self.depth = depth
         self.width = width
         self._seeds = [_mix(seed, 0x1000 + i) for i in range(depth)]
-        self._use_numpy = (_np is not None) if use_numpy is None else (use_numpy and _np is not None)
-        if self._use_numpy:
-            self._rows = [_np.zeros(width, dtype=_np.int64) for _ in range(depth)]
-        else:
-            self._rows = [[0] * width for _ in range(depth)]
+        self._counters = [0] * (depth * width)
+        self._index_memo: dict[int, tuple[int, ...]] = {}
 
-    def _indices(self, key: int) -> list[int]:
-        return [
-            _mix(key, self._seeds[row]) % self.width for row in range(self.depth)
-        ]
+    def _indices(self, key: int) -> tuple[int, ...]:
+        """Hash ``key`` into the memo (callers look it up there first)."""
+        width = self.width
+        indices = self._index_memo[key] = tuple(
+            row * width + _mix(key, seed) % width
+            for row, seed in enumerate(self._seeds)
+        )
+        return indices
 
     def increment(self, key: int, amount: int = 1) -> int:
         """Increment ``key`` and return the new (over-)estimate."""
+        indices = self._index_memo.get(key) or self._indices(key)
+        counters = self._counters
         estimate = None
-        for row, index in enumerate(self._indices(key)):
-            counters = self._rows[row]
-            value = int(counters[index]) + amount
-            counters[index] = value
-            estimate = value if estimate is None else min(estimate, value)
-        return estimate or 0
+        for index in indices:
+            value = counters[index] = counters[index] + amount
+            if estimate is None or value < estimate:
+                estimate = value
+        return estimate
 
     def estimate(self, key: int) -> int:
         """Current (over-)estimate of ``key``'s count."""
-        rows = self._rows
-        return min(
-            int(rows[row][index]) for row, index in enumerate(self._indices(key))
-        )
-
-    def increment_batch(self, keys, amount: int = 1) -> None:
-        """Apply ``increment(key, amount)`` for every key in one shot.
-
-        Duplicate keys accumulate exactly as repeated scalar increments would
-        (integer additions commute); only the intermediate per-key estimates
-        of the scalar sequence are not produced.  Callers that consult the
-        estimate after every single activation must use :meth:`increment`.
-        """
-        if not self._use_numpy:
-            for key in keys:
-                self.increment(int(key), amount)
-            return
-        key_arr = _np.asarray(keys, dtype=_np.uint64)
-        for row in range(self.depth):
-            indices = (_mix_batch(key_arr, self._seeds[row]) % _np.uint64(self.width)).astype(_np.int64)
-            _np.add.at(self._rows[row], indices, amount)
-
-    def estimate_batch(self, keys):
-        """Vectorized :meth:`estimate`; returns one estimate per key."""
-        if not self._use_numpy:
-            return [self.estimate(int(key)) for key in keys]
-        key_arr = _np.asarray(keys, dtype=_np.uint64)
-        estimates = None
-        for row in range(self.depth):
-            indices = (_mix_batch(key_arr, self._seeds[row]) % _np.uint64(self.width)).astype(_np.int64)
-            values = self._rows[row][indices]
-            estimates = values if estimates is None else _np.minimum(estimates, values)
-        return estimates
+        indices = self._index_memo.get(key) or self._indices(key)
+        counters = self._counters
+        return min([counters[index] for index in indices])
 
     def reset(self) -> None:
-        if self._use_numpy:
-            for row in self._rows:
-                row.fill(0)
-            return
-        for row in self._rows:
-            for index in range(self.width):
-                row[index] = 0
+        self._counters[:] = [0] * len(self._counters)
+        self._index_memo.clear()
 
     @property
     def storage_bits(self) -> int:
@@ -283,89 +226,68 @@ class MisraGriesSummary:
 class CountingBloomFilter:
     """Counting Bloom filter used by BlockHammer's blacklisting logic.
 
-    Array-backed like :class:`CountMinSketch`: counters live in one numpy
-    int64 array when available (``use_numpy=False`` keeps the pure-Python
-    reference list), and bulk updates go through :meth:`increment_batch`.
+    Like :class:`CountMinSketch`, it memoizes each key's counter indices
+    until :meth:`reset`.
     """
 
-    def __init__(self, num_counters: int, num_hashes: int, seed: int, use_numpy: bool | None = None):
+    def __init__(self, num_counters: int, num_hashes: int, seed: int):
         if num_counters < 1 or num_hashes < 1:
             raise ValueError("counters and hashes must be positive")
         self.num_counters = num_counters
         self.num_hashes = num_hashes
         self._seeds = [_mix(seed, 0x2000 + i) for i in range(num_hashes)]
-        self._use_numpy = (_np is not None) if use_numpy is None else (use_numpy and _np is not None)
-        if self._use_numpy:
-            self._counters = _np.zeros(num_counters, dtype=_np.int64)
-        else:
-            self._counters = [0] * num_counters
+        self._counters = [0] * num_counters
+        self._index_memo: dict[int, tuple[int, ...]] = {}
 
-    def _indices(self, key: int) -> list[int]:
-        return [
-            _mix(key, self._seeds[i]) % self.num_counters
-            for i in range(self.num_hashes)
-        ]
+    def _indices(self, key: int) -> tuple[int, ...]:
+        """Hash ``key`` into the memo (callers look it up there first)."""
+        num_counters = self.num_counters
+        indices = self._index_memo[key] = tuple(
+            _mix(key, seed) % num_counters for seed in self._seeds
+        )
+        return indices
 
     def increment(self, key: int) -> int:
+        indices = self._index_memo.get(key) or self._indices(key)
         counters = self._counters
         estimate = None
-        for index in self._indices(key):
-            value = int(counters[index]) + 1
-            counters[index] = value
-            estimate = value if estimate is None else min(estimate, value)
-        return estimate or 0
+        for index in indices:
+            value = counters[index] = counters[index] + 1
+            if estimate is None or value < estimate:
+                estimate = value
+        return estimate
 
     def estimate(self, key: int) -> int:
+        indices = self._index_memo.get(key) or self._indices(key)
         counters = self._counters
-        return min(int(counters[index]) for index in self._indices(key))
-
-    def increment_batch(self, keys) -> None:
-        """Apply :meth:`increment` for every key in one shot.
-
-        Final counter state matches the scalar sequence exactly; the
-        intermediate per-key estimates are not produced (see
-        :meth:`CountMinSketch.increment_batch`).
-        """
-        if not self._use_numpy:
-            for key in keys:
-                self.increment(int(key))
-            return
-        key_arr = _np.asarray(keys, dtype=_np.uint64)
-        for i in range(self.num_hashes):
-            indices = (_mix_batch(key_arr, self._seeds[i]) % _np.uint64(self.num_counters)).astype(_np.int64)
-            _np.add.at(self._counters, indices, 1)
-
-    def estimate_batch(self, keys):
-        """Vectorized :meth:`estimate`; returns one estimate per key."""
-        if not self._use_numpy:
-            return [self.estimate(int(key)) for key in keys]
-        key_arr = _np.asarray(keys, dtype=_np.uint64)
-        estimates = None
-        for i in range(self.num_hashes):
-            indices = (_mix_batch(key_arr, self._seeds[i]) % _np.uint64(self.num_counters)).astype(_np.int64)
-            values = self._counters[indices]
-            estimates = values if estimates is None else _np.minimum(estimates, values)
-        return estimates
+        return min([counters[index] for index in indices])
 
     def reset(self) -> None:
-        if self._use_numpy:
-            self._counters.fill(0)
-            return
-        for index in range(self.num_counters):
-            self._counters[index] = 0
+        self._counters[:] = [0] * self.num_counters
+        self._index_memo.clear()
 
     @property
     def storage_bits(self) -> int:
         return self.num_counters * 16
 
 
+#: Outcomes of :meth:`SetAssociativeCounterCache.access`; only a hit is
+#: falsy, so ``if outcome:`` tests for a miss.
+HIT = 0
+MISS = 1
+MISS_EVICTED = 2
+
+
 class SetAssociativeCounterCache:
-    """Set-associative cache of per-row counters.
+    """Residency of a set-associative cache of per-row counters.
 
     Used for Hydra's Row Counter Cache (random eviction) and for modelling
-    START's reserved-LLC counter cache (LRU eviction).  The cache stores
-    ``key -> counter`` pairs; misses report whether a (dirty) victim was
-    evicted so the caller can charge the DRAM write-back.
+    START's reserved-LLC counter cache (LRU eviction).  Both trackers keep
+    the counter values in their backing table -- Hydra writes every new
+    count to its RCT, and START never reads the cached values -- so the
+    cache tracks only which keys are resident.  One :meth:`access` per
+    activation reports a hit, a miss that filled a free way, or a miss that
+    evicted a victim (which the tracker charges as a DRAM write-back).
     """
 
     def __init__(
@@ -383,58 +305,42 @@ class SetAssociativeCounterCache:
         self.ways = ways
         self.num_sets = num_entries // ways
         self.eviction = eviction
+        self._lru = eviction == "lru"
         self._rng = XorShift64(seed)
-        self._sets: list[OrderedDict[int, int]] = [
+        # Per set, the resident keys in eviction order: least recently used
+        # first under LRU, fill order under random eviction.
+        self._sets: list[OrderedDict[int, None]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def set_index(self, key: int) -> int:
-        """Set index of ``key`` (direct modulo so set-conflict attacks work)."""
-        return key % self.num_sets
+    def access(self, key: int) -> int:
+        """Touch ``key``: :data:`HIT`, :data:`MISS` or :data:`MISS_EVICTED`.
 
-    def lookup(self, key: int) -> int | None:
-        """Return the cached counter value or ``None`` on a miss (no fill)."""
-        cache_set = self._sets[self.set_index(key)]
-        if key in cache_set:
-            if self.eviction == "lru":
-                cache_set.move_to_end(key)
-            self.hits += 1
-            return cache_set[key]
-        self.misses += 1
-        return None
-
-    def fill(self, key: int, value: int) -> tuple[int, int] | None:
-        """Insert ``key`` with ``value``.
-
-        Returns the evicted ``(key, value)`` pair if a victim had to be
-        evicted (so the caller can write it back to the DRAM backing store),
-        or ``None`` if there was room.
+        A miss fills ``key``; when its set is full it first evicts the least
+        recently used key (LRU) or a key drawn by the seeded generator
+        (random).
         """
-        cache_set = self._sets[self.set_index(key)]
-        evicted: tuple[int, int] | None = None
-        if key not in cache_set and len(cache_set) >= self.ways:
-            if self.eviction == "random":
-                victim = list(cache_set.keys())[self._rng.next_below(len(cache_set))]
+        # Direct modulo set index, so set-conflict attacks work.
+        cache_set = self._sets[key % self.num_sets]
+        if key in cache_set:
+            self.hits += 1
+            if self._lru:
+                cache_set.move_to_end(key)
+            return HIT
+        self.misses += 1
+        outcome = MISS
+        if len(cache_set) >= self.ways:
+            if self._lru:
+                cache_set.popitem(last=False)
             else:
-                victim = next(iter(cache_set))
-            evicted = (victim, cache_set.pop(victim))
+                del cache_set[list(cache_set)[self._rng.next_below(len(cache_set))]]
             self.evictions += 1
-        cache_set[key] = value
-        if self.eviction == "lru":
-            cache_set.move_to_end(key)
-        return evicted
-
-    def update(self, key: int, value: int) -> None:
-        """Update the counter of a key known to be resident."""
-        cache_set = self._sets[self.set_index(key)]
-        if key not in cache_set:
-            raise KeyError(f"key {key} is not resident")
-        cache_set[key] = value
-        if self.eviction == "lru":
-            cache_set.move_to_end(key)
+            outcome = MISS_EVICTED
+        cache_set[key] = None
+        return outcome
 
     def reset(self) -> None:
         for cache_set in self._sets:

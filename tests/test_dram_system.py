@@ -153,9 +153,18 @@ class TestMitigations:
 
 class TestCounterTraffic:
     def test_counter_accesses_round_robin_banks(self, dram):
-        results = [dram.counter_access(0, 0, 0.0, is_write=False) for _ in range(8)]
-        banks = {result.bank for result in results}
-        assert len(banks) == 8
+        for _ in range(8):
+            dram.counter_access(0, 0, 0.0, is_write=False)
+        org = dram.org
+        activated = [
+            BankAddress(0, 0, group, bank)
+            for group in range(org.bank_groups_per_rank)
+            for bank in range(org.banks_per_group)
+            if dram.bank_state(BankAddress(0, 0, group, bank)).activations
+        ]
+        assert len(activated) == 8
+        assert all(dram.bank_state(bank).activations == 1 for bank in activated)
+        assert dram.stats.activations == 8
         assert dram.stats.counter_reads == 8
 
     def test_counter_writes_counted_separately(self, dram):

@@ -16,13 +16,11 @@ import random
 
 import pytest
 
-import repro.core.dapper_h as dapper_h_mod
 import repro.crypto.llbc as llbc_mod
 import repro.dram.address as address_mod
 import repro.sim.batch as batch_mod
 import repro.sim.events.events as events_mod
 from repro.config import CacheConfig, reduced_row_config
-from repro.core.rgc import RowGroupCounterTable
 from repro.cpu.trace import TraceEntry
 from repro.cpu.tracefile import (
     FileTraceGenerator,
@@ -492,19 +490,11 @@ class TestPurePythonFallbackParity:
     @pytest.mark.parametrize("tracker", ["dapper-h", "dapper-s"])
     def test_dapper_without_numpy_matches(self, tracker, monkeypatch):
         reference = _run(tracker, "batched")
-        monkeypatch.setattr(dapper_h_mod, "_np", None)
         monkeypatch.setattr(batch_mod, "_np", None)
         monkeypatch.setattr(llbc_mod, "_np", None)
         # The address mapper too: with numpy it decodes to int64 arrays, so
         # the engine's list path would hand numpy rows to the tracker.
         monkeypatch.setattr(address_mod, "_np", None)
-        original_init = RowGroupCounterTable.__init__
-
-        def pure_init(self, *args, **kwargs):
-            kwargs["use_numpy"] = False
-            original_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(RowGroupCounterTable, "__init__", pure_init)
         assert _run(tracker, "scalar") == reference
         assert _run(tracker, "batched") == reference
 

@@ -1,14 +1,20 @@
 """Tests for the generic tracking structures (CMS, Misra-Gries, Bloom, cache)."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.prng import XorShift64
 from repro.trackers.structures import (
+    HIT,
+    MISS,
+    MISS_EVICTED,
     CountMinSketch,
     CountingBloomFilter,
     MisraGriesSummary,
     SetAssociativeCounterCache,
+    _mix,
 )
 
 
@@ -146,49 +152,57 @@ class TestMisraGriesMultiBankSemantics:
                 assert entry.bank_bits == bits, (row, bank)
 
 
-class TestNumpyPurePythonParity:
-    """The numpy-backed structures must match the pure-Python reference."""
+class TestSketchReference:
+    """Sketch estimates equal a direct loop over the hash, whose indices the
+    sketches memoize per key until their next reset."""
 
-    def _keys(self, n=400):
+    def _keys(self, n=600):
+        # 150 distinct keys, so most increments hit the index memo.
         rng = XorShift64(0xC0FFEE)
-        return [rng.next_below(10_000) for _ in range(n)]
+        return [rng.next_below(150) * 7919 for _ in range(n)]
 
-    def test_count_min_sketch_backends_agree(self):
+    def _check(self, structure, indices, size):
+        """Replay the key stream into ``structure`` and into a reference list
+        of ``size`` counters addressed by ``indices(key)``; reset both
+        mid-stream."""
         keys = self._keys()
-        np_cms = CountMinSketch(depth=4, width=64, seed=7)
-        py_cms = CountMinSketch(depth=4, width=64, seed=7, use_numpy=False)
-        for key in keys:
-            assert np_cms.increment(key) == py_cms.increment(key)
-        probes = sorted(set(keys))[:50]
-        for key in probes:
-            assert np_cms.estimate(key) == py_cms.estimate(key)
+        reference = [0] * size
+        seen = set()
+        for step, key in enumerate(keys):
+            if step == len(keys) // 2:
+                structure.reset()
+                reference = [0] * size
+                seen.clear()
+                assert not structure._index_memo
+            for index in indices(key):
+                reference[index] += 1
+            seen.add(key)
+            want = min(reference[index] for index in indices(key))
+            assert structure.increment(key) == want
+            assert len(structure._index_memo) == len(seen)
+        for key in set(keys) | {1, 2, 3}:
+            assert structure.estimate(key) == min(
+                reference[index] for index in indices(key)
+            )
 
-    def test_count_min_sketch_batch_matches_scalar(self):
-        keys = self._keys()
-        batch_cms = CountMinSketch(depth=4, width=64, seed=7)
-        scalar_cms = CountMinSketch(depth=4, width=64, seed=7, use_numpy=False)
-        batch_cms.increment_batch(keys)
-        for key in keys:
-            scalar_cms.increment(key)
-        probes = sorted(set(keys))[:50]
-        assert [int(v) for v in batch_cms.estimate_batch(probes)] == [
-            scalar_cms.estimate(key) for key in probes
-        ]
-
-    def test_counting_bloom_filter_backends_agree(self):
-        keys = self._keys()
-        np_cbf = CountingBloomFilter(num_counters=128, num_hashes=3, seed=11)
-        py_cbf = CountingBloomFilter(
-            num_counters=128, num_hashes=3, seed=11, use_numpy=False
+    def test_count_min_sketch_matches_reference(self):
+        seeds = [_mix(7, 0x1000 + i) for i in range(4)]
+        # The sketch's four rows of 64 counters, back to back.
+        self._check(
+            CountMinSketch(depth=4, width=64, seed=7),
+            lambda key: [
+                row * 64 + _mix(key, seed) % 64 for row, seed in enumerate(seeds)
+            ],
+            4 * 64,
         )
-        for key in keys:
-            assert np_cbf.increment(key) == py_cbf.increment(key)
-        np_cbf2 = CountingBloomFilter(num_counters=128, num_hashes=3, seed=11)
-        np_cbf2.increment_batch(keys)
-        probes = sorted(set(keys))[:50]
-        assert [int(v) for v in np_cbf2.estimate_batch(probes)] == [
-            py_cbf.estimate(key) for key in probes
-        ]
+
+    def test_counting_bloom_filter_matches_reference(self):
+        seeds = [_mix(11, 0x2000 + i) for i in range(3)]
+        self._check(
+            CountingBloomFilter(num_counters=128, num_hashes=3, seed=11),
+            lambda key: [_mix(key, seed) % 128 for seed in seeds],
+            128,
+        )
 
 
 class TestCountingBloomFilter:
@@ -215,28 +229,64 @@ class TestCountingBloomFilter:
             CountingBloomFilter(num_counters=0, num_hashes=1, seed=1)
 
 
+class _LookupThenFill:
+    """Reference model of the counter cache: a lookup, then a fill on a miss.
+
+    This is how Hydra and START drove the cache when it stored counter
+    values; :meth:`SetAssociativeCounterCache.access` must give the same
+    outcomes and draw the same random victims.
+    """
+
+    def __init__(self, num_entries, ways, seed, eviction):
+        self.ways = ways
+        self.lru = eviction == "lru"
+        self.rng = XorShift64(seed)
+        self.sets = [OrderedDict() for _ in range(num_entries // ways)]
+
+    def lookup(self, key):
+        cache_set = self.sets[key % len(self.sets)]
+        if key in cache_set:
+            if self.lru:
+                cache_set.move_to_end(key)
+            return cache_set[key]
+        return None
+
+    def fill(self, key, value):
+        cache_set = self.sets[key % len(self.sets)]
+        evicted = None
+        if key not in cache_set and len(cache_set) >= self.ways:
+            if self.lru:
+                victim = next(iter(cache_set))
+            else:
+                victim = list(cache_set.keys())[self.rng.next_below(len(cache_set))]
+            evicted = (victim, cache_set.pop(victim))
+        cache_set[key] = value
+        if self.lru:
+            cache_set.move_to_end(key)
+        return evicted
+
+    def access(self, key):
+        if self.lookup(key) is not None:
+            return HIT
+        return MISS if self.fill(key, 0) is None else MISS_EVICTED
+
+
 class TestSetAssociativeCounterCache:
-    def test_hit_after_fill(self):
+    def test_hit_after_miss(self):
         cache = SetAssociativeCounterCache(num_entries=64, ways=4, seed=1)
-        cache.fill(10, 5)
-        assert cache.lookup(10) == 5
-        assert cache.hits == 1
+        assert cache.access(10) == MISS
+        assert cache.access(10) == HIT
+        assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 0)
 
-    def test_miss_returns_none(self):
-        cache = SetAssociativeCounterCache(num_entries=64, ways=4, seed=1)
-        assert cache.lookup(10) is None
-        assert cache.misses == 1
-
-    def test_eviction_reports_victim(self):
+    def test_eviction_on_full_set(self):
         cache = SetAssociativeCounterCache(num_entries=16, ways=2, seed=1)
         sets = cache.num_sets
         keys = [0, sets, 2 * sets]      # all map to set 0 (2 ways)
-        cache.fill(keys[0], 1)
-        cache.fill(keys[1], 2)
-        evicted = cache.fill(keys[2], 3)
-        assert evicted is not None
-        assert evicted[0] in (keys[0], keys[1])
+        assert [cache.access(key) for key in keys] == [MISS, MISS, MISS_EVICTED]
         assert cache.evictions == 1
+        assert cache.occupancy == 2
+        # Exactly one of the first two keys was evicted.
+        assert sorted(cache.access(key) for key in keys[:2]) != [HIT, HIT]
 
     def test_set_conflict_attack_pattern_misses(self):
         """Rows congruent modulo the set count overwhelm a single set."""
@@ -245,8 +295,7 @@ class TestSetAssociativeCounterCache:
         colliding = [7 + i * sets for i in range(64)]
         for _ in range(4):
             for key in colliding:
-                if cache.lookup(key) is None:
-                    cache.fill(key, 0)
+                cache.access(key)
         # With 64 rows on a 32-way set, a large fraction of accesses must miss.
         assert cache.misses > cache.hits
 
@@ -254,16 +303,29 @@ class TestSetAssociativeCounterCache:
         cache = SetAssociativeCounterCache(num_entries=4, ways=2, seed=1, eviction="lru")
         sets = cache.num_sets
         a, b, c = 0, sets, 2 * sets
-        cache.fill(a, 1)
-        cache.fill(b, 2)
-        cache.lookup(a)                 # a is now most recently used
-        evicted = cache.fill(c, 3)
-        assert evicted[0] == b
+        cache.access(a)
+        cache.access(b)
+        cache.access(a)                 # a is now most recently used
+        assert cache.access(c) == MISS_EVICTED
+        assert cache.access(a) == HIT   # so b was the victim
+        assert cache.access(b) == MISS_EVICTED
 
-    def test_update_requires_residency(self):
-        cache = SetAssociativeCounterCache(num_entries=8, ways=2, seed=1)
-        with pytest.raises(KeyError):
-            cache.update(5, 1)
+    @pytest.mark.parametrize("eviction", ["lru", "random"])
+    def test_matches_lookup_then_fill_model(self, eviction):
+        cache = SetAssociativeCounterCache(
+            num_entries=64, ways=4, seed=0xBEEF, eviction=eviction
+        )
+        model = _LookupThenFill(64, 4, 0xBEEF, eviction)
+        rng = XorShift64(0x5EED)
+        # 96 keys, 6 per set of 4 ways: hits, plain misses and evictions.
+        keys = [rng.next_below(96) * 5 for _ in range(3000)]
+        outcomes = [cache.access(key) for key in keys]
+        assert outcomes == [model.access(key) for key in keys]
+        assert {HIT, MISS, MISS_EVICTED} <= set(outcomes)
+        assert cache.hits == outcomes.count(HIT)
+        assert cache.misses == len(keys) - cache.hits
+        assert cache.evictions == outcomes.count(MISS_EVICTED)
+        assert [list(s) for s in cache._sets] == [list(s) for s in model.sets]
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
@@ -273,6 +335,7 @@ class TestSetAssociativeCounterCache:
 
     def test_reset(self):
         cache = SetAssociativeCounterCache(num_entries=8, ways=2, seed=1)
-        cache.fill(1, 1)
+        cache.access(1)
         cache.reset()
         assert cache.occupancy == 0
+        assert cache.access(1) == MISS

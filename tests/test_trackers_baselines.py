@@ -189,6 +189,24 @@ class TestCoMeT:
         assert not response.mitigations
         assert tracker.stats.periodic_resets >= 1
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="on_activation advances the periodic-reset deadline by one "
+        "tREFW/3 per activation, so after an idle gap spanning k period "
+        "boundaries the next k activations each wipe the sketch again",
+    )
+    def test_periodic_reset_catches_up_after_idle_gap(self, config):
+        tracker = CoMeTTracker(config)
+        period = config.timings.trefw_ns * tracker.PERIODIC_RESET_FRACTION
+        start = 3.5 * period
+        responses = [
+            tracker.on_activation(_row(row=5), start + step)
+            for step in range(tracker.ct_threshold)
+        ]
+        # One reset for the gap, then ct_threshold counted activations.
+        assert tracker.stats.periodic_resets == 1
+        assert responses[-1].mitigations
+
 
 class TestAbacus:
     def test_entry_counts_match_paper(self):
