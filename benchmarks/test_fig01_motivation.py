@@ -4,12 +4,13 @@ Perf-Attacks versus a cache-thrashing attack, per benchmark suite, NRH=500."""
 from repro.eval.figures import default_workloads, figure1
 
 
-def test_figure1_perf_attacks_vs_cache_thrashing(regenerate):
+def test_figure1_perf_attacks_vs_cache_thrashing(regenerate, sweep):
     figure = regenerate(
         figure1,
         workloads=default_workloads(1),
         requests_per_core=8_000,
         nrh=500,
+        sweep=sweep,
     )
 
     overall = {

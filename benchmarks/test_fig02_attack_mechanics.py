@@ -5,8 +5,10 @@ reset refreshes for CoMeT/ABACUS."""
 from repro.eval.figures import figure2
 
 
-def test_figure2_attack_mechanics(regenerate):
-    figure = regenerate(figure2, workload="470.lbm", requests_per_core=8_000)
+def test_figure2_attack_mechanics(regenerate, sweep):
+    figure = regenerate(
+        figure2, workload="470.lbm", requests_per_core=8_000, sweep=sweep
+    )
 
     by_tracker = {row["tracker"]: row for row in figure.rows}
     # Hydra and START are attacked through counter traffic.

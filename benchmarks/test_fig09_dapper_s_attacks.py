@@ -5,12 +5,13 @@ but still pays a noticeable price here -- the motivation for DAPPER-H."""
 from repro.eval.figures import default_workloads, figure9
 
 
-def test_figure9_dapper_s_mapping_agnostic_overheads(regenerate):
+def test_figure9_dapper_s_mapping_agnostic_overheads(regenerate, sweep):
     figure = regenerate(
         figure9,
         workloads=default_workloads(1)[:4],
         requests_per_core=8_000,
         nrh=500,
+        sweep=sweep,
     )
 
     overall = {row["attack"]: row["overhead_percent"] for row in figure.filter(suite="All")}

@@ -5,12 +5,13 @@ about a percent."""
 from repro.eval.figures import default_workloads, figure10
 
 
-def test_figure10_dapper_h_resilience(regenerate):
+def test_figure10_dapper_h_resilience(regenerate, sweep):
     figure = regenerate(
         figure10,
         workloads=default_workloads(1)[:4],
         requests_per_core=8_000,
         nrh=500,
+        sweep=sweep,
     )
 
     average = figure.value("normalized_performance", workload="average", attack="both")

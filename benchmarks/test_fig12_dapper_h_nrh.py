@@ -4,12 +4,13 @@ stays small under both mapping-agnostic attacks."""
 from repro.eval.figures import default_workloads, figure12
 
 
-def test_figure12_dapper_h_nrh_sensitivity(regenerate):
+def test_figure12_dapper_h_nrh_sensitivity(regenerate, sweep):
     figure = regenerate(
         figure12,
         workloads=default_workloads(1)[:2],
         requests_per_core=6_000,
         nrh_values=(125, 500),
+        sweep=sweep,
     )
 
     # At NRH >= 500 the overhead is tiny; at 125 it may grow but stays modest.

@@ -4,12 +4,13 @@ Wider mitigations cost more, and DRFMsb (blocking 8 banks) costs the most."""
 from repro.eval.figures import default_workloads, figure13
 
 
-def test_figure13_blast_radius_and_drfm(regenerate):
+def test_figure13_blast_radius_and_drfm(regenerate, sweep):
     figure = regenerate(
         figure13,
         workloads=default_workloads(1)[:2],
         requests_per_core=6_000,
         nrh_values=(500,),
+        sweep=sweep,
     )
 
     refresh = {

@@ -4,12 +4,13 @@ becomes very expensive at ultra-low thresholds; DAPPER-H does not."""
 from repro.eval.figures import default_workloads, figure14
 
 
-def test_figure14_blockhammer_comparison(regenerate):
+def test_figure14_blockhammer_comparison(regenerate, sweep):
     figure = regenerate(
         figure14,
         workloads=default_workloads(1)[:2],
         requests_per_core=6_000,
         nrh_values=(125, 500),
+        sweep=sweep,
     )
 
     for nrh in (125, 500):

@@ -4,12 +4,13 @@ RowHammer threshold drops."""
 from repro.eval.figures import default_workloads, figure15
 
 
-def test_figure15_probabilistic_benign(regenerate):
+def test_figure15_probabilistic_benign(regenerate, sweep):
     figure = regenerate(
         figure15,
         workloads=default_workloads(1)[:2],
         requests_per_core=6_000,
         nrh_values=(125, 500),
+        sweep=sweep,
     )
 
     low = {row["series"]: row["normalized_performance"] for row in figure.filter(nrh=125)}

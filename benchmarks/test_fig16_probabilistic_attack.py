@@ -3,12 +3,13 @@
 from repro.eval.figures import default_workloads, figure16
 
 
-def test_figure16_probabilistic_under_attack(regenerate):
+def test_figure16_probabilistic_under_attack(regenerate, sweep):
     figure = regenerate(
         figure16,
         workloads=default_workloads(1)[:2],
         requests_per_core=6_000,
         nrh_values=(125, 500),
+        sweep=sweep,
     )
 
     for nrh in (125, 500):

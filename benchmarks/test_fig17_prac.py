@@ -5,12 +5,13 @@ nearly free on benign applications."""
 from repro.eval.figures import default_workloads, figure17
 
 
-def test_figure17_prac_comparison(regenerate):
+def test_figure17_prac_comparison(regenerate, sweep):
     figure = regenerate(
         figure17,
         workloads=default_workloads(1)[:2],
         requests_per_core=6_000,
         nrh_values=(500, 1000),
+        sweep=sweep,
     )
 
     for nrh in (500, 1000):

@@ -4,11 +4,12 @@ refresh-attack conditions as the RowHammer threshold varies."""
 from repro.eval.tables import table4
 
 
-def test_table4_energy_overheads(regenerate):
+def test_table4_energy_overheads(regenerate, sweep):
     table = regenerate(
         table4,
         requests_per_core=6_000,
         nrh_values=(125, 500),
+        sweep=sweep,
     )
 
     def overhead(nrh, scenario):

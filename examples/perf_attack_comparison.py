@@ -13,15 +13,16 @@ Run with:  python examples/perf_attack_comparison.py
 
 from repro import baseline_config
 from repro.eval.report import format_table
-from repro.sim.experiment import ExperimentRunner
 from repro.sim.metrics import slowdown_percent
+from repro.sim.sweep import ScenarioSpec, SweepRunner
 
 WORKLOAD = "470.lbm"
 
 
 def main():
     config = baseline_config(nrh=500).with_refresh_window_scale(1 / 16)
-    runner = ExperimentRunner(config, requests_per_core=6_000)
+    # One runner simulates the shared insecure baseline once for every row.
+    sweep = SweepRunner()
 
     scenarios = [
         ("none", "cache-thrashing", "cache thrashing vs unprotected system"),
@@ -35,7 +36,15 @@ def main():
     rows = []
     for tracker, attack, description in scenarios:
         print(f"running: {description} ...")
-        run = runner.run(tracker, WORKLOAD, attack=attack)
+        run = sweep.run_one(
+            ScenarioSpec(
+                tracker=tracker,
+                workload=WORKLOAD,
+                attack=attack,
+                requests_per_core=6_000,
+                config=config,
+            )
+        )
         result = run.result
         rows.append(
             {

@@ -25,7 +25,7 @@ from repro.config import (
     baseline_config,
     large_system_config,
 )
-from repro.sim.experiment import ExperimentRunner, run_workload
+from repro.sim.experiment import run_workload
 from repro.trackers.registry import available_trackers, create_tracker
 
 __version__ = "1.0.0"
@@ -35,7 +35,6 @@ __all__ = [
     "MitigationCommand",
     "baseline_config",
     "large_system_config",
-    "ExperimentRunner",
     "run_workload",
     "available_trackers",
     "create_tracker",

@@ -117,7 +117,7 @@ from repro.cpu.workloads import ALL_WORKLOADS, SUITES
 from repro.eval import figures as figure_definitions
 from repro.eval import tables as table_definitions
 from repro.eval.report import format_table, print_figure
-from repro.sim.experiment import ExperimentRunner, run_workload
+from repro.sim.experiment import run_workload
 from repro.sim.metrics import slowdown_percent
 from repro.sim.sweep import ScenarioSpec, SweepRunner
 from repro.trackers.registry import available_trackers
@@ -841,12 +841,15 @@ def _cmd_list_workloads(suite: str | None) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = baseline_config(nrh=args.nrh).with_refresh_window_scale(args.trefw_scale)
-    runner = ExperimentRunner(config, requests_per_core=args.requests)
-    run = runner.run(
-        args.tracker,
-        args.workload,
-        attack=args.attack,
-        attack_matched_baseline=args.attack_matched_baseline,
+    run = SweepRunner().run_one(
+        ScenarioSpec(
+            tracker=args.tracker,
+            workload=args.workload,
+            attack=args.attack,
+            requests_per_core=args.requests,
+            attack_matched_baseline=args.attack_matched_baseline,
+            config=config,
+        )
     )
     result = run.result
     print(f"tracker             : {args.tracker}")

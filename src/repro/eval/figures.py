@@ -5,9 +5,11 @@ figure and returns a :class:`~repro.eval.report.FigureData` whose rows are the
 series the paper plots.  All functions accept ``workloads`` /
 ``requests_per_core`` / ``nrh_values`` arguments so the benchmark harness can
 trade accuracy against runtime; the defaults are the "quick" settings used by
-``benchmarks/``.
+``benchmarks/``.  Every simulated figure also takes ``sweep``, the
+:class:`~repro.sim.sweep.SweepRunner` that executes its batch (a fresh,
+cache-less one by default).
 
-Two methodology notes (see EXPERIMENTS.md for the full discussion):
+Three methodology notes (see EXPERIMENTS.md for the full discussion):
 
 * Motivation figures (1-5) report slowdowns relative to the insecure,
   attack-free baseline, so they include the attack's own bandwidth cost --
@@ -23,87 +25,89 @@ Two methodology notes (see EXPERIMENTS.md for the full discussion):
 
 from __future__ import annotations
 
-from repro.attacks import tailored_attack_name
-from repro.config import (
-    MitigationCommand,
-    SystemConfig,
-    baseline_config,
-    large_system_config,
-    reduced_row_config,
-)
+from repro.cpu.workloads import get_workload
 from repro.eval.report import FigureData
 from repro.scenarios import family_by_name
 from repro.scenarios.families import (
-    DEFAULT_TREFW_SCALE,
     MOTIVATION_TRACKERS,
     default_workloads,
-    full_geometry_config,
+    figure5_series,
+    figure13_series,
+    figure14_series,
+    figure17_series,
+    mapping_agnostic_series,
     motivation_series,
+    paper_batch,
     paper_figure12_series,
-    streaming_config,
+    probabilistic_series,
 )
-from repro.sim.experiment import ExperimentRunner
-from repro.sim.sweep import SweepRunner
+from repro.sim.sweep import ScenarioSpec, SweepRunner
 
-#: RowHammer thresholds swept by the sensitivity figures.
-FULL_NRH_SWEEP: tuple[int, ...] = (125, 250, 500, 1000, 2000, 4000)
+#: RowHammer thresholds swept by figure 4.
 MOTIVATION_NRH_SWEEP: tuple[int, ...] = (500, 1000, 2000, 4000)
 
 
-def _motivation_runner(
-    nrh: int = 500,
-    requests_per_core: int = 8_000,
-    config: SystemConfig | None = None,
-) -> ExperimentRunner:
-    config = config or baseline_config(nrh=nrh)
-    config = config.with_nrh(nrh).with_refresh_window_scale(DEFAULT_TREFW_SCALE)
-    return ExperimentRunner(config, requests_per_core=requests_per_core)
-
-
-def _dapper_runner(
-    nrh: int = 500,
-    requests_per_core: int = 8_000,
-) -> ExperimentRunner:
-    """Runner for the DAPPER / comparison figures (benign and refresh-attack
-    scenarios) at the full Table I DRAM geometry."""
-    config = baseline_config(nrh=nrh).with_refresh_window_scale(DEFAULT_TREFW_SCALE)
-    return ExperimentRunner(config, requests_per_core=requests_per_core)
-
-
-def _streaming_runner(
-    nrh: int = 500,
-    requests_per_core: int = 8_000,
-) -> ExperimentRunner:
-    """Runner for scenarios involving the mapping-agnostic *streaming* attack.
-
-    The streaming attack must sweep the whole per-rank row space to charge the
-    row-group counters, which takes ~6 ms of simulated time on the full 2M-row
-    rank; the reduced-row geometry keeps that sweep inside a tractable window
-    (documented substitution, see EXPERIMENTS.md).
-    """
-    config = reduced_row_config(nrh=nrh).with_refresh_window_scale(DEFAULT_TREFW_SCALE)
-    return ExperimentRunner(config, requests_per_core=requests_per_core)
-
-
-def _suite_of(workload_name: str) -> str:
-    from repro.cpu.workloads import get_workload
-
-    return get_workload(workload_name).suite
-
-
 # --------------------------------------------------------------------------- #
-# Sweep-based figure plumbing: figures that are plain scenario cross-products
-# declare their scenarios as catalog families (repro.scenarios.families, the
-# ``paper-*`` entries) and execute them through a SweepRunner, which
-# deduplicates shared insecure baselines across the whole batch (and, given a
-# cache directory, replays previously simulated scenarios from disk).  Pass
-# ``sweep=SweepRunner(cache_dir=..., jobs=...)`` to any such figure to
-# parallelise or cache its regeneration; suite files that reference the same
+# Every figure is one scenario batch (repro.scenarios.families.paper_batch,
+# or a registered ``paper-*`` family built on it) executed through a
+# SweepRunner, which deduplicates shared insecure baselines across the batch
+# and, given a cache directory or warehouse, replays previously simulated
+# scenarios.  Pass ``sweep=SweepRunner(cache_dir=..., jobs=...)`` to any
+# figure to parallelise or cache its regeneration, or one runner to several
+# figures so they share simulations; suite files that reference the same
 # ``paper-*`` families share the cache entries.
 # --------------------------------------------------------------------------- #
 
+
 def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
+
+
+def _mean_figure(
+    name: str,
+    title: str,
+    column: str,
+    steps,
+    series,
+    workloads: list[str],
+    specs: list[ScenarioSpec],
+    sweep: SweepRunner | None,
+) -> FigureData:
+    """A figure with one row per step and series label: the label's mean
+    normalized performance over the workloads.  ``specs`` is the batch in
+    ``paper_batch`` order (steps x ``series(step)`` x workloads)."""
+    figure = FigureData(name=name, title=title)
+    outcomes = iter((sweep or SweepRunner()).run(specs))
+    for step in steps:
+        for label, *_ in series(step):
+            values = [next(outcomes).normalized for _ in workloads]
+            figure.add(
+                **{column: step},
+                series=label,
+                normalized_performance=_mean(values),
+            )
+    return figure
+
+
+def _nrh_figure(
+    name: str,
+    title: str,
+    note: str,
+    series,
+    workloads: list[str] | None,
+    requests_per_core: int,
+    nrh_values: tuple[int, ...],
+    sweep: SweepRunner | None,
+) -> FigureData:
+    """A mean-row figure over NRH steps whose batch is ``paper_batch`` of
+    ``series`` on the first three default workloads unless given."""
+    workloads = workloads or default_workloads(1)[:3]
+    specs = paper_batch(nrh_values, series, workloads, requests_per_core)
+    figure = _mean_figure(
+        name, title, "nrh", nrh_values, series, workloads, specs, sweep
+    )
+    figure.notes.append(note)
+    return figure
 
 
 # --------------------------------------------------------------------------- #
@@ -111,32 +115,39 @@ def _mean(values: list[float]) -> float:
 # --------------------------------------------------------------------------- #
 
 
+def _figure3_batch(
+    workloads: list[str], requests_per_core: int, nrh: int
+) -> list[ScenarioSpec]:
+    """``paper-figure3``: per workload, cache thrashing and then each
+    tailored Perf-Attack, in :func:`motivation_series` order."""
+    return family_by_name("paper-figure3").expand(
+        {"workloads": workloads, "requests_per_core": requests_per_core, "nrh": nrh}
+    )
+
+
 def figure1(
     workloads: list[str] | None = None,
     requests_per_core: int = 8_000,
     nrh: int = 500,
+    sweep: SweepRunner | None = None,
 ) -> FigureData:
     """Figure 1: per-suite normalized performance of the four scalable
     trackers under their tailored Perf-Attacks, versus cache thrashing."""
     workloads = workloads or default_workloads(1)
-    runner = _motivation_runner(nrh, requests_per_core)
     figure = FigureData(
         name="figure1",
         title="Normalized performance under Perf-Attacks vs cache thrashing "
         f"(NRH={nrh})",
     )
-    series = [("cache-thrashing", "none", "cache-thrashing")] + [
-        (tracker, tracker, None) for tracker in MOTIVATION_TRACKERS
-    ]
-
+    series = motivation_series()
+    specs = _figure3_batch(workloads, requests_per_core, nrh)
+    outcomes = iter((sweep or SweepRunner()).run(specs))
     by_suite: dict[str, dict[str, list[float]]] = {}
     for workload in workloads:
-        suite = _suite_of(workload)
-        for label, tracker, attack in series:
-            attack_name = attack or tailored_attack_name(tracker)
-            run = runner.run(tracker, workload, attack=attack_name)
+        suite = get_workload(workload).suite
+        for label, _, _ in series:
             by_suite.setdefault(suite, {}).setdefault(label, []).append(
-                run.normalized
+                next(outcomes).normalized
             )
     for suite, values in by_suite.items():
         for label, normals in values.items():
@@ -170,30 +181,35 @@ def figure2(
     workload: str = "470.lbm",
     requests_per_core: int = 8_000,
     nrh: int = 500,
+    sweep: SweepRunner | None = None,
 ) -> FigureData:
     """Figure 2 (qualitative): the mechanism each tailored attack exploits.
 
     Reports, per tracker, the extra in-DRAM counter traffic and the structure
     reset blackout time the attack induces.
     """
-    runner = _motivation_runner(nrh, requests_per_core)
     figure = FigureData(
         name="figure2",
         title="Attack mechanics: counter traffic and reset blackouts",
     )
-    for tracker in MOTIVATION_TRACKERS:
-        run = runner.run(tracker, workload, attack=tailored_attack_name(tracker))
-        stats = run.result.dram_stats
+    # Figure 3's batch for one workload, without its cache-thrashing row.
+    tracked = [
+        spec
+        for spec in _figure3_batch([workload], requests_per_core, nrh)
+        if spec.tracker in MOTIVATION_TRACKERS
+    ]
+    for outcome in (sweep or SweepRunner()).run(tracked):
+        stats = outcome.result.dram_stats
         activations = max(1, stats.activations)
         figure.add(
-            tracker=tracker,
-            attack=tailored_attack_name(tracker),
+            tracker=outcome.spec.tracker,
+            attack=outcome.spec.attack,
             counter_accesses_per_kilo_act=1000.0
             * (stats.counter_reads + stats.counter_writes)
             / activations,
-            structure_resets=run.result.tracker_stats.structure_resets,
+            structure_resets=outcome.result.tracker_stats.structure_resets,
             blackout_ms=stats.blackout_time_ns / 1e6,
-            normalized_performance=run.normalized,
+            normalized_performance=outcome.normalized,
         )
     figure.notes.append(
         "Hydra/START are hurt through counter traffic; CoMeT/ABACUS through "
@@ -211,18 +227,13 @@ def figure3(
     """Figure 3: per-workload normalized performance under cache thrashing
     and tailored Perf-Attacks for the four scalable trackers."""
     workloads = workloads or default_workloads(1)
-    sweep = sweep or SweepRunner()
     figure = FigureData(
         name="figure3",
         title=f"Per-workload impact of Perf-Attacks (NRH={nrh})",
     )
-    from repro.cpu.workloads import get_workload
-
     series = motivation_series()
-    specs = family_by_name("paper-figure3").expand(
-        {"workloads": workloads, "requests_per_core": requests_per_core, "nrh": nrh}
-    )
-    outcomes = iter(sweep.run(specs))
+    specs = _figure3_batch(workloads, requests_per_core, nrh)
+    outcomes = iter((sweep or SweepRunner()).run(specs))
     for workload in workloads:
         memory_intensive = get_workload(workload).memory_intensive
         for label, _, _ in series:
@@ -243,12 +254,6 @@ def figure4(
 ) -> FigureData:
     """Figure 4: sensitivity of the Perf-Attacks to the RowHammer threshold."""
     workloads = workloads or default_workloads(1)[:3]
-    sweep = sweep or SweepRunner()
-    figure = FigureData(
-        name="figure4",
-        title="Perf-Attack slowdowns as NRH varies",
-    )
-    series = motivation_series()
     specs = family_by_name("paper-figure4").expand(
         {
             "workloads": workloads,
@@ -256,13 +261,16 @@ def figure4(
             "nrh_values": nrh_values,
         }
     )
-    outcomes = iter(sweep.run(specs))
-    for nrh in nrh_values:
-        for label, _, _ in series:
-            values = [next(outcomes).normalized for _ in workloads]
-            figure.add(
-                nrh=nrh, series=label, normalized_performance=_mean(values)
-            )
+    figure = _mean_figure(
+        "figure4",
+        "Perf-Attack slowdowns as NRH varies",
+        "nrh",
+        nrh_values,
+        lambda nrh: motivation_series(),
+        workloads,
+        specs,
+        sweep,
+    )
     figure.notes.append(
         "Paper: even at NRH=4K the tailored attacks cost 46-71% vs ~41% for "
         "cache thrashing."
@@ -275,35 +283,26 @@ def figure5(
     requests_per_core: int = 6_000,
     llc_sizes_mb: tuple[int, ...] = (2, 3, 4, 5),
     nrh: int = 500,
+    sweep: SweepRunner | None = None,
 ) -> FigureData:
     """Figure 5: sensitivity to per-core LLC size on the 8-channel system."""
     workloads = workloads or default_workloads(1)[:3]
-    figure = FigureData(
-        name="figure5",
-        title="Perf-Attacks on the large system as per-core LLC size varies",
-    )
-    from repro.attacks import _TAILORED
 
-    for llc_mb in llc_sizes_mb:
-        config = large_system_config(per_core_llc_mb=llc_mb, nrh=nrh)
-        config = config.with_refresh_window_scale(DEFAULT_TREFW_SCALE)
-        runner = ExperimentRunner(config, requests_per_core=requests_per_core)
-        thrash = runner.average_normalized("none", workloads, attack="cache-thrashing")
-        figure.add(
-            per_core_llc_mb=llc_mb,
-            series="cache-thrashing",
-            normalized_performance=thrash,
-        )
-        for tracker in MOTIVATION_TRACKERS:
-            value = runner.average_normalized(
-                tracker, workloads, attack=_TAILORED[tracker]
-            )
-            figure.add(
-                per_core_llc_mb=llc_mb,
-                series=tracker,
-                normalized_performance=value,
-            )
-    return figure
+    def series(llc_mb):
+        return figure5_series(llc_mb, nrh)
+
+    return _mean_figure(
+        "figure5",
+        "Perf-Attacks on the large system as per-core LLC size varies",
+        "per_core_llc_mb",
+        llc_sizes_mb,
+        series,
+        workloads,
+        paper_batch(
+            llc_sizes_mb, series, workloads, requests_per_core, matched_baselines=False
+        ),
+        sweep,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -311,47 +310,57 @@ def figure5(
 # --------------------------------------------------------------------------- #
 
 
+def _mapping_agnostic_batch(
+    tracker: str, workloads: list[str], requests_per_core: int, nrh: int
+) -> list[ScenarioSpec]:
+    """Per workload, ``tracker`` under the streaming and then the refresh
+    attack, each against its attack-matched baseline."""
+    return paper_batch(
+        [nrh],
+        lambda nrh: mapping_agnostic_series(tracker, nrh),
+        workloads,
+        requests_per_core,
+        by_workload=True,
+    )
+
+
 def figure9(
     workloads: list[str] | None = None,
     requests_per_core: int = 8_000,
     nrh: int = 500,
+    sweep: SweepRunner | None = None,
 ) -> FigureData:
     """Figure 9: DAPPER-S under the two mapping-agnostic attacks, per suite."""
     workloads = workloads or default_workloads(1)
-    refresh_runner = _dapper_runner(nrh, requests_per_core)
-    streaming_runner = _streaming_runner(nrh, requests_per_core)
     figure = FigureData(
         name="figure9",
         title="Performance overhead of DAPPER-S under mapping-agnostic attacks",
     )
+    specs = _mapping_agnostic_batch("dapper-s", workloads, requests_per_core, nrh)
+    outcomes = iter((sweep or SweepRunner()).run(specs))
+    labels = [label for label, *_ in mapping_agnostic_series("dapper-s", nrh)]
     by_suite: dict[str, dict[str, list[float]]] = {}
     for workload in workloads:
-        suite = _suite_of(workload)
-        for attack, runner in (
-            ("row-streaming", streaming_runner),
-            ("refresh", refresh_runner),
-        ):
-            run = runner.run(
-                "dapper-s", workload, attack=attack, attack_matched_baseline=True
-            )
-            overhead = (1.0 - run.normalized) * 100.0
-            by_suite.setdefault(suite, {}).setdefault(attack, []).append(overhead)
+        suite = get_workload(workload).suite
+        for label in labels:
+            overhead = (1.0 - next(outcomes).normalized) * 100.0
+            by_suite.setdefault(suite, {}).setdefault(label, []).append(overhead)
     for suite, values in by_suite.items():
-        for attack, overheads in values.items():
+        for label, overheads in values.items():
             figure.add(
                 suite=suite,
-                attack="streaming" if attack == "row-streaming" else attack,
+                attack=label,
                 overhead_percent=sum(overheads) / len(overheads),
             )
-    for attack_label, attack in (("streaming", "row-streaming"), ("refresh", "refresh")):
+    for label in labels:
         all_values = [
             row["overhead_percent"]
             for row in figure.rows
-            if row["attack"] == attack_label
+            if row["attack"] == label
         ]
         figure.add(
             suite="All",
-            attack=attack_label,
+            attack=label,
             overhead_percent=sum(all_values) / len(all_values),
         )
     figure.notes.append(
@@ -364,31 +373,25 @@ def figure10(
     workloads: list[str] | None = None,
     requests_per_core: int = 8_000,
     nrh: int = 500,
+    sweep: SweepRunner | None = None,
 ) -> FigureData:
     """Figure 10: DAPPER-H under the streaming and refresh attacks."""
     workloads = workloads or default_workloads(1)
-    refresh_runner = _dapper_runner(nrh, requests_per_core)
-    streaming_runner = _streaming_runner(nrh, requests_per_core)
     figure = FigureData(
         name="figure10",
         title="Normalized performance of DAPPER-H under mapping-agnostic attacks",
     )
-    from repro.cpu.workloads import get_workload
-
+    specs = _mapping_agnostic_batch("dapper-h", workloads, requests_per_core, nrh)
+    outcomes = iter((sweep or SweepRunner()).run(specs))
+    labels = [label for label, *_ in mapping_agnostic_series("dapper-h", nrh)]
     for workload in workloads:
         memory_intensive = get_workload(workload).memory_intensive
-        for attack, runner in (
-            ("row-streaming", streaming_runner),
-            ("refresh", refresh_runner),
-        ):
-            run = runner.run(
-                "dapper-h", workload, attack=attack, attack_matched_baseline=True
-            )
+        for label in labels:
             figure.add(
                 workload=workload,
                 memory_intensive=memory_intensive,
-                attack="streaming" if attack == "row-streaming" else attack,
-                normalized_performance=run.normalized,
+                attack=label,
+                normalized_performance=next(outcomes).normalized,
             )
     all_values = figure.column("normalized_performance")
     figure.add(
@@ -414,8 +417,6 @@ def figure11(
         name="figure11",
         title="Normalized performance of DAPPER-H on benign applications",
     )
-    from repro.cpu.workloads import get_workload
-
     specs = family_by_name("paper-figure11").expand(
         {"workloads": workloads, "requests_per_core": requests_per_core, "nrh": nrh}
     )
@@ -443,11 +444,6 @@ def figure12(
 ) -> FigureData:
     """Figure 12: DAPPER-H sensitivity to the RowHammer threshold."""
     workloads = workloads or default_workloads(1)[:3]
-    sweep = sweep or SweepRunner()
-    figure = FigureData(
-        name="figure12",
-        title="DAPPER-H vs NRH under benign and Perf-Attack conditions",
-    )
     specs = family_by_name("paper-figure12").expand(
         {
             "workloads": workloads,
@@ -455,11 +451,16 @@ def figure12(
             "nrh_values": nrh_values,
         }
     )
-    outcomes = iter(sweep.run(specs))
-    for nrh in nrh_values:
-        for label, _, _ in paper_figure12_series(nrh):
-            values = [next(outcomes).normalized for _ in workloads]
-            figure.add(nrh=nrh, series=label, normalized_performance=_mean(values))
+    figure = _mean_figure(
+        "figure12",
+        "DAPPER-H vs NRH under benign and Perf-Attack conditions",
+        "nrh",
+        nrh_values,
+        paper_figure12_series,
+        workloads,
+        specs,
+        sweep,
+    )
     figure.notes.append(
         "Paper: <1% slowdown at NRH >= 500; up to ~6% at NRH = 125 under attack."
     )
@@ -470,43 +471,20 @@ def figure13(
     workloads: list[str] | None = None,
     requests_per_core: int = 6_000,
     nrh_values: tuple[int, ...] = (250, 500, 1000),
+    sweep: SweepRunner | None = None,
 ) -> FigureData:
     """Figure 13: blast radius 2 and Same-Bank DRFM mitigation back-ends."""
-    workloads = workloads or default_workloads(1)[:3]
-    figure = FigureData(
-        name="figure13",
-        title="DAPPER-H with blast radius 2 and DRFMsb, benign and refresh attack",
-    )
-    variants = (
-        ("DAPPER-H", MitigationCommand.VRR, 1),
-        ("DAPPER-H-BR2", MitigationCommand.VRR, 2),
-        ("DAPPER-H-DRFMsb", MitigationCommand.DRFM_SB, 2),
-    )
-    for nrh in nrh_values:
-        for label, command, blast_radius in variants:
-            runner = _dapper_runner(nrh, requests_per_core)
-            config = runner.config.with_mitigation(command, blast_radius)
-            benign = runner.average_normalized("dapper-h", workloads, config=config)
-            refresh = runner.average_normalized(
-                "dapper-h",
-                workloads,
-                attack="refresh",
-                config=config,
-                attack_matched_baseline=True,
-            )
-            figure.add(
-                nrh=nrh, series=label, normalized_performance=benign
-            )
-            figure.add(
-                nrh=nrh,
-                series=f"{label}-Refresh",
-                normalized_performance=refresh,
-            )
-    figure.notes.append(
+    return _nrh_figure(
+        "figure13",
+        "DAPPER-H with blast radius 2 and DRFMsb, benign and refresh attack",
         "Paper: at NRH=500 under the refresh attack, BR1/BR2 cost 1%/2% and "
-        "DRFMsb about 8%."
+        "DRFMsb about 8%.",
+        figure13_series,
+        workloads,
+        requests_per_core,
+        nrh_values,
+        sweep,
     )
-    return figure
 
 
 # --------------------------------------------------------------------------- #
@@ -518,159 +496,76 @@ def figure14(
     workloads: list[str] | None = None,
     requests_per_core: int = 6_000,
     nrh_values: tuple[int, ...] = (125, 250, 500, 1000),
+    sweep: SweepRunner | None = None,
 ) -> FigureData:
     """Figure 14: BlockHammer versus DAPPER-H on benign applications."""
-    workloads = workloads or default_workloads(1)[:3]
-    figure = FigureData(
-        name="figure14",
-        title="BlockHammer vs DAPPER-H (benign) as NRH varies",
-    )
-    for nrh in nrh_values:
-        runner = _dapper_runner(nrh, requests_per_core)
-        figure.add(
-            nrh=nrh,
-            series="BlockHammer",
-            normalized_performance=runner.average_normalized("blockhammer", workloads),
-        )
-        figure.add(
-            nrh=nrh,
-            series="DAPPER-H",
-            normalized_performance=runner.average_normalized("dapper-h", workloads),
-        )
-        drfm_config = runner.config.with_mitigation(MitigationCommand.DRFM_SB, 2)
-        figure.add(
-            nrh=nrh,
-            series="DAPPER-H-DRFMsb",
-            normalized_performance=runner.average_normalized(
-                "dapper-h", workloads, config=drfm_config
-            ),
-        )
-    figure.notes.append(
+    return _nrh_figure(
+        "figure14",
+        "BlockHammer vs DAPPER-H (benign) as NRH varies",
         "Paper: BlockHammer loses 25% at NRH=500 and 66% at NRH=125, while "
-        "DAPPER-H stays within a few percent."
+        "DAPPER-H stays within a few percent.",
+        figure14_series,
+        workloads,
+        requests_per_core,
+        nrh_values,
+        sweep,
     )
-    return figure
-
-
-def _probabilistic_series(nrh: int) -> list[tuple[str, str, MitigationCommand, int]]:
-    return [
-        ("PARA", "para", MitigationCommand.VRR, 1),
-        ("PARA-DRFMsb", "para", MitigationCommand.DRFM_SB, 2),
-        ("PrIDE", "pride", MitigationCommand.VRR, 1),
-        ("PrIDE-RFMsb", "pride", MitigationCommand.RFM_SB, 1),
-        ("DAPPER-H", "dapper-h", MitigationCommand.VRR, 1),
-        ("DAPPER-H-DRFMsb", "dapper-h", MitigationCommand.DRFM_SB, 2),
-    ]
 
 
 def figure15(
     workloads: list[str] | None = None,
     requests_per_core: int = 6_000,
     nrh_values: tuple[int, ...] = (125, 500, 1000),
+    sweep: SweepRunner | None = None,
 ) -> FigureData:
     """Figure 15: PARA / PrIDE vs DAPPER-H on benign applications."""
-    workloads = workloads or default_workloads(1)[:3]
-    figure = FigureData(
-        name="figure15",
-        title="Probabilistic mitigations vs DAPPER-H (benign)",
+    return _nrh_figure(
+        "figure15",
+        "Probabilistic mitigations vs DAPPER-H (benign)",
+        "Paper: at NRH=125, PARA and PrIDE cost 8.5% and 16.7%; DAPPER-H 4%.",
+        probabilistic_series,
+        workloads,
+        requests_per_core,
+        nrh_values,
+        sweep,
     )
-    for nrh in nrh_values:
-        runner = _dapper_runner(nrh, requests_per_core)
-        for label, tracker, command, blast_radius in _probabilistic_series(nrh):
-            config = runner.config.with_mitigation(command, blast_radius)
-            figure.add(
-                nrh=nrh,
-                series=label,
-                normalized_performance=runner.average_normalized(
-                    tracker, workloads, config=config
-                ),
-            )
-    figure.notes.append(
-        "Paper: at NRH=125, PARA and PrIDE cost 8.5% and 16.7%; DAPPER-H 4%."
-    )
-    return figure
 
 
 def figure16(
     workloads: list[str] | None = None,
     requests_per_core: int = 6_000,
     nrh_values: tuple[int, ...] = (125, 500, 1000),
+    sweep: SweepRunner | None = None,
 ) -> FigureData:
     """Figure 16: PARA / PrIDE vs DAPPER-H under Perf-Attacks."""
-    workloads = workloads or default_workloads(1)[:3]
-    figure = FigureData(
-        name="figure16",
-        title="Probabilistic mitigations vs DAPPER-H under the refresh attack",
-    )
-    for nrh in nrh_values:
-        runner = _dapper_runner(nrh, requests_per_core)
-        for label, tracker, command, blast_radius in _probabilistic_series(nrh):
-            config = runner.config.with_mitigation(command, blast_radius)
-            figure.add(
-                nrh=nrh,
-                series=label,
-                normalized_performance=runner.average_normalized(
-                    tracker,
-                    workloads,
-                    attack="refresh",
-                    config=config,
-                    attack_matched_baseline=True,
-                ),
-            )
-    figure.notes.append(
+    return _nrh_figure(
+        "figure16",
+        "Probabilistic mitigations vs DAPPER-H under the refresh attack",
         "Paper: at NRH=125, DAPPER-H loses ~6% while PARA and PrIDE lose "
-        "15% and 23%."
+        "15% and 23%.",
+        lambda nrh: probabilistic_series(nrh, attack="refresh"),
+        workloads,
+        requests_per_core,
+        nrh_values,
+        sweep,
     )
-    return figure
 
 
 def figure17(
     workloads: list[str] | None = None,
     requests_per_core: int = 6_000,
     nrh_values: tuple[int, ...] = (125, 500, 1000),
+    sweep: SweepRunner | None = None,
 ) -> FigureData:
     """Figure 17: PRAC versus DAPPER-H, benign and under Perf-Attacks."""
-    workloads = workloads or default_workloads(1)[:3]
-    figure = FigureData(
-        name="figure17",
-        title="PRAC vs DAPPER-H, benign and under the refresh attack",
-    )
-    for nrh in nrh_values:
-        runner = _dapper_runner(nrh, requests_per_core)
-        drfm_config = runner.config.with_mitigation(MitigationCommand.DRFM_SB, 2)
-        figure.add(
-            nrh=nrh,
-            series="PRAC",
-            normalized_performance=runner.average_normalized("prac", workloads),
-        )
-        figure.add(
-            nrh=nrh,
-            series="PRAC-Perf",
-            normalized_performance=runner.average_normalized(
-                "prac", workloads, attack="refresh", attack_matched_baseline=True
-            ),
-        )
-        figure.add(
-            nrh=nrh,
-            series="DAPPER-H",
-            normalized_performance=runner.average_normalized("dapper-h", workloads),
-        )
-        figure.add(
-            nrh=nrh,
-            series="DAPPER-H-Refresh",
-            normalized_performance=runner.average_normalized(
-                "dapper-h", workloads, attack="refresh", attack_matched_baseline=True
-            ),
-        )
-        figure.add(
-            nrh=nrh,
-            series="DAPPER-H-DRFMsb",
-            normalized_performance=runner.average_normalized(
-                "dapper-h", workloads, config=drfm_config
-            ),
-        )
-    figure.notes.append(
+    return _nrh_figure(
+        "figure17",
+        "PRAC vs DAPPER-H, benign and under the refresh attack",
         "Paper: PRAC costs ~7% on benign applications at every NRH but is "
-        "largely insensitive to Perf-Attacks; DAPPER-H costs <4% benign."
+        "largely insensitive to Perf-Attacks; DAPPER-H costs <4% benign.",
+        figure17_series,
+        workloads,
+        requests_per_core,
+        nrh_values,
+        sweep,
     )
-    return figure

@@ -113,7 +113,7 @@ def table4(
     )
     outcomes = iter(sweep.run(specs))
     for nrh in nrh_values:
-        for scenario, _, _ in paper_table4_series(nrh):
+        for scenario, *_ in paper_table4_series(nrh):
             overheads = []
             for _ in workloads:
                 outcome = next(outcomes)

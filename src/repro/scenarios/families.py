@@ -10,9 +10,10 @@ Three groups:
   scenarios the paper's fixed four-core layout cannot: several heterogeneous
   attacker cores, mixed benign blends with per-core intensity, and seeded
   random exploration.
-* **Paper scenarios** -- ``paper-figure3/4/11/12`` and ``paper-table4``
-  declare exactly the scenario batches behind those figures/tables, so the
-  figure runners in :mod:`repro.eval` and any suite file share one
+* **Paper scenarios** -- :func:`paper_batch` expands the batch behind every
+  simulated figure and table from a series table.  ``paper-figure3/4/11/12``
+  and ``paper-table4`` register the batches a suite file can reference, so
+  the figure runners in :mod:`repro.eval` and any suite file share one
   definition (and therefore one set of cache entries).
 
 Workload blend entries are either a workload name or a mapping with keys
@@ -24,8 +25,16 @@ an attack name or a mapping with ``attack`` (required), ``hammer_rate``
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
+
 from repro.attacks import available_attacks, tailored_attack_name
-from repro.config import SystemConfig, baseline_config, reduced_row_config
+from repro.config import (
+    MitigationCommand,
+    SystemConfig,
+    baseline_config,
+    large_system_config,
+    reduced_row_config,
+)
 from repro.cpu.workloads import SUITES, get_workload, workloads_in_suite
 from repro.crypto.prng import XorShift64
 from repro.scenarios.catalog import Parameter, ScenarioFamily, register_family
@@ -660,10 +669,151 @@ register_family(
 
 
 # --------------------------------------------------------------------------- #
-# Paper scenarios: the exact batches behind the sweep-based figures/tables.
-# The figure runners in repro.eval expand these same families, so a suite
-# file referencing them shares cache entries with `repro.cli figure N`.
+# Paper scenarios.  Every simulated figure and table is one batch: its steps
+# (NRH values, or LLC sizes for figure 5) x a series table x its workloads,
+# expanded by paper_batch.  The registered paper-* families are the batches a
+# suite file can also reference, so it shares cache entries with
+# `repro.cli figure N`; the other figures call paper_batch directly.
 # --------------------------------------------------------------------------- #
+
+#: One row of a figure's series table: ``(label, tracker, attack, config)``.
+SeriesRow = tuple[str, str, str | None, SystemConfig]
+
+
+def paper_batch(
+    steps: Iterable,
+    series: Callable[[object], list[SeriesRow]],
+    workloads: list[str],
+    requests_per_core: int,
+    matched_baselines: bool = True,
+    by_workload: bool = False,
+) -> list[ScenarioSpec]:
+    """The specs of one figure: ``steps`` x ``series(step)`` x ``workloads``.
+
+    ``matched_baselines`` normalises attack rows against an insecure baseline
+    that runs the same attacker (the mitigation-overhead figures); the
+    motivation figures pass ``False`` and so include the attack's own
+    bandwidth cost.  ``by_workload`` makes the workload the outermost loop
+    instead of the innermost, for figures that report per-workload rows.
+    """
+    rows = [row for step in steps for row in series(step)]
+    if by_workload:
+        cells = [(row, workload) for workload in workloads for row in rows]
+    else:
+        cells = [(row, workload) for row in rows for workload in workloads]
+    return [
+        ScenarioSpec(
+            tracker=tracker,
+            workload=workload,
+            attack=attack,
+            requests_per_core=int(requests_per_core),
+            attack_matched_baseline=matched_baselines and attack is not None,
+            config=config,
+        )
+        for (_, tracker, attack, config), workload in cells
+    ]
+
+
+def motivation_table(config: SystemConfig) -> list[SeriesRow]:
+    """:func:`motivation_series` on one system configuration."""
+    return [
+        (label, tracker, attack, config)
+        for label, tracker, attack in motivation_series()
+    ]
+
+
+def figure5_series(per_core_llc_mb: int, nrh: int) -> list[SeriesRow]:
+    """One figure 5 step: the motivation series on the 8-channel system."""
+    config = large_system_config(per_core_llc_mb=per_core_llc_mb, nrh=nrh)
+    return motivation_table(config.with_refresh_window_scale(DEFAULT_TREFW_SCALE))
+
+
+def mapping_agnostic_series(tracker: str, nrh: int) -> list[SeriesRow]:
+    """Figures 9 and 10: ``tracker`` under the streaming attack (reduced-row
+    geometry) and the refresh attack (full geometry)."""
+    return [
+        ("streaming", tracker, "row-streaming", streaming_config(nrh)),
+        ("refresh", tracker, "refresh", full_geometry_config(nrh)),
+    ]
+
+
+def paper_figure12_series(nrh: int) -> list[SeriesRow]:
+    """One Figure 12 threshold step.  The streaming attack needs the
+    reduced-row geometry; the batch mixes both configurations freely."""
+    return [
+        ("DAPPER-H", "dapper-h", None, full_geometry_config(nrh)),
+        ("DAPPER-H-Streaming", "dapper-h", "row-streaming", streaming_config(nrh)),
+        ("DAPPER-H-Refresh", "dapper-h", "refresh", full_geometry_config(nrh)),
+    ]
+
+
+def figure13_series(nrh: int) -> list[SeriesRow]:
+    """One Figure 13 step: DAPPER-H with blast radius 1 and 2 and with
+    Same-Bank DRFM, benign and under the refresh attack."""
+    rows = []
+    for label, command, blast_radius in (
+        ("DAPPER-H", MitigationCommand.VRR, 1),
+        ("DAPPER-H-BR2", MitigationCommand.VRR, 2),
+        ("DAPPER-H-DRFMsb", MitigationCommand.DRFM_SB, 2),
+    ):
+        config = full_geometry_config(nrh).with_mitigation(command, blast_radius)
+        rows += [
+            (label, "dapper-h", None, config),
+            (f"{label}-Refresh", "dapper-h", "refresh", config),
+        ]
+    return rows
+
+
+def figure14_series(nrh: int) -> list[SeriesRow]:
+    """One Figure 14 step: BlockHammer vs DAPPER-H on benign applications."""
+    full = full_geometry_config(nrh)
+    drfm = full.with_mitigation(MitigationCommand.DRFM_SB, 2)
+    return [
+        ("BlockHammer", "blockhammer", None, full),
+        ("DAPPER-H", "dapper-h", None, full),
+        ("DAPPER-H-DRFMsb", "dapper-h", None, drfm),
+    ]
+
+
+def probabilistic_series(nrh: int, attack: str | None = None) -> list[SeriesRow]:
+    """One Figure 15 (benign) or 16 (``attack="refresh"``) step: PARA and
+    PrIDE vs DAPPER-H, each on two mitigation back-ends."""
+    full = full_geometry_config(nrh)
+    return [
+        (label, tracker, attack, full.with_mitigation(command, blast_radius))
+        for label, tracker, command, blast_radius in (
+            ("PARA", "para", MitigationCommand.VRR, 1),
+            ("PARA-DRFMsb", "para", MitigationCommand.DRFM_SB, 2),
+            ("PrIDE", "pride", MitigationCommand.VRR, 1),
+            ("PrIDE-RFMsb", "pride", MitigationCommand.RFM_SB, 1),
+            ("DAPPER-H", "dapper-h", MitigationCommand.VRR, 1),
+            ("DAPPER-H-DRFMsb", "dapper-h", MitigationCommand.DRFM_SB, 2),
+        )
+    ]
+
+
+def figure17_series(nrh: int) -> list[SeriesRow]:
+    """One Figure 17 step: PRAC vs DAPPER-H, benign and under the refresh
+    attack."""
+    full = full_geometry_config(nrh)
+    drfm = full.with_mitigation(MitigationCommand.DRFM_SB, 2)
+    return [
+        ("PRAC", "prac", None, full),
+        ("PRAC-Perf", "prac", "refresh", full),
+        ("DAPPER-H", "dapper-h", None, full),
+        ("DAPPER-H-Refresh", "dapper-h", "refresh", full),
+        ("DAPPER-H-DRFMsb", "dapper-h", None, drfm),
+    ]
+
+
+def paper_table4_series(nrh: int) -> list[SeriesRow]:
+    """One Table IV threshold step (labels are the table's scenarios)."""
+    full = full_geometry_config(nrh)
+    return [
+        ("benign", "dapper-h", None, full),
+        ("streaming", "dapper-h", "row-streaming", streaming_config(nrh)),
+        ("refresh", "dapper-h", "refresh", full),
+    ]
 
 
 def _paper_workloads(workloads, fallback: list[str]) -> list[str]:
@@ -675,19 +825,14 @@ def _paper_workloads(workloads, fallback: list[str]) -> list[str]:
 
 
 def _build_paper_figure3(workloads, requests_per_core, nrh):
-    workloads = _paper_workloads(workloads, default_workloads(1))
-    config = full_geometry_config(int(nrh))
-    return [
-        ScenarioSpec(
-            tracker=tracker,
-            workload=workload,
-            attack=attack,
-            requests_per_core=int(requests_per_core),
-            config=config,
-        )
-        for workload in workloads
-        for _, tracker, attack in motivation_series()
-    ]
+    return paper_batch(
+        [int(nrh)],
+        lambda nrh: motivation_table(full_geometry_config(nrh)),
+        _paper_workloads(workloads, default_workloads(1)),
+        requests_per_core,
+        matched_baselines=False,
+        by_workload=True,
+    )
 
 
 register_family(
@@ -706,19 +851,13 @@ register_family(
 
 
 def _build_paper_figure4(workloads, requests_per_core, nrh_values):
-    workloads = _paper_workloads(workloads, default_workloads(1)[:3])
-    return [
-        ScenarioSpec(
-            tracker=tracker,
-            workload=workload,
-            attack=attack,
-            requests_per_core=int(requests_per_core),
-            config=full_geometry_config(int(nrh)),
-        )
-        for nrh in nrh_values
-        for _, tracker, attack in motivation_series()
-        for workload in workloads
-    ]
+    return paper_batch(
+        [int(nrh) for nrh in nrh_values],
+        lambda nrh: motivation_table(full_geometry_config(nrh)),
+        _paper_workloads(workloads, default_workloads(1)[:3]),
+        requests_per_core,
+        matched_baselines=False,
+    )
 
 
 register_family(
@@ -737,17 +876,12 @@ register_family(
 
 
 def _build_paper_figure11(workloads, requests_per_core, nrh):
-    workloads = _paper_workloads(workloads, default_workloads(1))
-    config = full_geometry_config(int(nrh))
-    return [
-        ScenarioSpec(
-            tracker="dapper-h",
-            workload=workload,
-            requests_per_core=int(requests_per_core),
-            config=config,
-        )
-        for workload in workloads
-    ]
+    return paper_batch(
+        [int(nrh)],
+        lambda nrh: [("DAPPER-H", "dapper-h", None, full_geometry_config(nrh))],
+        _paper_workloads(workloads, default_workloads(1)),
+        requests_per_core,
+    )
 
 
 register_family(
@@ -764,32 +898,13 @@ register_family(
 )
 
 
-def paper_figure12_series(nrh: int) -> list[tuple[str, str | None, SystemConfig]]:
-    """(label, attack, config) triples of one Figure 12 threshold step.  The
-    streaming attack needs the reduced-row geometry; the batch mixes both
-    configurations freely."""
-    return [
-        ("DAPPER-H", None, full_geometry_config(nrh)),
-        ("DAPPER-H-Streaming", "row-streaming", streaming_config(nrh)),
-        ("DAPPER-H-Refresh", "refresh", full_geometry_config(nrh)),
-    ]
-
-
 def _build_paper_figure12(workloads, requests_per_core, nrh_values):
-    workloads = _paper_workloads(workloads, default_workloads(1)[:3])
-    return [
-        ScenarioSpec(
-            tracker="dapper-h",
-            workload=workload,
-            attack=attack,
-            requests_per_core=int(requests_per_core),
-            attack_matched_baseline=attack is not None,
-            config=config,
-        )
-        for nrh in nrh_values
-        for _, attack, config in paper_figure12_series(int(nrh))
-        for workload in workloads
-    ]
+    return paper_batch(
+        [int(nrh) for nrh in nrh_values],
+        paper_figure12_series,
+        _paper_workloads(workloads, default_workloads(1)[:3]),
+        requests_per_core,
+    )
 
 
 register_family(
@@ -807,31 +922,13 @@ register_family(
 )
 
 
-def paper_table4_series(nrh: int) -> list[tuple[str, str | None, SystemConfig]]:
-    """(scenario, attack, config) triples of one Table IV threshold step."""
-    full = full_geometry_config(nrh)
-    return [
-        ("benign", None, full),
-        ("streaming", "row-streaming", streaming_config(nrh)),
-        ("refresh", "refresh", full),
-    ]
-
-
 def _build_paper_table4(workloads, requests_per_core, nrh_values):
-    workloads = _paper_workloads(workloads, default_workloads(1)[:3])
-    return [
-        ScenarioSpec(
-            tracker="dapper-h",
-            workload=workload,
-            attack=attack,
-            requests_per_core=int(requests_per_core),
-            attack_matched_baseline=attack is not None,
-            config=config,
-        )
-        for nrh in nrh_values
-        for _, attack, config in paper_table4_series(int(nrh))
-        for workload in workloads
-    ]
+    return paper_batch(
+        [int(nrh) for nrh in nrh_values],
+        paper_table4_series,
+        _paper_workloads(workloads, default_workloads(1)[:3]),
+        requests_per_core,
+    )
 
 
 register_family(

@@ -18,18 +18,12 @@ from repro.sim.sweep import (
     SweepRunner,
     SweepStats,
 )
-from repro.sim.experiment import (
-    ExperimentRunner,
-    WorkloadRun,
-    run_workload,
-)
+from repro.sim.experiment import run_workload
 
 __all__ = [
     "Simulator",
     "SimulationResult",
     "run_workload",
-    "WorkloadRun",
-    "ExperimentRunner",
     "ScenarioSpec",
     "SweepRunner",
     "SweepOutcome",

@@ -1,4 +1,11 @@
-"""Experiment helpers: scenario construction, baseline caching, sweeps.
+"""Scenario construction: per-core generators, tracker warm-up, one run.
+
+:func:`run_workload` builds one scenario's cores and tracker and runs it on
+the selected engine.  Everything above a single run -- normalising against
+the insecure baseline, deduplicating and caching simulations, fanning out
+over worker processes -- belongs to :class:`repro.sim.sweep.SweepRunner`,
+which calls :func:`run_workload` for each :class:`~repro.sim.sweep.ScenarioSpec`
+it has to simulate.
 
 The evaluation methodology follows the paper (Section IV): four cores run
 homogeneous copies of a workload; in attack configurations core 0 runs the
@@ -17,7 +24,6 @@ plans.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from repro.attacks import attack_by_name
 from repro.config import SystemConfig, baseline_config
@@ -26,9 +32,8 @@ from repro.cpu.tracefile import FileTraceGenerator
 from repro.cpu.workloads import WorkloadProfile, get_workload
 from repro.dram.address import AddressMapper, RowAddress
 from repro.sim.batch import engine_class
-from repro.sim.metrics import benign_normalized_performance
-from repro.sim.simulator import CoreSpec, SimulationResult, Simulator
-from repro.sim.sweep import CoreAssignment, ScenarioSpec, SweepRunner
+from repro.sim.simulator import CoreSpec, SimulationResult
+from repro.sim.sweep import CoreAssignment
 from repro.trackers.base import RowHammerTracker
 from repro.trackers.none import NoMitigation
 from repro.trackers.registry import create_tracker
@@ -75,18 +80,6 @@ class ThrottledGenerator:
             address=entry.address,
             is_write=entry.is_write,
         )
-
-
-@dataclass(frozen=True)
-class WorkloadRun:
-    """A simulation result together with its normalised performance."""
-
-    workload: str
-    tracker: str
-    attack: str | None
-    normalized: float
-    result: SimulationResult
-    baseline: SimulationResult
 
 
 def _resolve_workload(workload: str | WorkloadProfile) -> WorkloadProfile:
@@ -441,179 +434,3 @@ def run_workload(
     )
     return simulator.run()
 
-
-class ExperimentRunner:
-    """Runs scenarios and normalises them against cached insecure baselines.
-
-    Scenario execution is delegated to a :class:`~repro.sim.sweep.SweepRunner`
-    so every simulation -- baselines included -- is memoized by its full
-    scenario hash; ``cache_dir`` additionally persists completed results on
-    disk and ``jobs`` lets batch entry points fan simulations out over worker
-    processes.
-    """
-
-    #: Benign cores whose IPC is compared (core 0 hosts the attacker in attack
-    #: scenarios, so it is excluded everywhere for comparability).
-    def __init__(
-        self,
-        config: SystemConfig | None = None,
-        requests_per_core: int = 8_000,
-        seed: int | None = None,
-        attack_warmup_activations: int = 150_000,
-        cache_dir=None,
-        jobs: int = 1,
-    ):
-        self.config = config or baseline_config()
-        self.requests_per_core = requests_per_core
-        self.seed = self.config.seed if seed is None else seed
-        self.attack_warmup_activations = attack_warmup_activations
-        self.sweep = SweepRunner(cache_dir=cache_dir, jobs=jobs)
-        self._baselines: dict[tuple, SimulationResult] = {}
-
-    # ------------------------------------------------------------------ #
-
-    def _spec(
-        self,
-        tracker: str,
-        profile: WorkloadProfile,
-        attack: str | None,
-        config: SystemConfig,
-        enable_auditor: bool = False,
-        attack_matched_baseline: bool = False,
-        attack_warmup_activations: int | None = None,
-    ) -> ScenarioSpec:
-        return ScenarioSpec(
-            tracker=tracker,
-            workload=profile,
-            attack=attack,
-            seed=self.seed,
-            requests_per_core=self.requests_per_core,
-            attack_matched_baseline=attack_matched_baseline,
-            attack_warmup_activations=self.attack_warmup_activations
-            if attack_warmup_activations is None
-            else attack_warmup_activations,
-            enable_auditor=enable_auditor,
-            config=config,
-        )
-
-    def _baseline_key(
-        self,
-        workload: WorkloadProfile,
-        config: SystemConfig,
-        attack: str | None,
-    ) -> tuple:
-        # Every configuration parameter that changes baseline behaviour must
-        # appear here: two configs differing only in LLC associativity, core
-        # count or per-core MLP must not share a cached baseline.  The full
-        # frozen sub-configs cover geometry, timings (e.g. a scaled refresh
-        # window) and cache shape in one go.
-        return (
-            workload.name,
-            attack,
-            config.dram,
-            config.timings,
-            config.llc,
-            config.cores,
-            self.requests_per_core,
-            self.seed,
-        )
-
-    def baseline(
-        self,
-        workload: str | WorkloadProfile,
-        config: SystemConfig | None = None,
-        attack: str | None = None,
-    ) -> SimulationResult:
-        """Insecure-baseline run (no mitigation) for a workload.
-
-        With ``attack=None`` this is the paper's insecure baseline (no
-        mitigation, no attacker).  Passing an attack name produces the
-        *attack-matched* baseline (no mitigation, attacker running), used when
-        isolating the overhead a mitigation adds on top of the attack's own
-        bandwidth cost (see EXPERIMENTS.md).
-        """
-        config = config or self.config
-        profile = _resolve_workload(workload)
-        key = self._baseline_key(profile, config, attack)
-        cached = self._baselines.get(key)
-        if cached is None:
-            spec = self._spec(
-                "none", profile, attack, config, attack_warmup_activations=0
-            )
-            cached = self.sweep.simulate(spec)
-            self._baselines[key] = cached
-        return cached
-
-    # ------------------------------------------------------------------ #
-
-    def run(
-        self,
-        tracker: str,
-        workload: str | WorkloadProfile,
-        attack: str | None = None,
-        config: SystemConfig | None = None,
-        enable_auditor: bool = False,
-        attack_matched_baseline: bool = False,
-    ) -> WorkloadRun:
-        """Run one scenario and normalise it against the cached baseline.
-
-        ``attack_matched_baseline`` selects which insecure baseline the run is
-        normalised against: the no-attack baseline (default; what the
-        motivation figures use, so the attack's own bandwidth cost is part of
-        the reported slowdown) or a baseline that also runs the attacker (used
-        for the mitigation-overhead figures, so only the overhead added by the
-        mitigation's reaction to the attack is reported).
-        """
-        config = config or self.config
-        profile = _resolve_workload(workload)
-        baseline_attack = attack if attack_matched_baseline else None
-        baseline = self.baseline(profile, config, attack=baseline_attack)
-        spec = self._spec(
-            tracker,
-            profile,
-            attack,
-            config,
-            enable_auditor=enable_auditor,
-            attack_matched_baseline=attack_matched_baseline,
-        )
-        result = self.sweep.simulate(spec)
-        normalized = self._normalize(result, baseline)
-        return WorkloadRun(
-            workload=profile.name,
-            tracker=tracker,
-            attack=attack,
-            normalized=normalized,
-            result=result,
-            baseline=baseline,
-        )
-
-    def _normalize(
-        self, result: SimulationResult, baseline: SimulationResult
-    ) -> float:
-        """Mean benign-core IPC ratio; core 0 is excluded (attacker slot)."""
-        return benign_normalized_performance(result, baseline)
-
-    # ------------------------------------------------------------------ #
-
-    def average_normalized(
-        self,
-        tracker: str,
-        workloads: list[str | WorkloadProfile],
-        attack: str | None = None,
-        config: SystemConfig | None = None,
-        attack_matched_baseline: bool = False,
-    ) -> float:
-        """Average normalised performance of a tracker over several workloads."""
-        runs = [
-            self.run(
-                tracker,
-                workload,
-                attack=attack,
-                config=config,
-                attack_matched_baseline=attack_matched_baseline,
-            )
-            for workload in workloads
-        ]
-        if not runs:
-            return 0.0
-        return sum(run.normalized for run in runs) / len(runs)

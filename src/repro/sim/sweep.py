@@ -53,7 +53,7 @@ from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
-from repro.config import SystemConfig, baseline_config
+from repro.config import RowHammerConfig, SystemConfig, baseline_config
 from repro.cpu.workloads import WorkloadProfile, get_workload, scale_profile
 from repro.sim.metrics import (
     benign_normalized_performance,
@@ -69,6 +69,10 @@ from repro.sim.simulator import SimulationResult
 CODE_VERSION = "dapper-sim-v2"
 
 _LOG = logging.getLogger("repro.sweep")
+
+#: The mitigation back-end every baseline runs with (see
+#: :meth:`ScenarioSpec.baseline_spec`).
+_DEFAULT_ROWHAMMER = RowHammerConfig()
 
 
 @dataclass(frozen=True)
@@ -252,12 +256,23 @@ class ScenarioSpec:
         scenarios the attacker cores are replaced by idle cores, so the
         remaining benign cores stay on the same core ids and are compared
         like-for-like.
+
+        Tracker ``none`` never requests a mitigation, so nothing in a baseline
+        reads the mitigation command or the blast radius: both are reset to
+        the :class:`~repro.config.RowHammerConfig` defaults, and scenarios
+        that differ only in their mitigation back-end share one baseline.
+        The threshold stays in the baseline's key.
         """
         baseline_plan = self.core_plan
         if baseline_plan is not None and not self.attack_matched_baseline:
             baseline_plan = tuple(
                 CoreAssignment(role="idle") if assignment.is_attacker else assignment
                 for assignment in baseline_plan
+            )
+        config = self.config
+        if config is not None:
+            config = config.with_mitigation(
+                _DEFAULT_ROWHAMMER.mitigation_command, _DEFAULT_ROWHAMMER.blast_radius
             )
         return dataclasses.replace(
             self,
@@ -266,6 +281,7 @@ class ScenarioSpec:
             attack_matched_baseline=False,
             attack_warmup_activations=0,
             enable_auditor=False,
+            config=config,
             core_plan=baseline_plan,
         )
 

@@ -248,9 +248,10 @@ class TestSqliteCacheDir:
 
 class TestFigureParityAcrossBackends:
     """Figures/tables render identical numbers from the warehouse and the
-    legacy JSON cache (the acceptance criterion's figure3/4/11/12 + table4
-    generators all run through the same SweepRunner plumbing; figure11 and
-    table4 cover the benign and attack/energy paths in tier-1 time)."""
+    legacy JSON cache.  Every simulated figure and table runs through the
+    same ``SweepRunner.run``; figure 11 and table 4 cover the benign and
+    attack/energy paths, figure 13 the non-default mitigation back-ends, in
+    tier-1 time."""
 
     def test_figure11_and_table4_identical_via_imported_warehouse(self, tmp_path):
         from repro.eval.figures import figure11
@@ -274,3 +275,25 @@ class TestFigureParityAcrossBackends:
         assert sqlite_runner.stats.cache_misses == 0
         assert fig_sqlite.rows == fig_json.rows
         assert tab_sqlite.rows == tab_json.rows
+
+    def test_figure13_identical_via_imported_warehouse(self, tmp_path):
+        # Figure 13's non-default mitigation back-ends, and the baselines they
+        # share with the default back-end, replay from a warehouse too.
+        from repro.eval.figures import figure13
+        from repro.store import import_store
+
+        kwargs = dict(
+            workloads=["453.povray"], requests_per_core=250, nrh_values=(500,)
+        )
+        json_runner = SweepRunner(cache_dir=tmp_path / "cache")
+        fig_json = figure13(sweep=json_runner, **kwargs)
+        # 6 measured runs, 1 benign and 1 attack-matched baseline.
+        assert json_runner.stats.cache_misses == 8
+
+        warehouse = SqliteStore(tmp_path / "wh.sqlite")
+        import_store(warehouse, tmp_path / "cache")
+        sqlite_runner = SweepRunner(store=warehouse)
+        fig_sqlite = figure13(sweep=sqlite_runner, **kwargs)
+
+        assert sqlite_runner.stats.cache_misses == 0
+        assert fig_sqlite.rows == fig_json.rows

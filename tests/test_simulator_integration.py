@@ -8,7 +8,8 @@ generation, LLC, controller, tracker, DRAM timing, metrics, security audit).
 import pytest
 
 from repro.config import reduced_row_config
-from repro.sim.experiment import ExperimentRunner, run_workload
+from repro.sim.experiment import run_workload
+from repro.sim.sweep import ScenarioSpec, SweepRunner
 from repro.trackers.registry import available_trackers, create_tracker
 
 
@@ -23,13 +24,30 @@ def config():
     )
 
 
+def _runner(config, requests_per_core, attack_warmup_activations):
+    """``run(tracker, workload, ...)``: one scenario through one shared
+    :class:`SweepRunner`, normalised against its insecure baseline."""
+    sweep = SweepRunner()
+
+    def run(tracker, workload, attack=None, attack_matched_baseline=False):
+        return sweep.run_one(
+            ScenarioSpec(
+                tracker=tracker,
+                workload=workload,
+                attack=attack,
+                requests_per_core=requests_per_core,
+                attack_matched_baseline=attack_matched_baseline,
+                attack_warmup_activations=attack_warmup_activations,
+                config=config,
+            )
+        )
+
+    return run
+
+
 @pytest.fixture(scope="module")
 def runner(config):
-    return ExperimentRunner(
-        config,
-        requests_per_core=REQUESTS,
-        attack_warmup_activations=WARMUP,
-    )
+    return _runner(config, REQUESTS, WARMUP)
 
 
 class TestRegistry:
@@ -104,29 +122,25 @@ class TestBasicSimulation:
         assert light.core_results[1].ipc > heavy.core_results[1].ipc
 
 
-class TestExperimentRunner:
-    def test_baseline_is_cached(self, runner):
-        first = runner.baseline("470.lbm")
-        second = runner.baseline("470.lbm")
-        assert first is second
-
+class TestNormalization:
     def test_normalized_close_to_one_for_no_mitigation(self, runner):
-        run = runner.run("none", "470.lbm")
+        run = runner("none", "470.lbm")
         assert run.normalized == pytest.approx(1.0, abs=0.02)
 
     def test_dapper_h_benign_overhead_is_small(self, runner):
-        run = runner.run("dapper-h", "470.lbm")
+        run = runner("dapper-h", "470.lbm")
         assert run.normalized > 0.97
 
     def test_attack_matched_baseline_differs_from_clean(self, runner):
-        clean = runner.run("dapper-s", "470.lbm", attack="refresh")
-        matched = runner.run(
+        clean = runner("dapper-s", "470.lbm", attack="refresh")
+        matched = runner(
             "dapper-s", "470.lbm", attack="refresh", attack_matched_baseline=True
         )
         assert matched.normalized >= clean.normalized
 
     def test_average_normalized(self, runner):
-        value = runner.average_normalized("none", ["470.lbm", "429.mcf"])
+        runs = [runner("none", workload) for workload in ("470.lbm", "429.mcf")]
+        value = sum(run.normalized for run in runs) / len(runs)
         assert value == pytest.approx(1.0, abs=0.02)
 
 
@@ -135,16 +149,12 @@ class TestPerformanceAttackShape:
     trackers while DAPPER-H shrugs them off.
 
     These runs need the tracker warmed all the way into the attack's exploited
-    regime, so they use a runner with a generous warm-up cap.
+    regime, so they use a generous warm-up cap.
     """
 
     @pytest.fixture(scope="class")
     def attack_runner(self, config):
-        return ExperimentRunner(
-            config,
-            requests_per_core=2_000,
-            attack_warmup_activations=150_000,
-        )
+        return _runner(config, 2_000, 150_000)
 
     @pytest.fixture(scope="class")
     def full_geometry_runner(self):
@@ -152,19 +162,17 @@ class TestPerformanceAttackShape:
         # only look like the paper's at the full 2M-rows-per-rank geometry.
         from repro.config import baseline_config
 
-        return ExperimentRunner(
-            baseline_config(nrh=500).with_refresh_window_scale(1 / 32),
-            requests_per_core=2_000,
-            attack_warmup_activations=40_000,
+        return _runner(
+            baseline_config(nrh=500).with_refresh_window_scale(1 / 32), 2_000, 40_000
         )
 
     def test_hydra_suffers_under_rcc_conflicts(self, attack_runner):
-        run = attack_runner.run("hydra", "470.lbm", attack="rcc-conflict")
+        run = attack_runner("hydra", "470.lbm", attack="rcc-conflict")
         assert run.normalized < 0.75
         assert run.result.dram_stats.counter_reads > 0
 
     def test_comet_suffers_under_rat_thrashing(self, attack_runner):
-        run = attack_runner.run("comet", "470.lbm", attack="rat-thrash")
+        run = attack_runner("comet", "470.lbm", attack="rat-thrash")
         assert run.normalized < 0.75
         assert (
             run.result.tracker_stats.structure_resets
@@ -173,16 +181,16 @@ class TestPerformanceAttackShape:
         )
 
     def test_dapper_h_resists_the_refresh_attack(self, full_geometry_runner):
-        run = full_geometry_runner.run(
+        run = full_geometry_runner(
             "dapper-h", "470.lbm", attack="refresh", attack_matched_baseline=True
         )
         assert run.normalized > 0.9
 
     def test_dapper_h_beats_dapper_s_under_refresh_attack(self, full_geometry_runner):
-        dapper_s = full_geometry_runner.run(
+        dapper_s = full_geometry_runner(
             "dapper-s", "470.lbm", attack="refresh", attack_matched_baseline=True
         )
-        dapper_h = full_geometry_runner.run(
+        dapper_h = full_geometry_runner(
             "dapper-h", "470.lbm", attack="refresh", attack_matched_baseline=True
         )
         assert dapper_h.normalized >= dapper_s.normalized

@@ -8,8 +8,8 @@ import json
 
 import pytest
 
-from repro.config import reduced_row_config
-from repro.sim.experiment import ExperimentRunner
+from repro.config import MitigationCommand, reduced_row_config
+from repro.sim.experiment import run_workload
 from repro.sim.sweep import CODE_VERSION, ScenarioSpec, SweepRunner
 
 REQUESTS = 300
@@ -106,6 +106,73 @@ class TestInvalidation:
         changed = dataclasses.replace(spec, requests_per_core=REQUESTS + 1)
         assert changed.cache_key() != spec.cache_key()
 
+    def test_refresh_window_scale_change_invalidates(self, spec, sweep_config):
+        changed = dataclasses.replace(
+            spec, config=sweep_config.with_refresh_window_scale(0.5)
+        )
+        assert changed.cache_key() != spec.cache_key()
+        assert changed.baseline_spec().cache_key() != spec.baseline_spec().cache_key()
+
+
+class TestBaselineSharing:
+    """Scenarios that differ only in their mitigation back-end share one
+    insecure baseline: tracker ``none`` never mitigates."""
+
+    @pytest.fixture
+    def attack_spec(self, sweep_config):
+        return ScenarioSpec(
+            tracker="dapper-h",
+            workload="453.povray",
+            attack="refresh",
+            requests_per_core=REQUESTS,
+            attack_matched_baseline=True,
+            config=sweep_config,
+        )
+
+    def test_mitigation_backend_keys_the_run_but_not_the_baseline(self, attack_spec):
+        config = attack_spec.config
+        for command, blast_radius in (
+            (MitigationCommand.DRFM_SB, 1),
+            (MitigationCommand.VRR, 2),
+            (MitigationCommand.DRFM_SB, 2),
+        ):
+            changed = dataclasses.replace(
+                attack_spec, config=config.with_mitigation(command, blast_radius)
+            )
+            assert changed.cache_key() != attack_spec.cache_key()
+            assert (
+                changed.baseline_spec().cache_key()
+                == attack_spec.baseline_spec().cache_key()
+            )
+
+    def test_default_mitigation_keys_are_unchanged(self, attack_spec):
+        # Captured before baselines shared across mitigation back-ends:
+        # specs at the default back-end keep their stored entries.
+        assert attack_spec.cache_key() == (
+            "9512460c729fb1d111a3557adf8eaee1babf4257b864cb83cd6daae1c9eeba66"
+        )
+        assert attack_spec.baseline_spec().cache_key() == (
+            "bf161889e3dc3d3af7ad87a9efb5907838fea66b794c811e816c70b1b3bad8eb"
+        )
+        clean = dataclasses.replace(attack_spec, attack_matched_baseline=False)
+        assert clean.baseline_spec().cache_key() == (
+            "e960b36b397a2cf9c6c1da36571e0af18ccce9f3c6b3c60755fb7ed946c11bdf"
+        )
+
+    def test_unmitigated_run_ignores_the_mitigation_backend(self, sweep_config):
+        def run(config):
+            return run_workload(
+                config=config,
+                tracker="none",
+                workload="453.povray",
+                attack="refresh",
+                requests_per_core=REQUESTS,
+                llc_warmup_accesses=1_000,
+            ).to_dict()
+
+        drfm = sweep_config.with_mitigation(MitigationCommand.DRFM_SB, 2)
+        assert run(drfm) == run(sweep_config)
+
 
 class TestCorruptionTolerance:
     def _cache_files(self, tmp_path):
@@ -163,44 +230,3 @@ class TestCorruptionTolerance:
         assert not outcome.from_cache
         assert outcome.normalized == 1.0
         assert bogus_dir.read_text(encoding="utf-8") == "occupied"
-
-
-class TestExperimentRunnerBaselineKey:
-    """Regression tests for the in-memory baseline key: configurations that
-    differ in any performance-relevant dimension must not share a baseline."""
-
-    def _keys(self, runner, config_a, config_b):
-        from repro.cpu.workloads import get_workload
-
-        profile = get_workload("453.povray")
-        return (
-            runner._baseline_key(profile, config_a, None),
-            runner._baseline_key(profile, config_b, None),
-        )
-
-    def test_llc_associativity_distinguishes_baselines(self, sweep_config):
-        runner = ExperimentRunner(sweep_config, requests_per_core=REQUESTS)
-        llc = dataclasses.replace(sweep_config.llc, ways=8)
-        other = dataclasses.replace(sweep_config, llc=llc)
-        key_a, key_b = self._keys(runner, sweep_config, other)
-        assert key_a != key_b
-
-    def test_core_count_distinguishes_baselines(self, sweep_config):
-        runner = ExperimentRunner(sweep_config, requests_per_core=REQUESTS)
-        cores = dataclasses.replace(sweep_config.cores, num_cores=8)
-        other = dataclasses.replace(sweep_config, cores=cores)
-        key_a, key_b = self._keys(runner, sweep_config, other)
-        assert key_a != key_b
-
-    def test_mlp_distinguishes_baselines(self, sweep_config):
-        runner = ExperimentRunner(sweep_config, requests_per_core=REQUESTS)
-        cores = dataclasses.replace(sweep_config.cores, max_outstanding_misses=2)
-        other = dataclasses.replace(sweep_config, cores=cores)
-        key_a, key_b = self._keys(runner, sweep_config, other)
-        assert key_a != key_b
-
-    def test_refresh_window_scale_distinguishes_baselines(self, sweep_config):
-        runner = ExperimentRunner(sweep_config, requests_per_core=REQUESTS)
-        other = sweep_config.with_refresh_window_scale(0.5)
-        key_a, key_b = self._keys(runner, sweep_config, other)
-        assert key_a != key_b
