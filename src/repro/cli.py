@@ -45,8 +45,8 @@ without writing Python:
     "Distributed campaigns" section of docs/warehouse.md).
 ``python -m repro.cli store query/export/import/gc``
     Query and maintain the warehouse directly: filter/aggregate stored runs,
-    export CSV/JSON, import a legacy JSON cache directory, and delete
-    records from older simulator code versions.
+    export CSV/JSON, import a legacy JSON cache directory (or another
+    warehouse), and delete records from older simulator code versions.
 ``python -m repro.cli obs trace --tracker graphene --attack refresh -o t.json``
     Run one fully instrumented scenario: write a Chrome/Perfetto trace of the
     cycle-domain events, sample the metrics time-series, print the pipeline
@@ -55,17 +55,6 @@ without writing Python:
     (see docs/observability.md).
 ``python -m repro.cli store metrics --store warehouse.sqlite --key PREFIX``
     Inspect (or export) the metrics time-series stored next to a run.
-``python -m repro.cli serve --store warehouse.sqlite --workers 2``
-    Run the sweep service: a stdlib-only JSON REST API plus job queue over
-    the warehouse.  Clients POST scenario suites, accepted suites become
-    named campaigns drained by in-process lease workers (or an external
-    ``campaign worker`` fleet with ``--workers 0``), and GET endpoints
-    stream status/leases/results/metrics with pagination and optional
-    per-client rate limiting (see docs/service.md).
-``python -m repro.cli submit suite.json`` / ``status NAME --wait`` / ``results``
-    Thin clients for a running service: submit a suite (idempotent -- a
-    duplicate submission returns the existing campaign), poll a campaign
-    to completion, and fetch/aggregate result rows over HTTP.
 
 Global ``-v`` / ``-q`` flags raise or lower log verbosity (progress and
 diagnostics go to stderr through :mod:`logging`; results stay on stdout).
@@ -77,8 +66,9 @@ The ``sweep`` subcommand is the batch entry point: it expands comma-separated
 tracker, attack and workload lists into the full cross-product of scenarios,
 deduplicates the insecure baselines they share, fans the remaining simulations
 out over ``--jobs`` worker processes, and memoizes every completed result in
-an on-disk cache (``--cache-dir``, default ``.sweep-cache``) keyed by a stable
-hash of the scenario and the full system configuration.  Re-running the same
+the experiment warehouse (``--cache-dir``, a SQLite file, default
+``.sweep-cache.sqlite``) keyed by a stable hash of the scenario and the full
+system configuration.  Re-running the same
 sweep -- or any other sweep, figure or benchmark that overlaps with it -- is
 served from the cache; the summary reports the hit rate.  Use ``none`` in
 ``--attacks`` for benign (attack-free) scenarios.  A JSON report with one
@@ -88,7 +78,8 @@ entry per scenario plus the cache/parallelism summary is written to
     python -m repro.cli sweep --trackers graphene,dapper-h --attacks refresh \
         --workloads 429.mcf --jobs 2
 
-Exit codes: 0 on success, 2 for unknown tracker/attack/workload names.
+Exit codes: 0 on success, 2 for unknown tracker/attack/workload names
+(``run`` checks its names the same way).
 """
 
 from __future__ import annotations
@@ -100,6 +91,7 @@ import json
 import logging
 import os
 import signal
+import sqlite3
 import sys
 import threading
 import time
@@ -272,9 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_batch.add_argument(
         "--cache-dir",
-        default=".sweep-cache",
-        help="result store: JSON cache directory or .sqlite warehouse "
-        "('' disables caching)",
+        default=".sweep-cache.sqlite",
+        help="result warehouse file ('' disables caching; 'store import' "
+        "upgrades a legacy JSON cache directory)",
     )
     sweep_batch.add_argument(
         "-o",
@@ -310,9 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scenarios_run.add_argument(
         "--cache-dir",
-        default=".sweep-cache",
-        help="result store: JSON cache directory or .sqlite warehouse "
-        "('' disables caching)",
+        default=".sweep-cache.sqlite",
+        help="result warehouse file ('' disables caching; 'store import' "
+        "upgrades a legacy JSON cache directory)",
     )
     scenarios_run.add_argument(
         "-o",
@@ -337,8 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--store",
             default="warehouse.sqlite",
-            help="experiment warehouse: a .sqlite/.db path or a JSON cache "
-            "directory (default warehouse.sqlite)",
+            help="experiment warehouse file (default warehouse.sqlite)",
         )
 
     campaign_run = campaign_sub.add_parser(
@@ -555,10 +546,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     store_import = store_sub.add_parser(
         "import",
-        help="import a cache directory (or another warehouse) into --store",
+        help="import a legacy JSON cache directory (or another warehouse) "
+        "into --store",
     )
     store_import.add_argument(
-        "source", help="JSON cache directory or .sqlite warehouse to import"
+        "source", help="legacy JSON cache directory or warehouse file"
     )
     _store_argument(store_import)
     store_import.add_argument(
@@ -672,138 +664,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "warehouse",
     )
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the sweep service: a JSON REST API + job queue over the "
-        "warehouse (see docs/service.md)",
-    )
-    _store_argument(serve)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8180)
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="in-process drain workers (0 = front end only; attach external "
-        "'campaign worker' processes to the same store)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="simulation processes each drain worker fans out over",
-    )
-    serve.add_argument(
-        "--shard-size",
-        type=int,
-        default=4,
-        help="simulations per leased shard",
-    )
-    serve.add_argument(
-        "--lease-duration",
-        type=float,
-        default=60.0,
-        help="seconds a claimed shard stays leased without a heartbeat",
-    )
-    serve.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="attempts per shard before poison-shard quarantine",
-    )
-    serve.add_argument(
-        "--rate-limit",
-        type=float,
-        default=0.0,
-        help="requests per second each client address may make "
-        "(token bucket; 0 disables rate limiting)",
-    )
-    serve.add_argument(
-        "--burst",
-        type=int,
-        default=None,
-        help="token-bucket burst size (default: the --rate-limit value)",
-    )
-
-    def _url_argument(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
-            "--url",
-            default="http://127.0.0.1:8180",
-            help="base URL of a running sweep service",
-        )
-
-    submit = sub.add_parser(
-        "submit", help="submit a suite file to a running sweep service"
-    )
-    submit.add_argument("suite", help="path of the YAML/JSON suite file")
-    _url_argument(submit)
-    submit.add_argument(
-        "--name",
-        default=None,
-        help="campaign name (default: the suite's own name)",
-    )
-    submit.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="print the service's response document as JSON",
-    )
-
-    status_p = sub.add_parser(
-        "status", help="completion state of a campaign on a sweep service"
-    )
-    status_p.add_argument("name", help="campaign name")
-    _url_argument(status_p)
-    status_p.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="machine-readable JSON instead of the key:value lines",
-    )
-    status_p.add_argument(
-        "--wait",
-        action="store_true",
-        help="poll until the campaign is complete (exit 1 on timeout)",
-    )
-    status_p.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        help="poll interval in seconds (with --wait)",
-    )
-    status_p.add_argument(
-        "--timeout",
-        type=float,
-        default=600.0,
-        help="give up after this many seconds (with --wait)",
-    )
-
-    results_p = sub.add_parser(
-        "results", help="fetch stored result rows from a sweep service"
-    )
-    _url_argument(results_p)
-    _filter_arguments(results_p)
-    results_p.add_argument(
-        "--all",
-        action="store_true",
-        dest="fetch_all",
-        help="follow the pagination cursor until every matching row is "
-        "fetched (--limit becomes the page size)",
-    )
-    results_p.add_argument(
-        "--group-by",
-        default=None,
-        help="comma-separated columns to aggregate over "
-        "(e.g. tracker,workload)",
-    )
-    results_p.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="print rows as JSON (identical to 'store export --format json' "
-        "over the same warehouse and filters)",
-    )
-
     sub.add_parser("list-attacks", help="list the available attack kernels")
 
     trace = sub.add_parser(
@@ -841,11 +701,19 @@ def _cmd_list_workloads(suite: str | None) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = baseline_config(nrh=args.nrh).with_refresh_window_scale(args.trefw_scale)
+    # 'none' means benign, as in ``sweep --attacks``.
+    attack = None if args.attack == "none" else args.attack
+    error = _validate_sweep_names(
+        [args.tracker], [attack or "none"], [args.workload], config
+    )
+    if error is not None:
+        print(f"run: {error}", file=sys.stderr)
+        return 2
     run = SweepRunner().run_one(
         ScenarioSpec(
             tracker=args.tracker,
             workload=args.workload,
-            attack=args.attack,
+            attack=attack,
             requests_per_core=args.requests,
             attack_matched_baseline=args.attack_matched_baseline,
             config=config,
@@ -854,7 +722,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run.result
     print(f"tracker             : {args.tracker}")
     print(f"workload            : {args.workload}")
-    print(f"attack              : {args.attack or 'none'}")
+    print(f"attack              : {attack or 'none'}")
     print(f"RowHammer threshold : {args.nrh}")
     print(f"normalized perf     : {run.normalized:.4f} "
           f"({slowdown_percent(run.normalized):.2f}% slowdown)")
@@ -982,7 +850,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for workload in workloads
     ]
 
-    runner = SweepRunner(cache_dir=args.cache_dir or None, jobs=args.jobs)
+    runner = SweepRunner(store=args.cache_dir or None, jobs=args.jobs)
     started = time.monotonic()
     outcomes = runner.run(specs)
     elapsed = time.monotonic() - started
@@ -1110,7 +978,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             for spec in specs:
                 print(f"  {json.dumps(spec.describe())}")
             return 0
-        runner = SweepRunner(cache_dir=args.cache_dir or None, jobs=args.jobs)
+        runner = SweepRunner(store=args.cache_dir or None, jobs=args.jobs)
         started = time.monotonic()
         outcomes = runner.run(specs)
         elapsed = time.monotonic() - started
@@ -1134,9 +1002,16 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _open_store(target: str):
+    """Open a ``--store`` warehouse; :class:`ValueError` when it cannot be."""
     from repro.store import open_store
 
-    store = open_store(target)
+    try:
+        store = open_store(target)
+    except (sqlite3.Error, OSError) as error:
+        raise ValueError(
+            f"cannot open {target} as a warehouse ({error}); a legacy JSON "
+            "cache directory is upgraded with 'store import'"
+        ) from None
     if store is None:
         raise ValueError("an empty --store disables the warehouse")
     return store
@@ -1146,12 +1021,12 @@ def _open_store(target: str):
 def _sigterm_as_interrupt():
     """Treat SIGTERM like Ctrl-C for the duration of the block.
 
-    Long-running verbs (``campaign worker``, ``serve``) are shut down by
-    service managers with SIGTERM; routing it through the existing
-    ``KeyboardInterrupt`` path means a terminated worker releases its held
-    lease immediately instead of making the fleet wait out the lease
-    expiry.  Signal handlers can only be installed on the main thread; on
-    any other thread (the in-process test suite) this is a no-op.
+    ``campaign worker`` processes are shut down by process supervisors
+    (systemd, batch schedulers, ``kill``) with SIGTERM; routing it through
+    the existing ``KeyboardInterrupt`` path means a terminated worker
+    releases its held lease immediately instead of making the fleet wait out
+    the lease expiry.  Signal handlers can only be installed on the main
+    thread; on any other thread (the in-process test suite) this is a no-op.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -1245,7 +1120,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"campaign: {error}", file=sys.stderr)
             return 2
         try:
-            # SIGTERM (service-managed shutdown) takes the same path as
+            # SIGTERM (a supervisor's shutdown) takes the same path as
             # Ctrl-C: the held lease is released promptly, not by expiry.
             with _sigterm_as_interrupt():
                 summary = worker.run(max_shards=args.max_shards)
@@ -1278,11 +1153,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.campaign_command == "leases":
         try:
             store = _open_store(args.store)
-            if not getattr(store, "supports_leases", False):
-                raise ValueError(
-                    "lease state lives in the SQLite warehouse; this store "
-                    "has no lease table"
-                )
             from repro.store.campaign import load_manifest
 
             load_manifest(store, args.name)   # unknown campaign -> exit 2
@@ -1458,7 +1328,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         export_rows,
         gc_store,
         import_store,
-        open_store,
         query_rows,
     )
 
@@ -1534,15 +1403,23 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if args.store_command == "import":
         from pathlib import Path
 
-        # Validate before open_store: opening a typo'd .sqlite path would
+        # Validate before opening: opening a typo'd warehouse path would
         # silently create a fresh empty warehouse there.
-        if not args.source or not Path(args.source).exists():
+        source = Path(args.source) if args.source else None
+        if source is None or not source.exists():
             print(
                 f"store: import source {args.source!r} does not exist",
                 file=sys.stderr,
             )
             return 2
-        source = open_store(args.source)
+        if not source.is_dir():
+            # A directory is a legacy JSON cache; anything else must open
+            # as another warehouse.
+            try:
+                source = _open_store(args.source)
+            except ValueError as error:
+                print(f"store: {error}", file=sys.stderr)
+                return 2
         imported, skipped = import_store(
             store, source, overwrite=args.overwrite
         )
@@ -1602,6 +1479,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         trace = TraceRecorder(max_events=args.max_events)
         metrics = MetricsSampler(interval_ns=args.metrics_interval_ns)
         profiler = PipelineProfiler()
+        # Opened before simulating, so an unusable warehouse fails fast.
+        store = _open_store(args.store) if args.store else None
     except ValueError as error:
         print(f"obs: {error}", file=sys.stderr)
         return 2
@@ -1644,235 +1523,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         f"{result.tracker_stats.mitigations_issued} mitigations"
     )
 
-    if args.store:
+    if store is not None:
         from repro.sim.sweep import ResultCache
 
-        try:
-            cache = ResultCache(args.store)
-        except ValueError as error:
-            print(f"obs: {error}", file=sys.stderr)
-            return 2
         key = spec.cache_key()
-        cache.store(key, spec, result)
-        cache.backend.put_metrics(key, metrics.to_rows())
+        ResultCache(store).store(key, spec, result)
+        store.put_metrics(key, metrics.to_rows())
         print(f"stored   : {key[:16]}... in {args.store}")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import (
-        CampaignRepository,
-        RateLimiter,
-        ServiceApp,
-        WorkerPool,
-        make_service_server,
-    )
-
-    pool = None
-    try:
-        repository = CampaignRepository(args.store)
-        if args.workers > 0 and not repository.supports_leases:
-            raise ValueError(
-                "the in-process job queue needs the SQLite warehouse (a "
-                "--store path ending in .sqlite/.db); rerun with --workers 0 "
-                "to serve a JSON cache directory read-only"
-            )
-        if args.workers > 0:
-            pool = WorkerPool(
-                args.store,
-                workers=args.workers,
-                jobs=args.jobs,
-                shard_size=args.shard_size,
-                lease_duration=args.lease_duration,
-                max_attempts=args.max_attempts,
-            )
-        limiter = RateLimiter(args.rate_limit, burst=args.burst)
-        app = ServiceApp(repository, pool=pool, rate_limiter=limiter)
-        server = make_service_server(app, args.host, args.port)
-    except ValueError as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
-        print(
-            f"serve: cannot bind {args.host}:{args.port}: {error}",
-            file=sys.stderr,
-        )
-        return 2
-    if pool is not None:
-        pool.start()
-    host, port = server.server_address[:2]
-    limit = (
-        f"{args.rate_limit:g} req/s per client"
-        if args.rate_limit > 0
-        else "off"
-    )
-    print(
-        f"serving on http://{host}:{port} (store {args.store}, "
-        f"{args.workers} worker(s), rate limit {limit})",
-        flush=True,
-    )
-    try:
-        with _sigterm_as_interrupt():
-            server.serve_forever(poll_interval=0.2)
-    except KeyboardInterrupt:
-        print("serve: shutting down", file=sys.stderr)
-    finally:
-        server.server_close()
-        if pool is not None:
-            pool.stop(wait=True, timeout=5.0)
-    return 0
-
-
-def _load_suite_document(path: str):
-    """The raw suite document to POST (parsed by suffix, not validated)."""
-    from pathlib import Path
-
-    text = Path(path).read_text(encoding="utf-8")
-    if Path(path).suffix.lower() == ".json":
-        return json.loads(text)
-    try:
-        import yaml
-    except ImportError:
-        raise ValueError(
-            f"reading {path} needs PyYAML, which is not installed; "
-            "convert the suite to JSON"
-        ) from None
-    return yaml.safe_load(text)
-
-
-def _client_error(verb: str, error) -> int:
-    print(f"{verb}: {error}", file=sys.stderr)
-    return 2 if getattr(error, "status", 0) == 400 else 1
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    try:
-        document = _load_suite_document(args.suite)
-    except (OSError, ValueError) as error:
-        print(f"submit: {error}", file=sys.stderr)
-        return 2
-    try:
-        response = client.submit(document, name=args.name)
-    except ServiceError as error:
-        return _client_error("submit", error)
-    if args.as_json:
-        print(json.dumps(response, indent=2))
-        return 0
-    campaign = response["campaign"]
-    verb = "created" if response["created"] else "already exists"
-    queued = " (queued)" if response["queued"] else ""
-    print(
-        f"campaign {campaign['name']!r} {verb}: {campaign['entries']} "
-        f"scenario(s), {campaign['simulations_stored']}/"
-        f"{campaign['simulations_total']} simulations stored "
-        f"({campaign['percent']:.0f}%)"
-    )
-    print(f"drain         : {response['drain']}{queued}")
-    return 0
-
-
-def _print_status_document(status: dict) -> None:
-    """The client-side rendering of a service status document.
-
-    Deliberately the same key:value layout as ``campaign status`` so the
-    same greps work against either the local store or the service.
-    """
-    print(f"campaign      : {status['name']}")
-    print(f"created       : {status['created_at']}")
-    print(f"source        : {status['source'] or '(none)'}")
-    print(
-        f"scenarios     : {status['entries_complete']}/{status['entries']} "
-        "complete"
-    )
-    print(
-        f"simulations   : {status['simulations_stored']}/"
-        f"{status['simulations_total']} stored ({status['percent']:.0f}%)"
-    )
-    print(f"state         : {status['state']}")
-
-
-def _cmd_client_status(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    try:
-        if args.wait:
-            def _tick(status: dict) -> None:
-                print(
-                    f"status: {status['simulations_stored']}/"
-                    f"{status['simulations_total']} simulations "
-                    f"({status['percent']:.0f}%)",
-                    file=sys.stderr,
-                )
-
-            status = client.wait_complete(
-                args.name,
-                timeout=args.timeout,
-                interval=args.interval,
-                progress=_tick,
-            )
-        else:
-            status = client.status(args.name)
-    except ServiceError as error:
-        return _client_error("status", error)
-    if args.as_json:
-        print(json.dumps(status, indent=2))
-        return 0
-    _print_status_document(status)
-    return 0
-
-
-def _cmd_results(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-    from repro.store import export_rows
-
-    client = ServiceClient(args.url)
-    filters = dict(
-        tracker=args.tracker,
-        workload=args.workload,
-        attack=args.attack,
-        nrh=args.nrh,
-        code_version=args.code_version,
-    )
-    next_offset = None
-    try:
-        if args.group_by:
-            # Aggregation happens inside the service (one summary row per
-            # group crosses the wire) instead of paging every raw row here.
-            document = client.aggregate_results(
-                group_by=[
-                    name.strip()
-                    for name in args.group_by.split(",")
-                    if name.strip()
-                ],
-                **filters,
-            )
-            rows = document["rows"]
-        elif args.fetch_all:
-            rows = client.all_results(
-                page_size=args.limit or 500, **filters
-            )
-        else:
-            page = client.results(
-                limit=args.limit, offset=args.offset, **filters
-            )
-            rows = page["rows"]
-            next_offset = page["next_offset"]
-    except ServiceError as error:
-        return _client_error("results", error)
-    if args.as_json:
-        export_rows(rows, "-", format="json")
-    else:
-        print(format_table(rows))
-    if next_offset is not None:
-        print(
-            f"results: more rows available (next page: --offset "
-            f"{next_offset})",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -1989,14 +1646,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_store(args)
     if args.command == "obs":
         return _cmd_obs(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_client_status(args)
-    if args.command == "results":
-        return _cmd_results(args)
     if args.command == "figure":
         return _cmd_figure(args)
     if args.command == "table":

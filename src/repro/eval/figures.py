@@ -51,11 +51,11 @@ MOTIVATION_NRH_SWEEP: tuple[int, ...] = (500, 1000, 2000, 4000)
 # Every figure is one scenario batch (repro.scenarios.families.paper_batch,
 # or a registered ``paper-*`` family built on it) executed through a
 # SweepRunner, which deduplicates shared insecure baselines across the batch
-# and, given a cache directory or warehouse, replays previously simulated
-# scenarios.  Pass ``sweep=SweepRunner(cache_dir=..., jobs=...)`` to any
-# figure to parallelise or cache its regeneration, or one runner to several
-# figures so they share simulations; suite files that reference the same
-# ``paper-*`` families share the cache entries.
+# and, given a warehouse, replays previously simulated scenarios.  Pass
+# ``sweep=SweepRunner(store="warehouse.sqlite", jobs=...)`` to any figure to
+# parallelise or cache its regeneration, or one runner to several figures so
+# they share simulations; suite files that reference the same ``paper-*``
+# families share the cache entries.
 # --------------------------------------------------------------------------- #
 
 

@@ -23,7 +23,7 @@ Recorded gauges:
     report one (see ``RowHammerTracker.table_occupancy``).
 
 The series persist to the warehouse ``metrics`` table (schema v3) via
-``ResultStore.put_metrics`` and come back out through ``store metrics`` /
+``SqliteStore.put_metrics`` and come back out through ``store metrics`` /
 ``get_metrics``.
 """
 

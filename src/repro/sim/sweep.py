@@ -23,12 +23,10 @@ distributed and memoized:
 :class:`SweepRunner`
     Executes batches of specs.  Within a batch, identical simulations
     (typically the shared insecure baselines) are simulated exactly once;
-    completed results are memoized in memory and -- when ``cache_dir`` or
-    ``store`` is given -- persisted under the scenario hash through a
-    pluggable :mod:`repro.store` backend (a JSON cache directory, or the
-    SQLite experiment warehouse for a ``.sqlite`` / ``.db`` path), so
-    repeated figure regeneration and repeated CLI invocations are served
-    from cache.
+    completed results are memoized in memory and -- when a ``store`` is
+    given -- persisted under the scenario hash in the SQLite experiment
+    warehouse (:mod:`repro.store`), so repeated figure regeneration and
+    repeated CLI invocations are served from cache.
     With ``jobs > 1`` pending simulations fan out over a
     :class:`~concurrent.futures.ProcessPoolExecutor`; results cross the
     process boundary through :meth:`SimulationResult.to_dict` /
@@ -73,6 +71,10 @@ _LOG = logging.getLogger("repro.sweep")
 #: The mitigation back-end every baseline runs with (see
 #: :meth:`ScenarioSpec.baseline_spec`).
 _DEFAULT_ROWHAMMER = RowHammerConfig()
+
+#: The system whose DRAM/LLC geometry :meth:`ScenarioSpec.describe` leaves
+#: unnamed.
+_DEFAULT_SYSTEM = baseline_config()
 
 
 @dataclass(frozen=True)
@@ -351,7 +353,16 @@ class ScenarioSpec:
         return matched_benign_normalized_performance(result, baseline)
 
     def describe(self) -> dict:
-        """Human-readable identity of the scenario (for reports and logs)."""
+        """Human-readable identity of the scenario (for reports and logs).
+
+        This is what the warehouse stores as a run's ``scenario`` and what
+        ``campaign diff`` matches runs by, so two specs with different cache
+        keys must describe differently.  The mitigation back-end and the
+        DRAM/LLC geometry are named only where they differ from the defaults
+        (``RowHammerConfig()`` and ``baseline_config()``), which keeps the
+        identities of default-geometry scenarios unchanged.
+        """
+        config = self.resolved_config()
         description = {
             "tracker": self.tracker,
             "workload": self.workload_name,
@@ -359,8 +370,21 @@ class ScenarioSpec:
             "seed": self.resolved_seed(),
             "requests_per_core": self.requests_per_core,
             "attack_matched_baseline": self.attack_matched_baseline,
-            "nrh": self.resolved_config().rowhammer.nrh,
+            "nrh": config.rowhammer.nrh,
         }
+        rowhammer = config.rowhammer
+        if rowhammer.mitigation_command != _DEFAULT_ROWHAMMER.mitigation_command:
+            description["mitigation_command"] = rowhammer.mitigation_command.value
+        if rowhammer.blast_radius != _DEFAULT_ROWHAMMER.blast_radius:
+            description["blast_radius"] = rowhammer.blast_radius
+        for prefix, part, default in (
+            ("dram", config.dram, _DEFAULT_SYSTEM.dram),
+            ("llc", config.llc, _DEFAULT_SYSTEM.llc),
+        ):
+            for item in dataclasses.fields(part):
+                value = getattr(part, item.name)
+                if value != getattr(default, item.name):
+                    description[f"{prefix}_{item.name}"] = value
         if self.core_plan is not None:
             description["cores"] = [a.label() for a in self.core_plan]
         return description
@@ -421,30 +445,37 @@ def _execute_spec_timed(
 
 
 class ResultCache:
-    """Persistent memo of completed simulation results, behind a store backend.
+    """Persistent memo of completed simulation results, in the warehouse.
 
     The cache is strictly an optimisation: a missing, truncated, corrupted or
     schema-incompatible record is treated as a miss (the scenario is simply
-    re-simulated), never as an error.  Persistence is delegated to a
-    :class:`repro.store.backend.ResultStore`: ``cache_dir`` may be a JSON
-    cache directory (the original layout), a ``.sqlite`` / ``.db`` path
-    opening the experiment warehouse, or an already-constructed backend (via
-    ``store=``); ``None`` disables persistence entirely.
+    re-simulated), never as an error.  ``store`` is a warehouse path, an open
+    :class:`~repro.store.backend.SqliteStore`, or ``None`` (no persistence).
+    A path that cannot be opened as a warehouse -- a legacy JSON cache
+    directory, a file that is not a database -- degrades to a cache-less run
+    with a warning and is left untouched; a warehouse written by a newer
+    schema is refused (:class:`ValueError`).
     """
 
-    def __init__(
-        self,
-        cache_dir: "str | os.PathLike | None" = None,
-        store=None,
-    ):
+    def __init__(self, store=None):
+        # Imported here: repro.store imports this module, and simulation-only
+        # callers never load sqlite3.
+        import sqlite3
+
         from repro.store.backend import open_store
 
-        if store is not None and cache_dir is not None:
-            raise ValueError("pass either cache_dir or store, not both")
-        self.backend = store if store is not None else open_store(cache_dir)
-        #: Legacy attribute: the directory behind a JSON-dir cache (``None``
-        #: for other backends).
-        self.cache_dir = getattr(self.backend, "root", None)
+        try:
+            self.backend = open_store(store)
+        except (sqlite3.Error, OSError) as error:
+            _LOG.warning(
+                "cannot open %s as a result warehouse (%s); running without "
+                "a cache (a legacy JSON cache directory is upgraded with "
+                "'store import %s --store <warehouse>')",
+                store,
+                error,
+                store,
+            )
+            self.backend = None
 
     @property
     def enabled(self) -> bool:
@@ -513,16 +544,20 @@ class SweepOutcome:
 
 
 class SweepRunner:
-    """Plans, deduplicates, distributes and memoizes scenario batches."""
+    """Plans, deduplicates, distributes and memoizes scenario batches.
+
+    ``store`` persists results across runners: a warehouse path, an open
+    :class:`~repro.store.backend.SqliteStore`, or ``None`` for an in-memory
+    memo only (see :class:`ResultCache`).
+    """
 
     def __init__(
         self,
-        cache_dir: str | os.PathLike | None = None,
-        jobs: int = 1,
         store=None,
+        jobs: int = 1,
         track_memory: bool = False,
     ):
-        self.cache = ResultCache(cache_dir, store=store)
+        self.cache = ResultCache(store)
         self.jobs = max(1, int(jobs))
         self.track_memory = bool(track_memory)
         self.stats = SweepStats()

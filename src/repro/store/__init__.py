@@ -1,13 +1,11 @@
 """The experiment warehouse: persistent, queryable storage of simulation runs.
 
 ``repro.store`` turns the sweep engine's per-run memoization into a real
-subsystem with three layers:
+subsystem with four layers:
 
-* :mod:`repro.store.backend` -- pluggable persistence behind one
-  :class:`ResultStore` interface: the legacy one-JSON-file-per-key cache
-  directory (:class:`JsonDirStore`) and the SQLite *warehouse*
-  (:class:`SqliteStore`: WAL mode, schema-versioned with migrations, indexed
-  scenario columns, per-run timing).
+* :mod:`repro.store.backend` -- :class:`SqliteStore`, the warehouse itself:
+  one SQLite database (WAL mode, schema-versioned with migrations, indexed
+  scenario columns, per-run timing, metrics, campaign manifests and leases).
 * :mod:`repro.store.campaign` -- resumable campaign orchestration: shard a
   huge scenario batch, checkpoint every completed run, resume with zero
   re-execution, report and diff finished campaigns.
@@ -16,20 +14,17 @@ subsystem with three layers:
   warehouse's ``leases`` table with heartbeats, crash reclaim, bounded
   attempts and poison-shard quarantine.
 * :mod:`repro.store.query` -- the read side: filter/aggregate stored runs,
-  export CSV/JSON, import legacy cache directories, garbage-collect stale
-  code versions.
+  export CSV/JSON, import legacy JSON cache directories and other
+  warehouses, garbage-collect stale code versions.
 
-Every existing entry point (``SweepRunner``, figures, tables, suites, the
-CLI) reaches the warehouse through the unchanged ``cache_dir`` contract: a
-directory path keeps the JSON layout, a ``.sqlite`` / ``.db`` path opens the
-warehouse.
+Every entry point (``SweepRunner``, figures, tables, suites, the CLI) reaches
+the warehouse through one ``store`` target: a path opens the warehouse file
+there (see :func:`open_store`).
 """
 
 from repro.store.backend import (
     SCHEMA_VERSION,
-    JsonDirStore,
     LeaseRow,
-    ResultStore,
     RunRecord,
     SqliteStore,
     open_store,
@@ -67,9 +62,7 @@ from repro.store.worker import (
 
 __all__ = [
     "SCHEMA_VERSION",
-    "JsonDirStore",
     "LeaseRow",
-    "ResultStore",
     "RunRecord",
     "SqliteStore",
     "open_store",

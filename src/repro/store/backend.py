@@ -1,41 +1,31 @@
-"""Experiment warehouse backends: where completed simulation runs live.
+"""The experiment warehouse: where completed simulation runs live.
 
 The sweep engine (:mod:`repro.sim.sweep`) memoizes every completed
 :class:`~repro.sim.simulator.SimulationResult` under a stable content hash of
-the scenario.  This module owns the *persistence* of those records behind one
-small interface, :class:`ResultStore`, with two interchangeable backends:
-
-:class:`JsonDirStore`
-    The original zero-dependency layout: one ``<key>.json`` file per run in a
-    flat directory.  Files are written atomically (temp file + ``os.replace``)
-    so a killed worker can never leave a truncated entry under the final name,
-    and any unreadable file is treated as a miss, never an error.
-
-:class:`SqliteStore`
-    The *experiment warehouse*: a single SQLite database (stdlib ``sqlite3``,
-    WAL journal, busy-timeout retries) holding one row per run with the
-    scenario's identifying fields (tracker / workload / attack / NRH / seed)
-    broken out into indexed columns, plus the code version, per-run wall-clock
-    timing, and a campaign-manifest table.  This is what makes thousands of
-    runs queryable, aggregatable, diffable and resumable
-    (:mod:`repro.store.campaign`, :mod:`repro.store.query`).
+the scenario.  :class:`SqliteStore` persists those records in one SQLite
+database (stdlib ``sqlite3``, WAL journal, busy-timeout retries): one row per
+run with the scenario's identifying fields (tracker / workload / attack /
+NRH / seed) broken out into indexed columns, plus the code version, per-run
+wall-clock timing, a metrics time-series table, campaign manifests and
+campaign leases.  This is what makes thousands of runs queryable,
+aggregatable, diffable and resumable (:mod:`repro.store.campaign`,
+:mod:`repro.store.query`, :mod:`repro.store.worker`).
 
 The schema is versioned (``PRAGMA user_version``) and migrated in place;
 opening a database written by a newer schema than this code understands is an
-error rather than silent corruption.  :func:`open_store` picks the backend
-from the target's form: a ``.sqlite`` / ``.sqlite3`` / ``.db`` path opens the
-warehouse, anything else a JSON directory -- which is how the existing
-``--cache-dir`` flags gained warehouse support without changing any caller.
+error rather than silent corruption.  :func:`open_store` resolves the
+``--store`` / ``--cache-dir`` targets of the CLI: any path is a warehouse
+file.  Caches written by older code as one ``<key>.json`` file per run are
+upgraded once with ``store import`` (:func:`repro.store.query.import_store`).
 
-Both backends share one durability contract: :meth:`ResultStore.put` degrades
-to a no-op on storage failure (full disk, locked database) instead of
-raising, because losing a cache write must never lose the in-memory
-simulation result it mirrors.  Campaign-manifest writes, by contrast, *do*
-raise: a campaign that cannot checkpoint is not resumable and must say so.
-The same is true of the warehouse's campaign-*lease* operations (schema v4,
-used by :mod:`repro.store.worker` to let many processes or hosts drain one
-campaign): a claim or heartbeat that failed silently would let two workers
-believe they own the same shard.
+Run-record and metrics writes degrade to a no-op on storage failure (full
+disk, locked database) instead of raising, because losing a cache write must
+never lose the in-memory simulation result it mirrors.  Campaign-manifest
+writes, by contrast, *do* raise: a campaign that cannot checkpoint is not
+resumable and must say so.  The same is true of the campaign-*lease*
+operations (schema v4, used by :mod:`repro.store.worker` to let many
+processes or hosts drain one campaign): a claim or heartbeat that failed
+silently would let two workers believe they own the same shard.
 """
 
 from __future__ import annotations
@@ -45,16 +35,12 @@ import datetime
 import json
 import os
 import sqlite3
-from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 #: Current on-disk schema of :class:`SqliteStore` (``PRAGMA user_version``).
 SCHEMA_VERSION = 4
-
-#: Path suffixes that select the SQLite warehouse backend in :func:`open_store`.
-SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 #: Scenario-description keys broken out into indexed warehouse columns.
 SCENARIO_COLUMNS = ("tracker", "workload", "attack", "nrh", "seed")
@@ -134,367 +120,8 @@ LEASE_STATES = ("pending", "leased", "done", "quarantined")
 TERMINAL_LEASE_STATES = ("done", "quarantined")
 
 
-class ResultStore(ABC):
-    """Persistence interface for completed runs and campaign manifests.
-
-    Implementations must be safe against concurrent writers in *separate*
-    processes each holding their own store instance (the process-pool and
-    multi-invocation reality); a single instance is not required to be
-    thread-safe.
-    """
-
-    #: Whether the backend can coordinate distributed campaign workers.
-    #: Only the SQLite warehouse has the lease table (and the transactional
-    #: claim path leases need); the JSON directory layout cannot provide an
-    #: atomic claim, so ``repro.store.worker`` refuses it up front.
-    supports_leases = False
-
-    # -- run records ---------------------------------------------------- #
-
-    @abstractmethod
-    def get(self, key: str) -> RunRecord | None:
-        """The record stored under ``key``, or ``None`` (missing/unreadable)."""
-
-    @abstractmethod
-    def put(self, record: RunRecord) -> None:
-        """Store (or replace) one record.  Must not raise on storage failure."""
-
-    @abstractmethod
-    def keys(self) -> set[str]:
-        """Keys of every stored record."""
-
-    @abstractmethod
-    def records(self) -> Iterator[RunRecord]:
-        """Iterate over every readable stored record."""
-
-    @abstractmethod
-    def delete(self, keys: Iterable[str]) -> int:
-        """Delete the given keys; returns how many existed."""
-
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def query(
-        self,
-        tracker: str | None = None,
-        workload: str | None = None,
-        attack: str | None = None,
-        nrh: int | None = None,
-        code_version: str | None = None,
-        limit: int | None = None,
-        offset: int = 0,
-    ) -> list[RunRecord]:
-        """Records matching every given scenario filter (``None`` = any).
-
-        Results are ordered by key, so ``limit``/``offset`` paginate a large
-        result set deterministically: page N+1 starts exactly where page N
-        stopped, whatever process asks.  The generic implementation scans
-        :meth:`records`; the SQLite backend overrides it with an indexed
-        ``WHERE`` clause plus ``LIMIT``/``OFFSET``.
-        """
-        filters = {
-            "tracker": tracker,
-            "workload": workload,
-            "attack": attack,
-            "nrh": nrh,
-        }
-        offset = max(0, int(offset))
-        matched: list[RunRecord] = []
-        skipped = 0
-        for record in self.records():
-            if code_version is not None and record.code_version != code_version:
-                continue
-            if any(
-                wanted is not None and record.scenario_field(name) != wanted
-                for name, wanted in filters.items()
-            ):
-                continue
-            if skipped < offset:
-                skipped += 1
-                continue
-            matched.append(record)
-            if limit is not None and len(matched) >= limit:
-                break
-        return matched
-
-    def purge_other_code_versions(self, keep: str) -> int:
-        """Delete every record whose code version is not ``keep``."""
-        stale = [
-            record.key for record in self.records()
-            if record.code_version != keep
-        ]
-        return self.delete(stale)
-
-    def count_other_code_versions(self, keep: str) -> int:
-        """How many records :meth:`purge_other_code_versions` would delete.
-
-        The generic implementation scans; the SQLite backend answers from
-        the ``code_version`` index.
-        """
-        return sum(
-            1 for record in self.records() if record.code_version != keep
-        )
-
-    # -- metrics time-series -------------------------------------------- #
-
-    def put_metrics(
-        self, key: str, series: Iterable[tuple[str, float, float]]
-    ) -> None:
-        """Store ``(metric, t_ns, value)`` samples for a run (replace mode).
-
-        The generic implementation is a no-op so backends without a metrics
-        plane keep satisfying the interface; like :meth:`put`, metric writes
-        must never raise on storage failure.
-        """
-
-    def get_metrics(
-        self, key: str, metric: str | None = None
-    ) -> dict[str, list[tuple[float, float]]]:
-        """Stored time-series for a run: ``{metric: [(t_ns, value), ...]}``."""
-        return {}
-
-    def metrics_keys(self) -> set[str]:
-        """Run keys that have metrics stored."""
-        return set()
-
-    # -- campaign manifests --------------------------------------------- #
-
-    @abstractmethod
-    def save_campaign(self, name: str, manifest: dict) -> None:
-        """Persist a campaign manifest (raises on storage failure)."""
-
-    @abstractmethod
-    def load_campaign(self, name: str) -> dict | None:
-        """The manifest saved under ``name``, or ``None``."""
-
-    @abstractmethod
-    def campaign_names(self) -> tuple[str, ...]:
-        """Names of every saved campaign, sorted."""
-
-    def create_campaign(self, name: str, manifest: dict) -> tuple[dict, bool]:
-        """Save ``manifest`` unless a campaign ``name`` already exists.
-
-        Returns ``(manifest, created)``: the stored manifest (the existing
-        one if the name was taken) and whether this call created it.  The
-        generic load-then-save implementation is best-effort; the SQLite
-        backend overrides it with an atomic first-writer-wins transaction so
-        concurrent submitters of the same suite converge on one manifest.
-        """
-        existing = self.load_campaign(name)
-        if existing is not None:
-            return existing, False
-        self.save_campaign(name, manifest)
-        return manifest, True
-
-    @abstractmethod
-    def delete_campaign(self, name: str) -> bool:
-        """Delete one campaign manifest; returns whether it existed."""
-
-    # -- lifecycle ------------------------------------------------------ #
-
-    def close(self) -> None:
-        """Release any underlying resources (idempotent)."""
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 # --------------------------------------------------------------------------- #
-# JSON-directory backend (the legacy cache layout)
-# --------------------------------------------------------------------------- #
-
-
-class JsonDirStore(ResultStore):
-    """One ``<key>.json`` file per run; campaigns under ``campaigns/``.
-
-    This is byte-compatible with the cache directories written before the
-    warehouse existed: the payload keys ``code_version`` / ``scenario`` /
-    ``result`` are unchanged, records written by older code simply have no
-    ``elapsed_seconds`` / ``created_at``.
-    """
-
-    def __init__(self, root: str | os.PathLike):
-        self.root = Path(root)
-
-    # -- run records ---------------------------------------------------- #
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def get(self, key: str) -> RunRecord | None:
-        return self._read(self._path(key), key)
-
-    def _read(self, path: Path, key: str) -> RunRecord | None:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            return RunRecord(
-                key=key,
-                code_version=payload["code_version"],
-                scenario=dict(payload.get("scenario") or {}),
-                result=payload["result"],
-                elapsed_seconds=payload.get("elapsed_seconds"),
-                peak_memory_bytes=payload.get("peak_memory_bytes"),
-                created_at=payload.get("created_at"),
-            )
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    def put(self, record: RunRecord) -> None:
-        payload = {
-            "code_version": record.code_version,
-            "scenario": record.scenario,
-            "result": record.result,
-        }
-        if record.elapsed_seconds is not None:
-            payload["elapsed_seconds"] = record.elapsed_seconds
-        if record.peak_memory_bytes is not None:
-            payload["peak_memory_bytes"] = record.peak_memory_bytes
-        payload["created_at"] = record.created_at or utc_now()
-        # Write-then-rename so a crashed or concurrent writer can never leave
-        # a half-written file behind under the final name.
-        tmp_path = self._path(record.key).with_suffix(f".tmp.{os.getpid()}")
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_path, self._path(record.key))
-        except (OSError, TypeError, ValueError):
-            # An unwritable or full store degrades to a cache-less sweep;
-            # simulation results already in memory are never lost.
-            try:
-                tmp_path.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-    def keys(self) -> set[str]:
-        try:
-            return {path.stem for path in self.root.glob("*.json")}
-        except OSError:
-            return set()
-
-    def records(self) -> Iterator[RunRecord]:
-        for key in sorted(self.keys()):
-            record = self.get(key)
-            if record is not None:
-                yield record
-
-    def delete(self, keys: Iterable[str]) -> int:
-        deleted = 0
-        for key in keys:
-            try:
-                self._path(key).unlink()
-                deleted += 1
-            except OSError:
-                pass
-            try:
-                self._metrics_path(key).unlink()
-            except OSError:
-                pass
-        return deleted
-
-    # -- metrics time-series -------------------------------------------- #
-
-    # Metrics live in their own subdirectory: keys() globs ``*.json`` at the
-    # root, so a sidecar next to the run file would surface as a bogus key.
-    @property
-    def _metrics_dir(self) -> Path:
-        return self.root / "metrics"
-
-    def _metrics_path(self, key: str) -> Path:
-        return self._metrics_dir / f"{key}.json"
-
-    def put_metrics(
-        self, key: str, series: Iterable[tuple[str, float, float]]
-    ) -> None:
-        tmp_path = self._metrics_path(key).with_suffix(f".tmp.{os.getpid()}")
-        try:
-            rows = [
-                [str(metric), float(t_ns), float(value)]
-                for metric, t_ns, value in series
-            ]
-            self._metrics_dir.mkdir(parents=True, exist_ok=True)
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump(rows, handle)
-            os.replace(tmp_path, self._metrics_path(key))
-        except (OSError, TypeError, ValueError):
-            try:
-                tmp_path.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-    def get_metrics(
-        self, key: str, metric: str | None = None
-    ) -> dict[str, list[tuple[float, float]]]:
-        try:
-            with open(self._metrics_path(key), encoding="utf-8") as handle:
-                rows = json.load(handle)
-        except (OSError, ValueError):
-            return {}
-        series: dict[str, list[tuple[float, float]]] = {}
-        try:
-            for name, t_ns, value in rows:
-                if metric is not None and name != metric:
-                    continue
-                series.setdefault(name, []).append((float(t_ns), float(value)))
-        except (TypeError, ValueError):
-            return {}
-        return series
-
-    def metrics_keys(self) -> set[str]:
-        try:
-            return {path.stem for path in self._metrics_dir.glob("*.json")}
-        except OSError:
-            return set()
-
-    # -- campaign manifests --------------------------------------------- #
-
-    @property
-    def _campaign_dir(self) -> Path:
-        return self.root / "campaigns"
-
-    def _campaign_path(self, name: str) -> Path:
-        return self._campaign_dir / f"{name}.json"
-
-    def save_campaign(self, name: str, manifest: dict) -> None:
-        self._campaign_dir.mkdir(parents=True, exist_ok=True)
-        tmp_path = self._campaign_path(name).with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
-        os.replace(tmp_path, self._campaign_path(name))
-
-    def load_campaign(self, name: str) -> dict | None:
-        try:
-            with open(self._campaign_path(name), encoding="utf-8") as handle:
-                manifest = json.load(handle)
-            return manifest if isinstance(manifest, dict) else None
-        except (OSError, ValueError):
-            return None
-
-    def campaign_names(self) -> tuple[str, ...]:
-        try:
-            return tuple(
-                sorted(path.stem for path in self._campaign_dir.glob("*.json"))
-            )
-        except OSError:
-            return ()
-
-    def delete_campaign(self, name: str) -> bool:
-        try:
-            self._campaign_path(name).unlink()
-            return True
-        except OSError:
-            return False
-
-
-# --------------------------------------------------------------------------- #
-# SQLite warehouse backend
+# The warehouse
 # --------------------------------------------------------------------------- #
 
 #: The original (v1) warehouse schema, kept so migration from databases
@@ -687,16 +314,20 @@ def _migrate_v3_to_v4(connection: sqlite3.Connection) -> None:
 MIGRATIONS = {1: _migrate_v1_to_v2, 2: _migrate_v2_to_v3, 3: _migrate_v3_to_v4}
 
 
-class SqliteStore(ResultStore):
+class SqliteStore:
     """The experiment warehouse: one SQLite database of completed runs.
 
     The database is opened in WAL mode with a generous busy timeout so that
     several pool-feeding processes can append concurrently; every ``put`` is
     one ``INSERT OR REPLACE`` transaction.  The schema version lives in
-    ``PRAGMA user_version`` and is migrated forward on open.
-    """
+    ``PRAGMA user_version`` and is migrated forward on open.  Concurrent
+    writers in separate processes, each holding its own instance, are safe;
+    a single instance is not thread-safe.
 
-    supports_leases = True
+    Opening raises :class:`sqlite3.DatabaseError` when ``path`` is not a
+    database (or cannot be opened) and :class:`ValueError` when its schema is
+    newer than :data:`SCHEMA_VERSION`.
+    """
 
     def __init__(self, path: str | os.PathLike, timeout: float = 30.0):
         self.path = Path(path)
@@ -708,13 +339,19 @@ class SqliteStore(ResultStore):
         self._connection = sqlite3.connect(
             self.path, timeout=timeout, check_same_thread=False
         )
-        self._connection.execute("PRAGMA busy_timeout = %d" % int(timeout * 1000))
         try:
-            self._connection.execute("PRAGMA journal_mode = WAL")
-            self._connection.execute("PRAGMA synchronous = NORMAL")
-        except sqlite3.Error:  # pragma: no cover - filesystem-dependent
-            pass  # e.g. WAL unavailable on network filesystems; stay journaled
-        self._ensure_schema()
+            self._connection.execute(
+                "PRAGMA busy_timeout = %d" % int(timeout * 1000)
+            )
+            try:
+                self._connection.execute("PRAGMA journal_mode = WAL")
+                self._connection.execute("PRAGMA synchronous = NORMAL")
+            except sqlite3.Error:  # pragma: no cover - filesystem-dependent
+                pass  # e.g. WAL unavailable on network filesystems
+            self._ensure_schema()
+        except BaseException:
+            self._connection.close()
+            raise
 
     # -- schema --------------------------------------------------------- #
 
@@ -775,6 +412,7 @@ class SqliteStore(ResultStore):
     )
 
     def get(self, key: str) -> RunRecord | None:
+        """The record stored under ``key``, or ``None`` (missing/unreadable)."""
         try:
             row = self._connection.execute(
                 f"{self._SELECT} WHERE key = ?", (key,)
@@ -784,6 +422,7 @@ class SqliteStore(ResultStore):
         return self._record_from_row(row) if row is not None else None
 
     def put(self, record: RunRecord) -> None:
+        """Store (or replace) one record; never raises on storage failure."""
         try:
             self._connection.execute(
                 "INSERT OR REPLACE INTO runs (key, code_version, scenario, "
@@ -807,21 +446,26 @@ class SqliteStore(ResultStore):
             )
             self._connection.commit()
         except (sqlite3.Error, TypeError, ValueError):
-            # Same contract as the JSON backend: a failed store write
-            # degrades to a miss, it never loses the in-memory result.
+            # A failed store write degrades to a miss; it never loses the
+            # in-memory result.
             try:
                 self._connection.rollback()
             except sqlite3.Error:  # pragma: no cover - double failure
                 pass
 
     def keys(self) -> set[str]:
+        """Keys of every stored record."""
         try:
             rows = self._connection.execute("SELECT key FROM runs").fetchall()
         except sqlite3.Error:
             return set()
         return {row[0] for row in rows}
 
+    def __len__(self) -> int:
+        return len(self.keys())
+
     def records(self) -> Iterator[RunRecord]:
+        """Every readable stored record, in key order."""
         rows = self._connection.execute(f"{self._SELECT} ORDER BY key").fetchall()
         for row in rows:
             record = self._record_from_row(row)
@@ -829,6 +473,7 @@ class SqliteStore(ResultStore):
                 yield record
 
     def delete(self, keys: Iterable[str]) -> int:
+        """Delete the given keys and their metrics; returns how many existed."""
         keys = list(keys)
         if not keys:
             return 0
@@ -849,6 +494,7 @@ class SqliteStore(ResultStore):
     def put_metrics(
         self, key: str, series: Iterable[tuple[str, float, float]]
     ) -> None:
+        """Store ``(metric, t_ns, value)`` samples for a run (replace mode)."""
         try:
             self._connection.execute(
                 "DELETE FROM metrics WHERE key = ?", (key,)
@@ -872,6 +518,7 @@ class SqliteStore(ResultStore):
     def get_metrics(
         self, key: str, metric: str | None = None
     ) -> dict[str, list[tuple[float, float]]]:
+        """Stored time-series for a run: ``{metric: [(t_ns, value), ...]}``."""
         sql = "SELECT metric, t_ns, value FROM metrics WHERE key = ?"
         values: list = [key]
         if metric is not None:
@@ -888,6 +535,7 @@ class SqliteStore(ResultStore):
         return series
 
     def metrics_keys(self) -> set[str]:
+        """Run keys that have metrics stored."""
         try:
             rows = self._connection.execute(
                 "SELECT DISTINCT key FROM metrics"
@@ -906,6 +554,12 @@ class SqliteStore(ResultStore):
         limit: int | None = None,
         offset: int = 0,
     ) -> list[RunRecord]:
+        """Records matching every given scenario filter (``None`` = any).
+
+        Results are ordered by key, so ``limit``/``offset`` paginate a large
+        result set deterministically: page N+1 starts exactly where page N
+        stopped, whatever process asks.
+        """
         clauses, values = [], []
         for column, wanted in (
             ("tracker", tracker),
@@ -934,6 +588,7 @@ class SqliteStore(ResultStore):
         return [record for record in records if record is not None]
 
     def purge_other_code_versions(self, keep: str) -> int:
+        """Delete every record whose code version is not ``keep``."""
         cursor = self._connection.execute(
             "DELETE FROM runs WHERE code_version != ?", (keep,)
         )
@@ -941,6 +596,7 @@ class SqliteStore(ResultStore):
         return cursor.rowcount
 
     def count_other_code_versions(self, keep: str) -> int:
+        """How many records :meth:`purge_other_code_versions` would delete."""
         row = self._connection.execute(
             "SELECT COUNT(*) FROM runs WHERE code_version != ?", (keep,)
         ).fetchone()
@@ -949,6 +605,7 @@ class SqliteStore(ResultStore):
     # -- campaign manifests --------------------------------------------- #
 
     def save_campaign(self, name: str, manifest: dict) -> None:
+        """Persist a campaign manifest (raises on storage failure)."""
         self._connection.execute(
             "INSERT OR REPLACE INTO campaigns (name, created_at, manifest) "
             "VALUES (?, ?, ?)",
@@ -960,41 +617,8 @@ class SqliteStore(ResultStore):
         )
         self._connection.commit()
 
-    def create_campaign(self, name: str, manifest: dict) -> tuple[dict, bool]:
-        # Coordination write like the lease operations below: the write lock
-        # serialises racing submitters so exactly one manifest is created and
-        # every later caller is handed the stored one.
-        self._begin_immediate()
-        try:
-            row = self._connection.execute(
-                "SELECT manifest FROM campaigns WHERE name = ?", (name,)
-            ).fetchone()
-            if row is not None:
-                self._connection.commit()
-                try:
-                    existing = json.loads(row[0])
-                except ValueError:
-                    existing = None
-                if isinstance(existing, dict):
-                    return existing, False
-                # Unreadable stored manifest: fall through and replace it.
-                self._begin_immediate()
-            self._connection.execute(
-                "INSERT OR REPLACE INTO campaigns (name, created_at, manifest) "
-                "VALUES (?, ?, ?)",
-                (
-                    name,
-                    manifest.get("created_at") or utc_now(),
-                    json.dumps(manifest, default=str),
-                ),
-            )
-            self._connection.commit()
-        except Exception:
-            self._connection.rollback()
-            raise
-        return manifest, True
-
     def load_campaign(self, name: str) -> dict | None:
+        """The manifest saved under ``name``, or ``None``."""
         row = self._connection.execute(
             "SELECT manifest FROM campaigns WHERE name = ?", (name,)
         ).fetchone()
@@ -1007,12 +631,15 @@ class SqliteStore(ResultStore):
         return manifest if isinstance(manifest, dict) else None
 
     def campaign_names(self) -> tuple[str, ...]:
+        """Names of every saved campaign, sorted."""
         rows = self._connection.execute(
             "SELECT name FROM campaigns ORDER BY name"
         ).fetchall()
         return tuple(row[0] for row in rows)
 
     def delete_campaign(self, name: str) -> bool:
+        """Delete one campaign manifest and its leases; returns whether it
+        existed."""
         cursor = self._connection.execute(
             "DELETE FROM campaigns WHERE name = ?", (name,)
         )
@@ -1288,6 +915,7 @@ class SqliteStore(ResultStore):
     # -- lifecycle ------------------------------------------------------ #
 
     def close(self) -> None:
+        """Release the database connection (idempotent)."""
         try:
             self._connection.close()
         except sqlite3.Error:  # pragma: no cover - already closed
@@ -1295,24 +923,18 @@ class SqliteStore(ResultStore):
 
 
 # --------------------------------------------------------------------------- #
-# Backend resolution
+# Store resolution
 # --------------------------------------------------------------------------- #
 
 
 def open_store(
-    target: "str | os.PathLike | ResultStore | None",
-) -> ResultStore | None:
-    """Resolve a store target to a backend instance.
-
-    ``None`` and ``""`` disable storage; an existing :class:`ResultStore` is
-    passed through; a path ending in ``.sqlite`` / ``.sqlite3`` / ``.db``
-    opens the SQLite warehouse; any other path is a JSON cache directory.
-    """
+    target: "str | os.PathLike | SqliteStore | None",
+) -> SqliteStore | None:
+    """Resolve a store target: ``None`` and ``""`` disable storage, a
+    :class:`SqliteStore` is passed through, and any path opens the warehouse
+    file there."""
     if target is None or target == "":
         return None
-    if isinstance(target, ResultStore):
+    if isinstance(target, SqliteStore):
         return target
-    path = Path(target)
-    if path.suffix.lower() in SQLITE_SUFFIXES:
-        return SqliteStore(path)
-    return JsonDirStore(path)
+    return SqliteStore(target)

@@ -46,15 +46,14 @@ from dataclasses import dataclass
 from repro.sim.metrics import slowdown_percent
 from repro.sim.simulator import SimulationResult
 from repro.sim.sweep import CODE_VERSION, ScenarioSpec, SweepRunner
-from repro.store.backend import ResultStore, RunRecord, utc_now
+from repro.store.backend import RunRecord, SqliteStore, utc_now
 
 _LOG = logging.getLogger("repro.campaign")
 
 #: Manifest format version (bumped on incompatible manifest changes).
 MANIFEST_VERSION = 1
 
-#: Campaign names must be safe as file names (JSON-dir backend) and readable
-#: in reports.
+#: Campaign names must be safe as file names and readable in reports.
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
 
 
@@ -122,7 +121,7 @@ def _manifest_keys(manifest: dict) -> set[str]:
     return keys
 
 
-def load_manifest(store: ResultStore, name: str) -> dict:
+def load_manifest(store: SqliteStore, name: str) -> dict:
     """A saved manifest, or ``ValueError`` naming the campaigns that exist."""
     manifest = store.load_campaign(name)
     if manifest is None:
@@ -177,7 +176,7 @@ class Campaign:
         self,
         name: str,
         specs: Sequence[ScenarioSpec],
-        store: ResultStore,
+        store: SqliteStore,
         jobs: int = 1,
         batch_size: int = 32,
         source: str = "",
@@ -356,7 +355,7 @@ class CampaignStatus:
         return 100.0 * self.simulations_stored / self.simulations_total
 
 
-def campaign_status(store: ResultStore, name: str) -> CampaignStatus:
+def campaign_status(store: SqliteStore, name: str) -> CampaignStatus:
     """Progress of a saved campaign, computed purely from the store."""
     manifest = load_manifest(store, name)
     keys = _manifest_keys(manifest)
@@ -378,11 +377,7 @@ def campaign_status(store: ResultStore, name: str) -> CampaignStatus:
         simulations_stored=len(stored),
         source=str(manifest.get("source") or ""),
         last_run_profile=manifest.get("last_run_profile"),
-        leases=(
-            store.lease_summary(name)
-            if getattr(store, "supports_leases", False)
-            else None
-        ),
+        leases=store.lease_summary(name),
     )
 
 
@@ -428,7 +423,7 @@ def _entry_row(entry: dict, record: RunRecord, baseline: RunRecord) -> dict:
     return row
 
 
-def campaign_report(store: ResultStore, name: str) -> dict:
+def campaign_report(store: SqliteStore, name: str) -> dict:
     """Result table of a campaign: one row per *complete* scenario.
 
     Rows carry the scenario's identity fields plus normalized performance,
@@ -454,11 +449,7 @@ def campaign_report(store: ResultStore, name: str) -> dict:
         },
         "rows": rows,
         "incomplete_entries": incomplete,
-        "leases": (
-            store.lease_summary(name)
-            if getattr(store, "supports_leases", False)
-            else None
-        ),
+        "leases": store.lease_summary(name),
     }
 
 
@@ -468,9 +459,9 @@ def campaign_report(store: ResultStore, name: str) -> dict:
 
 
 def diff_campaigns(
-    store_a: ResultStore,
+    store_a: SqliteStore,
     name_a: str,
-    store_b: ResultStore | None = None,
+    store_b: SqliteStore | None = None,
     name_b: str | None = None,
 ) -> dict:
     """Per-metric deltas between two campaigns (or code versions).

@@ -3,7 +3,7 @@
 These are the read-side tools over :mod:`repro.store.backend` stores: flatten
 stored runs into report rows (:func:`flatten_record`, :func:`query_rows`),
 aggregate them (:func:`aggregate_rows`), write CSV/JSON exports
-(:func:`export_rows`), import a legacy JSON cache directory into the
+(:func:`export_rows`), import a legacy JSON cache directory or another
 warehouse (:func:`import_store`), and garbage-collect records left behind by
 older simulator code versions (:func:`gc_store`).  The ``repro.cli store``
 verbs are thin wrappers around this module.
@@ -15,11 +15,12 @@ import csv
 import io
 import json
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import closing
 from pathlib import Path
 
 from repro.sim.sweep import CODE_VERSION
-from repro.store.backend import JsonDirStore, ResultStore, RunRecord
+from repro.store.backend import RunRecord, SqliteStore
 
 #: Scenario identity columns every flattened row starts with.
 IDENTITY_COLUMNS = ("tracker", "workload", "attack", "seed", "nrh")
@@ -65,7 +66,7 @@ def flatten_record(record: RunRecord) -> dict:
 
 
 def query_rows(
-    store: ResultStore,
+    store: SqliteStore,
     tracker: str | None = None,
     workload: str | None = None,
     attack: str | None = None,
@@ -77,8 +78,7 @@ def query_rows(
     """Flattened rows of every stored run matching the given filters.
 
     Rows come back ordered by key, so ``limit`` + ``offset`` page through a
-    large result set deterministically (the service's results endpoint and
-    ``store query --offset`` both paginate through here).
+    large result set deterministically (``store query --offset``).
     """
     records = store.query(
         tracker=tracker,
@@ -188,24 +188,56 @@ def export_rows(
 # --------------------------------------------------------------------------- #
 
 
+def legacy_json_records(directory: str | os.PathLike) -> Iterator[RunRecord]:
+    """The runs of a legacy cache directory: one ``<key>.json`` file each.
+
+    Older code wrote every result as ``{"code_version", "scenario",
+    "result"}`` (plus optional timing) under its cache key; unreadable or
+    incomplete files are skipped, exactly as that cache treated them.
+    """
+    for path in sorted(Path(directory).glob("*.json")):
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            record = RunRecord(
+                key=path.stem,
+                code_version=payload["code_version"],
+                scenario=dict(payload.get("scenario") or {}),
+                result=payload["result"],
+                elapsed_seconds=payload.get("elapsed_seconds"),
+                peak_memory_bytes=payload.get("peak_memory_bytes"),
+                created_at=payload.get("created_at"),
+            )
+        except (OSError, ValueError, KeyError, TypeError):
+            continue
+        yield record
+
+
 def import_store(
-    destination: ResultStore,
-    source: "ResultStore | str | os.PathLike",
+    destination: SqliteStore,
+    source: "SqliteStore | str | os.PathLike",
     overwrite: bool = False,
 ) -> tuple[int, int]:
     """Copy every readable record from ``source`` into ``destination``.
 
-    This is the ``json -> sqlite`` upgrade path: point it at a legacy cache
-    directory and the warehouse absorbs its entries (unreadable or corrupted
-    files are skipped, exactly as the cache would have treated them).
-    Returns ``(imported, skipped)``; existing keys are skipped unless
-    ``overwrite``.
+    A directory ``source`` is read as a legacy JSON cache
+    (:func:`legacy_json_records`) -- the one-shot upgrade path for caches
+    written before the warehouse was the only backend; any other existing
+    path is opened as another warehouse (a missing one raises
+    :class:`FileNotFoundError` rather than being created empty).  Returns
+    ``(imported, skipped)``; existing keys are skipped unless ``overwrite``.
     """
-    if not isinstance(source, ResultStore):
-        source = JsonDirStore(source)
+    if isinstance(source, SqliteStore):
+        records = source.records()
+    elif Path(source).is_dir():
+        records = legacy_json_records(source)
+    elif not Path(source).exists():
+        raise FileNotFoundError(f"import source {source} does not exist")
+    else:
+        with closing(SqliteStore(source)) as warehouse:
+            records = list(warehouse.records())
     existing = destination.keys()
     imported = skipped = 0
-    for record in source.records():
+    for record in records:
         if not overwrite and record.key in existing:
             skipped += 1
             continue
@@ -215,7 +247,7 @@ def import_store(
 
 
 def gc_store(
-    store: ResultStore,
+    store: SqliteStore,
     keep_code_version: str = CODE_VERSION,
     dry_run: bool = False,
 ) -> int:

@@ -1,10 +1,10 @@
 """Machine-readable documents for campaign state.
 
-One serializer per inspection surface -- status, leases, report -- shared by
-the CLI's ``--json`` flags and the REST service (:mod:`repro.service`), so a
-script scraping ``campaign status --json`` and a client of
-``GET /api/v1/campaigns/<name>`` parse the *same* document.  The human table
-output of those CLI verbs is rendered separately and is not affected.
+One serializer per inspection surface -- status, leases, report -- behind
+the ``--json`` flags of ``campaign status``, ``campaign leases`` and
+``campaign report``, so scripts parse one stable document per verb.  The
+human table output of those verbs is rendered separately and is not
+affected.
 
 Every document is plain JSON-serializable data (dicts, lists, scalars); no
 dataclasses or store handles leak out.
@@ -60,32 +60,22 @@ def lease_document(rows: Sequence[LeaseRow], summary: dict | None) -> dict:
     }
 
 
-def report_document(
-    report: dict, offset: int = 0, limit: int | None = None
-) -> dict:
-    """The JSON shape of a campaign report, with optional row pagination.
+def report_document(report: dict) -> dict:
+    """The JSON shape of a campaign report.
 
-    ``report`` is the :func:`repro.store.campaign.campaign_report` dict; rows
-    keep their manifest order, so ``offset``/``limit`` slices page through
-    them deterministically.  ``next_offset`` is ``None`` on the last page.
+    ``report`` is the :func:`repro.store.campaign.campaign_report` dict; the
+    document carries every complete row in manifest order, so ``offset`` is
+    always 0 and ``next_offset`` always ``None``.
     """
-    rows = report.get("rows", [])
-    total = len(rows)
-    offset = max(0, int(offset))
-    if limit is not None:
-        limit = max(0, int(limit))
-        page = rows[offset:offset + limit]
-    else:
-        page = rows[offset:]
-    next_offset = offset + len(page)
+    rows = list(report.get("rows", []))
     return {
         "campaign": report.get("campaign"),
-        "rows": list(page),
+        "rows": rows,
         "incomplete_entries": report.get("incomplete_entries", 0),
         "leases": report.get("leases"),
-        "total_rows": total,
-        "offset": offset,
-        "limit": limit,
-        "returned": len(page),
-        "next_offset": next_offset if next_offset < total else None,
+        "total_rows": len(rows),
+        "offset": 0,
+        "limit": None,
+        "returned": len(rows),
+        "next_offset": None,
     }

@@ -55,7 +55,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.sim.sweep import ScenarioSpec, SweepRunner
-from repro.store.backend import LeaseRow, ResultStore
+from repro.store.backend import LeaseRow, SqliteStore
 from repro.store.campaign import (
     _manifest_keys,
     build_manifest,
@@ -131,7 +131,7 @@ class CampaignWorker:
         self,
         name: str,
         specs: Sequence[ScenarioSpec],
-        store: ResultStore,
+        store: SqliteStore,
         worker_id: str | None = None,
         jobs: int = 1,
         shard_size: int = 4,
@@ -146,12 +146,6 @@ class CampaignWorker:
         clock: Callable[[], float] = time.time,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if not getattr(store, "supports_leases", False):
-            raise ValueError(
-                "distributed campaign workers need the SQLite warehouse "
-                "(a --store path ending in .sqlite/.db); the JSON cache "
-                "directory has no lease table"
-            )
         if not float(lease_duration) > 0:
             raise ValueError(f"lease_duration must be positive, got {lease_duration}")
         self.name = validate_campaign_name(name)

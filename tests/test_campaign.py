@@ -5,15 +5,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import reduced_row_config
+from repro.config import MitigationCommand, reduced_row_config
 from repro.sim.sweep import ScenarioSpec
 from repro.store import (
     Campaign,
-    JsonDirStore,
     SqliteStore,
     campaign_report,
     campaign_status,
     diff_campaigns,
+    open_store,
 )
 from repro.store.campaign import build_manifest, validate_campaign_name
 
@@ -116,15 +116,18 @@ class TestRunAndResume:
             row["normalized_performance"] for row in full_rows
         ]
 
-    def test_json_dir_backend_supports_campaigns(self, specs, tmp_path):
-        store = JsonDirStore(tmp_path / "cache")
+
+    def test_suffixless_warehouse_path_supports_campaigns(self, specs, tmp_path):
+        # Any path is a warehouse file, with or without a .sqlite suffix.
+        store = open_store(tmp_path / "cache")
         subset = specs[:2]   # none + dapper-h on one workload
-        summary = Campaign("json-campaign", subset, store, batch_size=8).run()
+        summary = Campaign("plain-path", subset, store, batch_size=8).run()
         assert summary.executed == 2
-        assert campaign_status(store, "json-campaign").complete
+        assert campaign_status(store, "plain-path").complete
         # The manifest must not pollute the run-record key space.
-        assert not any(key.startswith("json-campaign") for key in store.keys())
-        resumed = Campaign("json-campaign", subset, store).run()
+        assert not any(key.startswith("plain-path") for key in store.keys())
+        store.close()
+        resumed = Campaign("plain-path", subset, open_store(tmp_path / "cache")).run()
         assert resumed.executed == 0
 
 
@@ -200,3 +203,32 @@ class TestStatusReportDiff:
         assert diff["matched"] == 2
         assert len(diff["only_in_a"]) == UNIQUE_SIMS - 2
         assert diff["only_in_b"] == []
+
+    def test_diff_matches_every_mitigation_backend(self, sweep_config, tmp_path):
+        # Figure 13's back-ends on one tracker and workload: the diff matches
+        # runs by identity, so each back-end must be a row of its own.
+        specs = [
+            ScenarioSpec(
+                tracker="dapper-h",
+                workload="453.povray",
+                attack="refresh",
+                requests_per_core=REQUESTS,
+                attack_matched_baseline=True,
+                config=sweep_config.with_mitigation(command, blast_radius),
+            )
+            for command, blast_radius in (
+                (MitigationCommand.VRR, 1),
+                (MitigationCommand.VRR, 2),
+                (MitigationCommand.DRFM_SB, 2),
+            )
+        ]
+        store = SqliteStore(tmp_path / "wh.sqlite")
+        Campaign("backends", specs, store).run()
+        rows = campaign_report(store, "backends")["rows"]
+        assert [
+            (row.get("mitigation_command", "VRR"), row.get("blast_radius", 1))
+            for row in rows
+        ] == [("VRR", 1), ("VRR", 2), ("DRFMsb", 2)]
+        diff = diff_campaigns(store, "backends")
+        assert diff["matched"] == len(specs)
+        assert diff["max_abs_normalized_delta"] == 0.0

@@ -70,6 +70,16 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--tracker", "definitely-not-a-tracker"])
 
+    def test_unknown_workload_exits_2(self, capsys):
+        # Rejected up front with the message ``sweep`` prints, before any
+        # simulation starts.
+        assert main(["run", "--workload", "no-such", "--requests", "200"]) == 2
+        assert "unknown workload 'no-such'" in capsys.readouterr().err
+
+    def test_unknown_attack_exits_2(self, capsys):
+        assert main(["run", "--attack", "no-such", "--requests", "200"]) == 2
+        assert "unknown attack 'no-such'" in capsys.readouterr().err
+
 
 class TestSecurityCommand:
     def test_protected_system_is_secure(self, capsys):

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,7 @@ def _run(suite_path, tmp_path, *extra: str) -> tuple[int, dict]:
     code = main(
         [
             "scenarios", "run", str(suite_path),
-            "--cache-dir", str(tmp_path / "cache"),
+            "--cache-dir", str(tmp_path / "cache.sqlite"),
             "-o", str(report_path),
             *extra,
         ]
@@ -88,6 +89,45 @@ class TestRun:
         assert [s["normalized_performance"] for s in replay["scenarios"]] == [
             s["normalized_performance"] for s in report["scenarios"]
         ]
+
+    def test_default_cache_is_a_warehouse_in_the_working_directory(
+        self, suite_path, tmp_path, monkeypatch, capsys
+    ):
+        from repro.store import SqliteStore
+
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        for _ in range(2):
+            assert main(["scenarios", "run", str(suite_path)]) == 0
+            reports.append(
+                json.loads(Path("scenario-report.json").read_text(encoding="utf-8"))
+            )
+        first, replay = reports
+        assert first["summary"]["cache_dir"] == ".sweep-cache.sqlite"
+        assert replay["summary"]["cache_hit_rate"] == 1.0
+        store = SqliteStore(tmp_path / ".sweep-cache.sqlite")
+        assert len(store) == first["summary"]["cache_misses"]
+        plans = [record.scenario.get("cores") for record in store.records()]
+        store.close()
+        assert ["attack:refresh@r0.5"] + ["453.povray"] * 3 in plans
+
+    def test_legacy_cache_directory_runs_uncached(
+        self, suite_path, tmp_path, capsys
+    ):
+        (tmp_path / "reference").mkdir()
+        _, reference = _run(suite_path, tmp_path / "reference", "--cache-dir", "")
+        legacy = tmp_path / ".sweep-cache"
+        legacy.mkdir()
+        (legacy / "entry.json").write_text("{}", encoding="utf-8")
+        capsys.readouterr()
+        code, report = _run(suite_path, tmp_path, "--cache-dir", str(legacy))
+        assert code == 0
+        assert "store import" in capsys.readouterr().err
+        assert report["summary"]["cache_hits"] == 0
+        assert [s["normalized_performance"] for s in report["scenarios"]] == [
+            s["normalized_performance"] for s in reference["scenarios"]
+        ]
+        assert [path.name for path in legacy.iterdir()] == ["entry.json"]
 
     def test_dry_run_compiles_without_simulating(self, suite_path, tmp_path, capsys):
         code, report = _run(suite_path, tmp_path, "--dry-run")

@@ -1,16 +1,18 @@
 """CLI coverage for the warehouse verbs (``campaign ...`` / ``store ...``)
 plus the ``--cache-dir foo.sqlite`` path of the existing subcommands, and
-figure/table parity between the SQLite warehouse and the legacy JSON cache."""
+figure/table replay from the warehouse -- fresh, and imported from a legacy
+JSON cache directory."""
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
 from repro.cli import main
 from repro.sim.sweep import CODE_VERSION, SweepRunner
-from repro.store import JsonDirStore, RunRecord, SqliteStore
+from repro.store import RunRecord, SqliteStore
 
 SUITE = {
     "suite": "cli-campaign",
@@ -199,9 +201,12 @@ class TestStoreVerbs:
         assert main(["store", "query", *store_arg, "--offset", "9"]) == 0
         assert "row-" not in capsys.readouterr().out
 
-    def test_import_json_dir_into_warehouse(self, tmp_path, capsys):
-        cache = JsonDirStore(tmp_path / "cache")
-        cache.put(self._seed_record("imported"))
+    def test_import_json_dir_into_warehouse(
+        self, tmp_path, capsys, write_legacy_cache
+    ):
+        source = SqliteStore(tmp_path / "source.sqlite")
+        source.put(self._seed_record("imported"))
+        write_legacy_cache(tmp_path / "cache", source)
         store_path = tmp_path / "wh.sqlite"
         args = [
             "store", "import", str(tmp_path / "cache"),
@@ -225,6 +230,113 @@ class TestStoreVerbs:
         assert "does not exist" in capsys.readouterr().err
         assert not missing.exists()
 
+    def test_import_another_warehouse(self, tmp_path, capsys):
+        source = SqliteStore(tmp_path / "a.sqlite")
+        source.put(self._seed_record("copied"))
+        source.close()
+        store_path = tmp_path / "b.sqlite"
+        assert main(
+            ["store", "import", str(tmp_path / "a.sqlite"),
+             "--store", str(store_path)]
+        ) == 0
+        assert "imported 1 record(s)" in capsys.readouterr().out
+        assert SqliteStore(store_path).get("copied") is not None
+
+    def test_non_database_paths_exit_2(self, tmp_path, capsys):
+        # A file that is not a warehouse, given to --store or as an import
+        # source, is a usage error with a message -- never a traceback.
+        bogus = tmp_path / "notes.txt"
+        bogus.write_text("not a database", encoding="utf-8")
+        store_arg = ["--store", str(bogus)]
+        for argv in (
+            ["store", "query", *store_arg],
+            ["store", "gc", *store_arg],
+            ["campaign", "list", *store_arg],
+            ["campaign", "status", "any", *store_arg],
+            ["campaign", "leases", "any", *store_arg],
+        ):
+            assert main(argv) == 2, argv
+            assert "store import" in capsys.readouterr().err
+        assert main(
+            ["store", "import", str(bogus), "--store", str(tmp_path / "wh.sqlite")]
+        ) == 2
+        assert "cannot open" in capsys.readouterr().err
+        assert bogus.read_text(encoding="utf-8") == "not a database"
+
+    def test_newer_schema_store_exits_2(self, tmp_path, capsys):
+        import sqlite3
+
+        path = tmp_path / "future.sqlite"
+        connection = sqlite3.connect(path)
+        connection.execute("PRAGMA user_version = 99")
+        connection.commit()
+        connection.close()
+        assert main(["store", "query", "--store", str(path)]) == 2
+        assert "newer than this code" in capsys.readouterr().err
+
+    #: Every verb that opens a ``--store``, given the paths it needs: the
+    #: store under test, a good warehouse, a suite file and an output path.
+    STORE_VERBS = {
+        "store-query": lambda p: ["store", "query", "--store", p.store],
+        "store-export": lambda p: [
+            "store", "export", "--store", p.store, "-o", p.output,
+        ],
+        "store-import": lambda p: ["store", "import", p.store, "--store", p.store],
+        "store-gc": lambda p: ["store", "gc", "--store", p.store],
+        "store-metrics": lambda p: ["store", "metrics", "--list", "--store", p.store],
+        "campaign-run": lambda p: ["campaign", "run", p.suite, "--store", p.store],
+        "campaign-worker": lambda p: [
+            "campaign", "worker", p.suite, "--init", "--store", p.store,
+        ],
+        "campaign-status": lambda p: [
+            "campaign", "status", "any", "--store", p.store,
+        ],
+        "campaign-list": lambda p: ["campaign", "list", "--store", p.store],
+        "campaign-report": lambda p: [
+            "campaign", "report", "any", "--store", p.store, "-o", p.output,
+        ],
+        "campaign-leases": lambda p: [
+            "campaign", "leases", "any", "--store", p.store,
+        ],
+        "campaign-diff": lambda p: [
+            "campaign", "diff", "a", "b", "--store", p.store, "-o", p.output,
+        ],
+        "campaign-diff-store-b": lambda p: [
+            "campaign", "diff", "a", "b", "--store", p.warehouse,
+            "--store-b", p.store, "-o", p.output,
+        ],
+        "obs-trace": lambda p: [
+            "obs", "trace", "--tracker", "none", "--workload", "453.povray",
+            "--requests", "200", "-o", p.output, "--store", p.store,
+        ],
+    }
+
+    @pytest.mark.parametrize("verb", list(STORE_VERBS))
+    def test_legacy_cache_directory_as_store_exits_2(
+        self, verb, tmp_path, suite_path, capsys, write_legacy_cache
+    ):
+        # A legacy JSON cache directory -- what `--cache-dir` held before the
+        # warehouse was the only store -- passed as `--store` is a usage
+        # error that names the upgrade; nothing runs and the directory is
+        # left exactly as it was.
+        source = SqliteStore(tmp_path / "source.sqlite")
+        source.put(self._seed_record("legacy"))
+        legacy = tmp_path / ".sweep-cache"
+        write_legacy_cache(legacy, source)
+        before = {path.name: path.read_bytes() for path in legacy.iterdir()}
+        SqliteStore(tmp_path / "wh.sqlite").close()
+        paths = argparse.Namespace(
+            store=str(legacy),
+            warehouse=str(tmp_path / "wh.sqlite"),
+            suite=str(suite_path),
+            output=str(tmp_path / "out.json"),
+        )
+        assert main(self.STORE_VERBS[verb](paths)) == 2
+        err = capsys.readouterr().err
+        assert "cannot open" in err and "store import" in err
+        assert {path.name: path.read_bytes() for path in legacy.iterdir()} == before
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestSqliteCacheDir:
     def test_sweep_cache_dir_accepts_warehouse_path(self, tmp_path, capsys):
@@ -247,53 +359,70 @@ class TestSqliteCacheDir:
 
 
 class TestFigureParityAcrossBackends:
-    """Figures/tables render identical numbers from the warehouse and the
-    legacy JSON cache.  Every simulated figure and table runs through the
-    same ``SweepRunner.run``; figure 11 and table 4 cover the benign and
+    """Figures/tables replay identically from the warehouse: straight from a
+    fresh store, and from a legacy JSON cache directory upgraded with
+    ``store import``.  Every simulated figure and table runs through the same
+    ``SweepRunner.run``; figure 11 and table 4 cover the benign and
     attack/energy paths, figure 13 the non-default mitigation back-ends, in
     tier-1 time."""
 
-    def test_figure11_and_table4_identical_via_imported_warehouse(self, tmp_path):
+    @staticmethod
+    def _replays(tmp_path, capsys, write_legacy_cache, regenerate, misses):
+        fresh = SqliteStore(tmp_path / "fresh.sqlite")
+        first = SweepRunner(store=fresh)
+        reference = regenerate(first)
+        assert first.stats.cache_misses == misses
+
+        # A new runner on the same warehouse simulates nothing.
+        replay = SweepRunner(store=tmp_path / "fresh.sqlite")
+        assert regenerate(replay) == reference
+        assert replay.stats.cache_misses == 0
+
+        # The same runs as a legacy JSON cache directory, upgraded with
+        # `store import`, replay identically too.
+        assert write_legacy_cache(tmp_path / "cache", fresh) == misses
+        imported = tmp_path / "imported.sqlite"
+        assert main(
+            ["store", "import", str(tmp_path / "cache"), "--store", str(imported)]
+        ) == 0
+        assert f"imported {misses} record(s)" in capsys.readouterr().out
+        from_legacy = SweepRunner(store=imported)
+        assert regenerate(from_legacy) == reference
+        assert from_legacy.stats.cache_misses == 0
+
+    def test_figure11_and_table4_identical_via_imported_warehouse(
+        self, tmp_path, capsys, write_legacy_cache
+    ):
         from repro.eval.figures import figure11
         from repro.eval.tables import table4
-        from repro.store import import_store
 
-        workloads = ["453.povray"]
-        kwargs = dict(workloads=workloads, requests_per_core=250)
+        kwargs = dict(workloads=["453.povray"], requests_per_core=250)
 
-        json_runner = SweepRunner(cache_dir=tmp_path / "cache")
-        fig_json = figure11(sweep=json_runner, **kwargs)
-        tab_json = table4(sweep=json_runner, nrh_values=(500,), **kwargs)
+        def regenerate(runner):
+            return (
+                figure11(sweep=runner, **kwargs).rows,
+                table4(sweep=runner, nrh_values=(500,), **kwargs).rows,
+            )
 
-        warehouse = SqliteStore(tmp_path / "wh.sqlite")
-        import_store(warehouse, tmp_path / "cache")
-        sqlite_runner = SweepRunner(store=warehouse)
-        fig_sqlite = figure11(sweep=sqlite_runner, **kwargs)
-        tab_sqlite = table4(sweep=sqlite_runner, nrh_values=(500,), **kwargs)
+        # Figure 11: DAPPER-H and its benign baseline; table 4 adds the
+        # streaming and refresh runs and their attack-matched baselines (its
+        # benign DAPPER-H run is figure 11's).
+        self._replays(tmp_path, capsys, write_legacy_cache, regenerate, 6)
 
-        # Zero re-simulation: every scenario came from the imported records.
-        assert sqlite_runner.stats.cache_misses == 0
-        assert fig_sqlite.rows == fig_json.rows
-        assert tab_sqlite.rows == tab_json.rows
-
-    def test_figure13_identical_via_imported_warehouse(self, tmp_path):
+    def test_figure13_identical_via_imported_warehouse(
+        self, tmp_path, capsys, write_legacy_cache
+    ):
         # Figure 13's non-default mitigation back-ends, and the baselines they
         # share with the default back-end, replay from a warehouse too.
         from repro.eval.figures import figure13
-        from repro.store import import_store
 
-        kwargs = dict(
-            workloads=["453.povray"], requests_per_core=250, nrh_values=(500,)
-        )
-        json_runner = SweepRunner(cache_dir=tmp_path / "cache")
-        fig_json = figure13(sweep=json_runner, **kwargs)
+        def regenerate(runner):
+            return figure13(
+                sweep=runner,
+                workloads=["453.povray"],
+                requests_per_core=250,
+                nrh_values=(500,),
+            ).rows
+
         # 6 measured runs, 1 benign and 1 attack-matched baseline.
-        assert json_runner.stats.cache_misses == 8
-
-        warehouse = SqliteStore(tmp_path / "wh.sqlite")
-        import_store(warehouse, tmp_path / "cache")
-        sqlite_runner = SweepRunner(store=warehouse)
-        fig_sqlite = figure13(sweep=sqlite_runner, **kwargs)
-
-        assert sqlite_runner.stats.cache_misses == 0
-        assert fig_sqlite.rows == fig_json.rows
+        self._replays(tmp_path, capsys, write_legacy_cache, regenerate, 8)

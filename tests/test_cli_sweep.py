@@ -4,8 +4,10 @@ the JSON report schema, cache behaviour across invocations, and exit codes."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.cli import main
+from repro.store import SqliteStore
 
 WORKLOAD = "453.povray"
 FAST_ARGS = ["--requests", "300", "--nrh", "500"]
@@ -17,7 +19,7 @@ def _sweep(tmp_path, *extra: str) -> tuple[int, dict]:
         [
             "sweep",
             "--workloads", WORKLOAD,
-            "--cache-dir", str(tmp_path / "cache"),
+            "--cache-dir", str(tmp_path / "cache.sqlite"),
             "-o", str(report_path),
             *FAST_ARGS,
             *extra,
@@ -66,7 +68,7 @@ class TestReportSchema:
                 "sweep",
                 "--trackers", "none",
                 "--workloads", WORKLOAD,
-                "--cache-dir", str(tmp_path / "cache"),
+                "--cache-dir", str(tmp_path / "cache.sqlite"),
                 "-o", "-",
                 *FAST_ARGS,
             ]
@@ -97,6 +99,82 @@ class TestJobsAndCache:
         summary = report["summary"]
         assert summary["cache_hit_rate"] >= 0.9
         assert all(s["from_cache"] for s in report["scenarios"])
+
+
+class TestCacheTarget:
+    """``--cache-dir`` names the warehouse file: ``.sweep-cache.sqlite`` in
+    the working directory by default, ``''`` for none, and a path that is
+    not a warehouse degrades to a cache-less run that leaves it untouched."""
+
+    ARGS = [
+        "sweep", "--trackers", "none,dapper-h", "--workloads", WORKLOAD,
+        *FAST_ARGS,
+    ]
+
+    def _run(self, *extra: str) -> dict:
+        assert main([*self.ARGS, *extra]) == 0
+        return json.loads(Path("sweep-report.json").read_text(encoding="utf-8"))
+
+    @staticmethod
+    def _normalized(report: dict) -> list[float]:
+        return [row["normalized_performance"] for row in report["scenarios"]]
+
+    def test_default_cache_is_a_warehouse_in_the_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        first = self._run()
+        assert first["summary"]["cache_dir"] == ".sweep-cache.sqlite"
+        assert first["summary"]["cache_misses"] == 2
+        store = SqliteStore(tmp_path / ".sweep-cache.sqlite")
+        assert {record.scenario["tracker"] for record in store.records()} == {
+            "none", "dapper-h",
+        }
+        store.close()
+        replay = self._run()
+        assert replay["summary"]["cache_hit_rate"] == 1.0
+        assert self._normalized(replay) == self._normalized(first)
+
+    def test_empty_cache_dir_disables_the_warehouse(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            report = self._run("--cache-dir", "")
+            assert report["summary"]["cache_dir"] is None
+            assert report["summary"]["cache_hits"] == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["sweep-report.json"]
+
+    def test_legacy_cache_directory_runs_uncached_and_is_left_alone(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        reference = self._run("--cache-dir", "")
+        legacy = tmp_path / ".sweep-cache"
+        legacy.mkdir()
+        entry = '{"code_version": "old", "scenario": {}, "result": {}}'
+        (legacy / "entry.json").write_text(entry, encoding="utf-8")
+        capsys.readouterr()
+        report = self._run("--cache-dir", ".sweep-cache")
+        assert "store import .sweep-cache" in capsys.readouterr().err
+        assert report["summary"]["cache_hits"] == 0
+        assert self._normalized(report) == self._normalized(reference)
+        assert [path.name for path in legacy.iterdir()] == ["entry.json"]
+        assert (legacy / "entry.json").read_text(encoding="utf-8") == entry
+        assert not (tmp_path / ".sweep-cache.sqlite").exists()
+
+    def test_non_database_cache_file_runs_uncached_and_is_left_alone(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        occupied = tmp_path / "results.sqlite"
+        occupied.write_text("not a database", encoding="utf-8")
+        for _ in range(2):
+            report = self._run("--cache-dir", "results.sqlite")
+            assert "store import" in capsys.readouterr().err
+            assert report["summary"]["cache_hits"] == 0
+            assert len(report["scenarios"]) == 2
+        assert occupied.read_text(encoding="utf-8") == "not a database"
 
 
 class TestExitCodes:

@@ -40,7 +40,6 @@ from repro.sim.sweep import ScenarioSpec
 from repro.store import (
     Campaign,
     CampaignWorker,
-    JsonDirStore,
     LeaseLost,
     SqliteStore,
     campaign_report,
@@ -170,10 +169,6 @@ class TestWorkerDrain:
         _worker("dist", specs, store, init=True, worker_id="w0").run()
         again = _worker("dist", specs, store, worker_id="w1").run()
         assert again.completed == 0 and again.executed == 0
-
-    def test_worker_refuses_json_store(self, specs, tmp_path):
-        with pytest.raises(ValueError, match="lease table"):
-            _worker("dist", specs, JsonDirStore(tmp_path / "cache"))
 
     def test_worker_refuses_mismatched_suite(self, specs, tmp_path):
         store = SqliteStore(tmp_path / "wh.sqlite")
@@ -538,14 +533,15 @@ class TestWorkerCli:
         assert code == 2
         assert "unknown campaign" in capsys.readouterr().err
 
-    def test_leases_on_json_store_exits_2(self, tmp_path, capsys):
+    def test_leases_on_non_warehouse_store_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
+        (tmp_path / "cache").write_text("not a warehouse", encoding="utf-8")
         code = main([
             "campaign", "leases", "any", "--store", str(tmp_path / "cache"),
         ])
         assert code == 2
-        assert "no lease table" in capsys.readouterr().err
+        assert "cannot open" in capsys.readouterr().err
 
     def test_leases_before_any_worker_joined(
         self, tmp_path, suite_path, capsys

@@ -478,9 +478,9 @@ class TestExecutionModeParity:
             assert _canon(a.result) == _canon(b.result)
 
     def test_warehouse_replay_matches_fresh(self, tmp_path):
-        store = tmp_path / "warehouse"
-        first = SweepRunner(cache_dir=store).run(self._specs())
-        replayed = SweepRunner(cache_dir=store).run(self._specs())
+        store = tmp_path / "warehouse.sqlite"
+        first = SweepRunner(store=store).run(self._specs())
+        replayed = SweepRunner(store=store).run(self._specs())
         fresh = SweepRunner().run(self._specs())
         for a, b, c in zip(first, replayed, fresh):
             assert _canon(a.result) == _canon(b.result) == _canon(c.result)

@@ -13,11 +13,18 @@ import json
 
 import pytest
 
+from repro.config import MitigationCommand, large_system_config
 from repro.scenarios import (
     available_families,
     family_by_name,
     load_suite,
     parse_suite_text,
+)
+from repro.scenarios.families import (
+    figure5_series,
+    figure13_series,
+    paper_batch,
+    probabilistic_series,
 )
 from repro.sim.sweep import CoreAssignment, ScenarioSpec, SweepRunner
 
@@ -352,10 +359,10 @@ class TestPlanExecutionDeterminism:
     """Serial == pooled == cache-replayed, for catalog-shaped scenarios."""
 
     def test_serial_pool_and_cache_agree(self, plan_specs, tmp_path):
-        cache_dir = tmp_path / "cache"
-        serial = SweepRunner(cache_dir=cache_dir, jobs=1).run(plan_specs)
+        store = tmp_path / "wh.sqlite"
+        serial = SweepRunner(store=store, jobs=1).run(plan_specs)
         pooled = SweepRunner(jobs=2).run(plan_specs)
-        replayed_runner = SweepRunner(cache_dir=cache_dir, jobs=1)
+        replayed_runner = SweepRunner(store=store, jobs=1)
         replayed = replayed_runner.run(plan_specs)
         assert _fingerprint(serial) == _fingerprint(pooled)
         assert _fingerprint(serial) == _fingerprint(replayed)
@@ -375,3 +382,97 @@ class TestPlanExecutionDeterminism:
         # cores produce results, on unchanged core ids.
         assert [core.core_id for core in outcome.baseline.core_results] == [2, 3]
         assert 0.0 < outcome.normalized <= 1.5
+
+
+class TestScenarioIdentity:
+    """``describe()`` is a run's identity in the warehouse and in ``campaign
+    diff``: specs with different cache keys must describe differently."""
+
+    @staticmethod
+    def _identities(specs):
+        return {json.dumps(spec.describe(), sort_keys=True) for spec in specs}
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            # Figure 13 at NRH 500: three mitigation back-ends, benign and
+            # under the refresh attack.
+            lambda: paper_batch([500], figure13_series, ["429.mcf"], 300),
+            # Figures 15 and 16: PARA, PrIDE and DAPPER-H, each on two
+            # back-ends.
+            lambda: paper_batch([500], probabilistic_series, ["429.mcf"], 300),
+            lambda: paper_batch(
+                [500],
+                lambda nrh: probabilistic_series(nrh, attack="refresh"),
+                ["429.mcf"],
+                300,
+            ),
+            # Figure 5 over three LLC sizes on the 8-channel system.
+            lambda: paper_batch(
+                (2, 3, 4),
+                lambda llc_mb: figure5_series(llc_mb, 500),
+                ["429.mcf"],
+                300,
+                matched_baselines=False,
+            ),
+        ],
+        ids=["figure13", "figure15", "figure16", "figure5"],
+    )
+    def test_one_identity_per_spec(self, batch):
+        specs = batch()
+        assert len(set(_keys(specs))) == len(specs)
+        assert len(self._identities(specs)) == len(specs)
+
+    def test_default_spec_identity_is_unchanged(self):
+        # Captured before the back-end and geometry joined the identity:
+        # default scenarios keep the identities their stored runs carry.
+        spec = ScenarioSpec(tracker="dapper-h", workload="429.mcf", attack="refresh")
+        assert spec.describe() == {
+            "tracker": "dapper-h",
+            "workload": "429.mcf",
+            "attack": "refresh",
+            "seed": 14326242,
+            "requests_per_core": 8000,
+            "attack_matched_baseline": False,
+            "nrh": 500,
+        }
+
+    def test_only_non_default_fields_are_named(self):
+        config = large_system_config(per_core_llc_mb=3).with_mitigation(
+            MitigationCommand.DRFM_SB, 2
+        )
+        spec = ScenarioSpec(tracker="dapper-h", workload="429.mcf", config=config)
+        default = ScenarioSpec(tracker="dapper-h", workload="429.mcf").describe()
+        extra = {
+            key: value
+            for key, value in spec.describe().items()
+            if key not in default
+        }
+        assert extra == {
+            "mitigation_command": "DRFMsb",
+            "blast_radius": 2,
+            "dram_channels": 8,
+            "dram_ranks_per_channel": 4,
+            "llc_size_bytes": 12 * 1024 * 1024,
+        }
+
+    def test_warehouse_stores_the_full_identity(self, tmp_path):
+        from repro.config import reduced_row_config
+        from repro.store import SqliteStore
+
+        config = reduced_row_config(nrh=500, rows_per_bank=2048).with_mitigation(
+            MitigationCommand.DRFM_SB, 2
+        )
+        spec = ScenarioSpec(
+            tracker="dapper-h",
+            workload="453.povray",
+            requests_per_core=200,
+            config=config,
+        )
+        store = SqliteStore(tmp_path / "wh.sqlite")
+        SweepRunner(store=store).run_one(spec)
+        stored = store.get(spec.cache_key()).scenario
+        assert stored == spec.describe()
+        assert stored["mitigation_command"] == "DRFMsb"
+        assert stored["blast_radius"] == 2
+        assert stored["dram_rows_per_bank"] == 2048

@@ -1,6 +1,6 @@
-"""Experiment warehouse backends: parity between the SQLite warehouse and the
-legacy JSON cache directory, schema migration, concurrent writers, atomic
-writes, and the worker cap of the sweep pool."""
+"""The experiment warehouse: store resolution, replay parity with cache-less
+runs, the legacy JSON cache import, schema migration, concurrent writers,
+failed writes, and the worker cap of the sweep pool."""
 
 from __future__ import annotations
 
@@ -16,14 +16,15 @@ from repro.config import reduced_row_config
 from repro.sim.sweep import CODE_VERSION, ResultCache, ScenarioSpec, SweepRunner
 from repro.store import (
     SCHEMA_VERSION,
-    JsonDirStore,
     RunRecord,
     SqliteStore,
+    gc_store,
     import_store,
     open_store,
     query_rows,
 )
 from repro.store.backend import create_schema_v1
+from repro.store.query import legacy_json_records
 
 REQUESTS = 250
 
@@ -66,60 +67,75 @@ class TestBackendResolution:
         assert isinstance(open_store(tmp_path / "wh.sqlite"), SqliteStore)
         assert isinstance(open_store(tmp_path / "wh.db"), SqliteStore)
 
-    def test_plain_path_selects_json_dir(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "cache"), JsonDirStore)
+    def test_any_path_selects_sqlite(self, tmp_path):
+        store = open_store(tmp_path / "cache")
+        assert isinstance(store, SqliteStore)
+        assert (tmp_path / "cache").is_file()
 
     def test_none_and_empty_disable(self):
         assert open_store(None) is None
         assert open_store("") is None
 
     def test_store_instance_passes_through(self, tmp_path):
-        store = JsonDirStore(tmp_path)
+        store = SqliteStore(tmp_path / "wh.sqlite")
         assert open_store(store) is store
 
-    def test_cache_rejects_both_targets(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            ResultCache(tmp_path, store=JsonDirStore(tmp_path))
+    def test_runner_takes_the_store_positionally(self, spec, tmp_path):
+        # ``store`` is the runner's first parameter, where ``cache_dir`` was.
+        SweepRunner(tmp_path / "wh.sqlite").run_one(spec)
+        replay = SweepRunner(str(tmp_path / "wh.sqlite"))
+        assert replay.run_one(spec).from_cache
+        assert replay.stats.cache_misses == 0
+
+    def test_runner_shares_an_open_store(self, spec, tmp_path):
+        store = SqliteStore(tmp_path / "wh.sqlite")
+        runner = SweepRunner(store=store)
+        assert runner.cache.backend is store
+        runner.run_one(spec)
+        assert spec.cache_key() in store.keys()
+        assert spec.baseline_spec().cache_key() in store.keys()
 
 
 class TestBackendParity:
-    """sqlite == json-dir == serial: byte-identical stored results."""
+    """warehouse == serial: byte-identical stored and replayed results."""
 
     def test_round_trip_identical_records(self, tmp_path):
         record = _record()
-        json_store = JsonDirStore(tmp_path / "cache")
         sqlite_store = SqliteStore(tmp_path / "wh.sqlite")
-        json_store.put(record)
         sqlite_store.put(record)
-        from_json = json_store.get(record.key)
-        from_sqlite = sqlite_store.get(record.key)
-        for loaded in (from_json, from_sqlite):
-            assert loaded.key == record.key
-            assert loaded.code_version == record.code_version
-            assert loaded.scenario == record.scenario
-            assert loaded.result == record.result
-            assert loaded.elapsed_seconds == record.elapsed_seconds
+        loaded = sqlite_store.get(record.key)
+        assert loaded.key == record.key
+        assert loaded.code_version == record.code_version
+        assert loaded.scenario == record.scenario
+        assert loaded.result == record.result
+        assert loaded.elapsed_seconds == record.elapsed_seconds
 
-    def test_simulated_results_byte_identical_across_backends(
+    def test_simulated_results_byte_identical_through_warehouse(
         self, spec, tmp_path
     ):
         serial = SweepRunner().run_one(spec)
-        via_json = SweepRunner(cache_dir=tmp_path / "cache").run_one(spec)
-        via_sqlite = SweepRunner(cache_dir=tmp_path / "wh.sqlite").run_one(spec)
+        SweepRunner(store=tmp_path / "wh.sqlite").run_one(spec)
+        via_sqlite = SweepRunner(store=tmp_path / "wh.sqlite").run_one(spec)
+        assert via_sqlite.from_cache
         reference = json.dumps(serial.result.to_dict(), sort_keys=True)
-        for outcome in (via_json, via_sqlite):
-            assert json.dumps(outcome.result.to_dict(), sort_keys=True) == reference
-            assert outcome.normalized == serial.normalized
+        assert json.dumps(via_sqlite.result.to_dict(), sort_keys=True) == reference
+        assert via_sqlite.normalized == serial.normalized
 
     def test_sqlite_replay_hits_cache(self, spec, tmp_path):
-        SweepRunner(cache_dir=tmp_path / "wh.sqlite").run_one(spec)
-        replay = SweepRunner(cache_dir=tmp_path / "wh.sqlite")
+        SweepRunner(store=tmp_path / "wh.sqlite").run_one(spec)
+        replay = SweepRunner(store=tmp_path / "wh.sqlite")
         outcome = replay.run_one(spec)
         assert outcome.from_cache and outcome.baseline_from_cache
         assert replay.stats.cache_misses == 0
 
-    def test_json_to_sqlite_import_replays_identically(self, spec, tmp_path):
-        reference = SweepRunner(cache_dir=tmp_path / "cache").run_one(spec)
+    def test_json_to_sqlite_import_replays_identically(
+        self, spec, tmp_path, write_legacy_cache
+    ):
+        source = SqliteStore(tmp_path / "source.sqlite")
+        reference = SweepRunner(store=source).run_one(spec)
+        write_legacy_cache(tmp_path / "cache", source)
+        # Unreadable files are skipped, as the JSON cache treated them.
+        (tmp_path / "cache" / "truncated.json").write_text("{", encoding="utf-8")
         warehouse = SqliteStore(tmp_path / "wh.sqlite")
         imported, skipped = import_store(warehouse, tmp_path / "cache")
         assert imported == 2 and skipped == 0  # measured + baseline
@@ -142,7 +158,117 @@ class TestBackendParity:
         )
         store._connection.commit()
         assert store.get("k1") is None
-        assert ResultCache(store=store).load("k1") is None  # miss, not crash
+        assert ResultCache(store).load("k1") is None  # miss, not crash
+
+    def test_warehouse_imports_another_warehouse(self, tmp_path):
+        source = SqliteStore(tmp_path / "a.sqlite")
+        source.put(_record("k1"))
+        source.close()
+        warehouse = SqliteStore(tmp_path / "b.sqlite")
+        assert import_store(warehouse, tmp_path / "a.sqlite") == (1, 0)
+        assert warehouse.get("k1").result == {"payload": "k1"}
+
+
+class TestLegacyJsonImport:
+    """``store import DIR``: the one-shot upgrade of a legacy JSON cache
+    directory (one ``<key>.json`` file per run), read the way that cache
+    read itself."""
+
+    @staticmethod
+    def _write(directory, name, payload) -> None:
+        directory.mkdir(parents=True, exist_ok=True)
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        (directory / name).write_text(text, encoding="utf-8")
+
+    @staticmethod
+    def _entry(key="k1", **fields) -> dict:
+        record = _record(key)
+        return {
+            "code_version": record.code_version,
+            "scenario": record.scenario,
+            "result": record.result,
+            **fields,
+        }
+
+    def test_unreadable_and_incomplete_files_are_skipped(self, tmp_path):
+        cache = tmp_path / "cache"
+        self._write(cache, "good.json", self._entry("good"))
+        self._write(cache, "garbage.json", "{ not json")
+        self._write(cache, "empty.json", "")
+        self._write(cache, "list.json", [1, 2, 3])
+        self._write(
+            cache, "no-result.json", {"code_version": CODE_VERSION, "scenario": {}}
+        )
+        self._write(cache, "no-version.json", {"scenario": {}, "result": {}})
+        assert [record.key for record in legacy_json_records(cache)] == ["good"]
+        warehouse = SqliteStore(tmp_path / "wh.sqlite")
+        assert import_store(warehouse, cache) == (1, 0)
+        assert warehouse.keys() == {"good"}
+
+    def test_metrics_campaigns_and_temp_files_are_not_runs(self, tmp_path):
+        # The JSON cache kept metrics series under metrics/, campaign
+        # manifests under campaigns/, and wrote through <key>.tmp.<pid>.
+        cache = tmp_path / "cache"
+        self._write(cache, "k1.json", self._entry("k1"))
+        self._write(cache / "metrics", "k1.json", [["mc.requests", 100.0, 10.0]])
+        self._write(cache / "campaigns", "full.json", {"name": "full", "entries": []})
+        self._write(cache, "k2.tmp.4242", '{"partial":')
+        warehouse = SqliteStore(tmp_path / "wh.sqlite")
+        assert import_store(warehouse, cache) == (1, 0)
+        assert warehouse.keys() == {"k1"}
+        assert warehouse.campaign_names() == ()
+        assert warehouse.metrics_keys() == set()
+
+    def test_timing_and_stale_code_versions_carry_over(self, tmp_path):
+        cache = tmp_path / "cache"
+        self._write(cache, "fresh.json", self._entry(
+            "fresh",
+            elapsed_seconds=1.5,
+            peak_memory_bytes=4096,
+            created_at="2024-01-02T03:04:05+00:00",
+        ))
+        self._write(cache, "stale.json", self._entry("stale", code_version="older"))
+        warehouse = SqliteStore(tmp_path / "wh.sqlite")
+        assert import_store(warehouse, cache) == (2, 0)
+        fresh = warehouse.get("fresh")
+        assert (fresh.elapsed_seconds, fresh.peak_memory_bytes, fresh.created_at) == (
+            1.5, 4096, "2024-01-02T03:04:05+00:00",
+        )
+        assert fresh.scenario == _record().scenario
+        # Stale runs come over as they are, for `store gc` to purge.
+        assert warehouse.get("stale").code_version == "older"
+        assert gc_store(warehouse) == 1
+        assert warehouse.keys() == {"fresh"}
+
+    def test_overwrite_replaces_existing_rows(self, tmp_path):
+        warehouse = SqliteStore(tmp_path / "wh.sqlite")
+        warehouse.put(_record("k1"))
+        cache = tmp_path / "cache"
+        self._write(cache, "k1.json", self._entry("k1", result={"payload": "json"}))
+        self._write(cache, "k2.json", self._entry("k2"))
+        assert import_store(warehouse, cache) == (1, 1)
+        assert warehouse.get("k1").result == {"payload": "k1"}
+        assert import_store(warehouse, cache, overwrite=True) == (2, 0)
+        assert warehouse.get("k1").result == {"payload": "json"}
+
+    def test_open_warehouse_source_stays_usable(self, tmp_path):
+        source = SqliteStore(tmp_path / "a.sqlite")
+        source.put(_record("k1"))
+        source.put(_record("k2", tracker="graphene"))
+        warehouse = SqliteStore(tmp_path / "b.sqlite")
+        assert import_store(warehouse, source) == (2, 0)
+        assert [record.scenario["tracker"] for record in warehouse.records()] == [
+            "dapper-h", "graphene",
+        ]
+        source.put(_record("k3"))
+        assert source.keys() == {"k1", "k2", "k3"}
+
+    def test_missing_source_is_refused_not_created(self, tmp_path):
+        warehouse = SqliteStore(tmp_path / "wh.sqlite")
+        missing = tmp_path / "warehose.sqlite"
+        with pytest.raises(FileNotFoundError, match="does not exist"):
+            import_store(warehouse, missing)
+        assert not missing.exists()
 
 
 class TestSchemaMigration:
@@ -279,17 +405,25 @@ class TestConcurrentWriters:
         assert all(store._schema_version() == SCHEMA_VERSION for store in stores)
 
 
-class TestAtomicJsonWrites:
-    """A killed or failing writer must never leave a truncated cache entry."""
+class _FailingCommit:
+    """A connection whose ``commit`` fails, as on a full disk: the write
+    itself went through, but its transaction never lands."""
 
-    def test_put_leaves_no_temp_files(self, tmp_path):
-        store = JsonDirStore(tmp_path)
-        store.put(_record())
-        assert [path.name for path in tmp_path.glob("*.tmp.*")] == []
-        assert store.get("k1") is not None
+    def __init__(self, connection):
+        self._connection = connection
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+    def commit(self):
+        raise sqlite3.OperationalError("database or disk is full")
+
+
+class TestFailedWrites:
+    """A failing writer must never leave a truncated or half-written run."""
 
     def test_unserializable_result_leaves_nothing_behind(self, tmp_path):
-        store = JsonDirStore(tmp_path)
+        store = SqliteStore(tmp_path / "wh.sqlite")
         bad = RunRecord(
             key="bad",
             code_version=CODE_VERSION,
@@ -298,24 +432,22 @@ class TestAtomicJsonWrites:
         )
         store.put(bad)   # degrades silently, exactly like an unwritable disk
         assert store.get("bad") is None
-        assert list(tmp_path.glob("bad*")) == []
+        assert store.keys() == set()
 
-    def test_interrupted_write_preserves_previous_entry(self, tmp_path, monkeypatch):
-        store = JsonDirStore(tmp_path)
+    def test_interrupted_write_preserves_previous_entry(self, tmp_path):
+        store = SqliteStore(tmp_path / "wh.sqlite")
         store.put(_record())
         before = store.get("k1")
 
-        def _boom(payload, handle, **kwargs):
-            handle.write('{"partial":')
-            raise OSError("disk full")
-
-        monkeypatch.setattr("repro.store.backend.json.dump", _boom)
-        store.put(_record())
-        monkeypatch.undo()
+        connection = store._connection
+        store._connection = _FailingCommit(connection)
+        store.put(_record(tracker="graphene"))   # written, never committed
+        store._connection = connection
         after = store.get("k1")
         assert after is not None
         assert after.result == before.result
-        assert [path.name for path in tmp_path.glob("*.tmp.*")] == []
+        assert after.scenario == before.scenario
+        assert store.keys() == {"k1"}
 
 
 class _RecordingPool:
@@ -369,32 +501,23 @@ class TestQueryLayer:
         assert len(store.query(tracker="dapper-h")) == 2
         assert len(store.query(tracker="dapper-h", limit=1)) == 1
         assert store.query(tracker="graphene", nrh=999) == []
-        # The generic (scan-based) implementation must agree.
-        json_store = JsonDirStore(tmp_path / "cache")
-        for index, tracker in enumerate(("dapper-h", "dapper-h", "graphene")):
-            json_store.put(_record(key=f"k{index}", tracker=tracker))
-        assert len(json_store.query(tracker="dapper-h")) == 2
-        assert len(json_store.query(tracker="dapper-h", limit=1)) == 1
 
     def test_query_offset_pages_in_stable_key_order(self, tmp_path):
-        for store in (
-            SqliteStore(tmp_path / "wh.sqlite"),
-            JsonDirStore(tmp_path / "cache"),
-        ):
-            for index in range(5):
-                store.put(_record(key=f"k{index}"))
-            keys = [record.key for record in store.query()]
-            assert keys == sorted(keys)
-            assert [r.key for r in store.query(offset=2)] == keys[2:]
-            assert [r.key for r in store.query(offset=1, limit=2)] == keys[1:3]
-            assert store.query(offset=99) == []
-            # A negative offset clamps to the start rather than erroring.
-            assert [r.key for r in store.query(offset=-3, limit=2)] == keys[:2]
-            # Walking fixed-size pages covers every row exactly once.
-            paged = []
-            for offset in range(0, len(keys) + 1, 2):
-                paged.extend(store.query(limit=2, offset=offset))
-            assert [r.key for r in paged] == keys
+        store = SqliteStore(tmp_path / "wh.sqlite")
+        for index in range(5):
+            store.put(_record(key=f"k{index}"))
+        keys = [record.key for record in store.query()]
+        assert keys == sorted(keys)
+        assert [r.key for r in store.query(offset=2)] == keys[2:]
+        assert [r.key for r in store.query(offset=1, limit=2)] == keys[1:3]
+        assert store.query(offset=99) == []
+        # A negative offset clamps to the start rather than erroring.
+        assert [r.key for r in store.query(offset=-3, limit=2)] == keys[:2]
+        # Walking fixed-size pages covers every row exactly once.
+        paged = []
+        for offset in range(0, len(keys) + 1, 2):
+            paged.extend(store.query(limit=2, offset=offset))
+        assert [r.key for r in paged] == keys
 
     def test_query_offset_composes_with_filters(self, tmp_path):
         store = SqliteStore(tmp_path / "wh.sqlite")
@@ -435,54 +558,41 @@ class TestMetricsPlane:
         ("mc.requests", 200.0, 24.0),
     ]
 
-    def _stores(self, tmp_path):
-        return (
-            JsonDirStore(tmp_path / "cache"),
-            SqliteStore(tmp_path / "wh.sqlite"),
-        )
-
-    def test_round_trip_both_backends(self, tmp_path):
-        for store in self._stores(tmp_path):
-            store.put_metrics("k1", self.ROWS)
-            series = store.get_metrics("k1")
-            assert series == {
-                "llc.hit_rate": [(100.0, 0.5), (200.0, 0.625)],
-                "mc.requests": [(100.0, 10.0), (200.0, 24.0)],
-            }
-            assert store.metrics_keys() == {"k1"}
-            assert store.get_metrics("k1", metric="mc.requests") == {
-                "mc.requests": [(100.0, 10.0), (200.0, 24.0)],
-            }
-            assert store.get_metrics("missing") == {}
+    def test_round_trip(self, tmp_path):
+        store = SqliteStore(tmp_path / "wh.sqlite")
+        store.put_metrics("k1", self.ROWS)
+        series = store.get_metrics("k1")
+        assert series == {
+            "llc.hit_rate": [(100.0, 0.5), (200.0, 0.625)],
+            "mc.requests": [(100.0, 10.0), (200.0, 24.0)],
+        }
+        assert store.metrics_keys() == {"k1"}
+        assert store.get_metrics("k1", metric="mc.requests") == {
+            "mc.requests": [(100.0, 10.0), (200.0, 24.0)],
+        }
+        assert store.get_metrics("missing") == {}
 
     def test_put_replaces_previous_series(self, tmp_path):
-        for store in self._stores(tmp_path):
-            store.put_metrics("k1", self.ROWS)
-            store.put_metrics("k1", [("dram.activations", 5.0, 1.0)])
-            assert store.get_metrics("k1") == {
-                "dram.activations": [(5.0, 1.0)],
-            }
+        store = SqliteStore(tmp_path / "wh.sqlite")
+        store.put_metrics("k1", self.ROWS)
+        store.put_metrics("k1", [("dram.activations", 5.0, 1.0)])
+        assert store.get_metrics("k1") == {
+            "dram.activations": [(5.0, 1.0)],
+        }
 
     def test_delete_cleans_metrics_up(self, tmp_path):
-        for store in self._stores(tmp_path):
-            store.put(_record())
-            store.put_metrics("k1", self.ROWS)
-            assert store.delete(["k1"]) == 1
-            assert store.get_metrics("k1") == {}
-            assert store.metrics_keys() == set()
+        store = SqliteStore(tmp_path / "wh.sqlite")
+        store.put(_record())
+        store.put_metrics("k1", self.ROWS)
+        assert store.delete(["k1"]) == 1
+        assert store.get_metrics("k1") == {}
+        assert store.metrics_keys() == set()
 
     def test_metrics_never_raise_on_bad_rows(self, tmp_path):
         # Like put(), metric persistence degrades to a no-op on failure.
-        for store in self._stores(tmp_path):
-            store.put_metrics("k1", [("metric", "not-a-number", None)])
-            assert store.get_metrics("k1") == {}
-
-    def test_json_dir_sidecars_do_not_pollute_run_keys(self, tmp_path):
-        store = JsonDirStore(tmp_path / "cache")
-        store.put(_record())
-        store.put_metrics("k1", self.ROWS)
-        assert store.keys() == {"k1"}
-        assert len(store) == 1
+        store = SqliteStore(tmp_path / "wh.sqlite")
+        store.put_metrics("k1", [("metric", "not-a-number", None)])
+        assert store.get_metrics("k1") == {}
 
 
 class TestSchemaV3Migration:
@@ -739,45 +849,3 @@ class TestLeaseClaimRace:
         # Both callers report the same winning plan, whichever one it was.
         assert counts[0] == counts[1] == len(rows)
         assert len(rows) in (1, 2)
-
-    def test_racing_create_campaign_is_first_writer_wins(self, tmp_path):
-        path = tmp_path / "wh.sqlite"
-        SqliteStore(path).close()
-        workers = 4
-        barrier = threading.Barrier(workers, timeout=10.0)
-        results: list[tuple[dict, bool]] = []
-        lock = threading.Lock()
-
-        def _create(index: int) -> None:
-            store = SqliteStore(path)
-            manifest = {"name": "race", "entries": [], "writer": index}
-            barrier.wait()
-            outcome = store.create_campaign("race", manifest)
-            with lock:
-                results.append(outcome)
-            store.close()
-
-        threads = [
-            threading.Thread(target=_create, args=(index,))
-            for index in range(workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(results) == workers
-        # Exactly one writer won; every caller got the same stored manifest.
-        assert sum(created for _manifest, created in results) == 1
-        winners = {manifest["writer"] for manifest, _created in results}
-        assert len(winners) == 1
-        store = SqliteStore(path)
-        assert store.campaign_names() == ("race",)
-        assert store.load_campaign("race")["writer"] == winners.pop()
-        store.close()
-
-    def test_create_campaign_generic_backend(self, tmp_path):
-        store = JsonDirStore(tmp_path / "cache")
-        manifest, created = store.create_campaign("c", {"entries": []})
-        assert created and manifest == {"entries": []}
-        again, created = store.create_campaign("c", {"entries": ["other"]})
-        assert not created and again == {"entries": []}

@@ -1,16 +1,19 @@
-"""On-disk result cache behaviour: hit/miss accounting, invalidation when the
-configuration or seed changes, and tolerance to corrupted cache files."""
+"""Warehouse-backed result cache behaviour: hit/miss accounting, invalidation
+when the configuration or seed changes, and tolerance to corrupted records
+and unusable store paths."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import logging
+import sqlite3
 
 import pytest
 
 from repro.config import MitigationCommand, reduced_row_config
 from repro.sim.experiment import run_workload
-from repro.sim.sweep import CODE_VERSION, ScenarioSpec, SweepRunner
+from repro.sim.sweep import ScenarioSpec, SweepRunner
 
 REQUESTS = 300
 
@@ -34,7 +37,7 @@ def spec(sweep_config):
 
 class TestHitMissAccounting:
     def test_cold_run_counts_misses(self, spec, tmp_path):
-        runner = SweepRunner(cache_dir=tmp_path, jobs=1)
+        runner = SweepRunner(store=tmp_path / "wh.sqlite", jobs=1)
         outcome = runner.run_one(spec)
         assert not outcome.from_cache
         # The benign "none" scenario is its own baseline: one simulation.
@@ -43,8 +46,8 @@ class TestHitMissAccounting:
         assert runner.stats.cache_hits == 0
 
     def test_fresh_runner_is_served_from_disk(self, spec, tmp_path):
-        SweepRunner(cache_dir=tmp_path, jobs=1).run_one(spec)
-        replay = SweepRunner(cache_dir=tmp_path, jobs=1)
+        SweepRunner(store=tmp_path / "wh.sqlite", jobs=1).run_one(spec)
+        replay = SweepRunner(store=tmp_path / "wh.sqlite", jobs=1)
         outcome = replay.run_one(spec)
         assert outcome.from_cache
         assert outcome.baseline_from_cache
@@ -175,58 +178,83 @@ class TestBaselineSharing:
 
 
 class TestCorruptionTolerance:
-    def _cache_files(self, tmp_path):
-        files = list(tmp_path.glob("*.json"))
-        assert files, "expected the sweep to have written cache entries"
-        return files
+    def _corrupt(self, path, column: str, value: str) -> None:
+        """Overwrite one column of every stored run behind the store's back."""
+        connection = sqlite3.connect(path)
+        count = connection.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
+        assert count, "expected the sweep to have written cache entries"
+        connection.execute(f"UPDATE runs SET {column} = ?", (value,))
+        connection.commit()
+        connection.close()
 
     def test_garbage_bytes_fall_back_to_rerun(self, spec, tmp_path):
-        reference = SweepRunner(cache_dir=tmp_path).run_one(spec)
-        for path in self._cache_files(tmp_path):
-            path.write_text("{ this is not json", encoding="utf-8")
-        recovered = SweepRunner(cache_dir=tmp_path)
+        store = tmp_path / "wh.sqlite"
+        reference = SweepRunner(store=store).run_one(spec)
+        self._corrupt(store, "result", "{ this is not json")
+        recovered = SweepRunner(store=store)
         outcome = recovered.run_one(spec)
         assert not outcome.from_cache           # corruption = miss, not crash
         assert recovered.stats.cache_misses == 1
         assert outcome.normalized == reference.normalized
         # The re-run must heal the cache in place.
-        healed = SweepRunner(cache_dir=tmp_path).run_one(spec)
+        healed = SweepRunner(store=store).run_one(spec)
         assert healed.from_cache
 
     def test_wrong_schema_falls_back_to_rerun(self, spec, tmp_path):
-        SweepRunner(cache_dir=tmp_path).run_one(spec)
-        for path in self._cache_files(tmp_path):
-            path.write_text(
-                json.dumps({"code_version": CODE_VERSION, "result": {"bogus": 1}}),
-                encoding="utf-8",
-            )
-        outcome = SweepRunner(cache_dir=tmp_path).run_one(spec)
+        store = tmp_path / "wh.sqlite"
+        SweepRunner(store=store).run_one(spec)
+        self._corrupt(store, "result", json.dumps({"bogus": 1}))
+        outcome = SweepRunner(store=store).run_one(spec)
         assert not outcome.from_cache
 
     def test_stale_code_version_is_ignored(self, spec, tmp_path):
-        SweepRunner(cache_dir=tmp_path).run_one(spec)
-        for path in self._cache_files(tmp_path):
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            payload["code_version"] = "some-older-version"
-            path.write_text(json.dumps(payload), encoding="utf-8")
-        outcome = SweepRunner(cache_dir=tmp_path).run_one(spec)
+        store = tmp_path / "wh.sqlite"
+        SweepRunner(store=store).run_one(spec)
+        self._corrupt(store, "code_version", "some-older-version")
+        outcome = SweepRunner(store=store).run_one(spec)
         assert not outcome.from_cache
 
     def test_empty_file_falls_back_to_rerun(self, spec, tmp_path):
-        SweepRunner(cache_dir=tmp_path).run_one(spec)
-        for path in self._cache_files(tmp_path):
-            path.write_text("", encoding="utf-8")
-        outcome = SweepRunner(cache_dir=tmp_path).run_one(spec)
+        store = tmp_path / "wh.sqlite"
+        SweepRunner(store=store).run_one(spec)
+        self._corrupt(store, "result", "")
+        outcome = SweepRunner(store=store).run_one(spec)
         assert not outcome.from_cache
 
-    def test_unusable_cache_dir_degrades_to_cacheless_run(self, spec, tmp_path):
-        # A regular file where the cache directory should be: every store and
-        # load raises OSError, which must degrade to a cache-less sweep
-        # rather than losing the completed simulations.
-        bogus_dir = tmp_path / "not-a-directory"
-        bogus_dir.write_text("occupied", encoding="utf-8")
-        runner = SweepRunner(cache_dir=bogus_dir)
+    def test_unusable_cache_dir_degrades_to_cacheless_run(
+        self, spec, tmp_path, caplog
+    ):
+        # A file that is not a database where the warehouse should be: the
+        # open fails, which must degrade to a cache-less sweep (with a
+        # warning that says how to upgrade a legacy cache) rather than
+        # losing the completed simulations or touching the file.
+        bogus = tmp_path / "not-a-warehouse"
+        bogus.write_text("occupied", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="repro.sweep"):
+            runner = SweepRunner(store=bogus)
+        assert "store import" in caplog.text
         outcome = runner.run_one(spec)
         assert not outcome.from_cache
         assert outcome.normalized == 1.0
-        assert bogus_dir.read_text(encoding="utf-8") == "occupied"
+        assert bogus.read_text(encoding="utf-8") == "occupied"
+
+    def test_legacy_cache_directory_degrades_to_cacheless_run(
+        self, spec, tmp_path, caplog
+    ):
+        legacy = tmp_path / ".sweep-cache"
+        legacy.mkdir()
+        (legacy / "entry.json").write_text("{}", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="repro.sweep"):
+            runner = SweepRunner(store=legacy)
+        assert "store import" in caplog.text
+        assert not runner.run_one(spec).from_cache
+        assert [path.name for path in legacy.iterdir()] == ["entry.json"]
+
+    def test_newer_schema_warehouse_is_refused(self, tmp_path):
+        path = tmp_path / "wh.sqlite"
+        connection = sqlite3.connect(path)
+        connection.execute("PRAGMA user_version = 99")
+        connection.commit()
+        connection.close()
+        with pytest.raises(ValueError, match="newer than this code"):
+            SweepRunner(store=path)

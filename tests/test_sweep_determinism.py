@@ -55,14 +55,14 @@ def specs(sweep_config):
 
 
 @pytest.fixture(scope="module")
-def warm_cache_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("sweep-cache")
+def warm_store(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep-cache") / "wh.sqlite"
 
 
 @pytest.fixture(scope="module")
-def serial_outcomes(specs, warm_cache_dir):
+def serial_outcomes(specs, warm_store):
     """Reference run: serial execution, populating the on-disk cache."""
-    return SweepRunner(cache_dir=warm_cache_dir, jobs=1).run(specs)
+    return SweepRunner(store=warm_store, jobs=1).run(specs)
 
 
 def _fingerprint(outcomes):
@@ -86,9 +86,9 @@ class TestExecutionPathDeterminism:
         assert _fingerprint(pool_outcomes) == _fingerprint(serial_outcomes)
 
     def test_warm_cache_replay_matches_serial(
-        self, specs, serial_outcomes, warm_cache_dir
+        self, specs, serial_outcomes, warm_store
     ):
-        replayed = SweepRunner(cache_dir=warm_cache_dir, jobs=1).run(specs)
+        replayed = SweepRunner(store=warm_store, jobs=1).run(specs)
         assert all(outcome.from_cache for outcome in replayed)
         assert _fingerprint(replayed) == _fingerprint(serial_outcomes)
 
