@@ -33,16 +33,12 @@ without writing Python:
     for the suite format).
 ``python -m repro.cli campaign run <suite.yaml> --store warehouse.sqlite``
     Run a suite as a named, resumable *campaign* against the experiment
-    warehouse: sharded into checkpointed batches with progress/ETA, safe to
-    kill at any point, and re-running executes only the missing scenarios.
-    ``campaign status/list/report/diff`` inspect, export and compare saved
-    campaigns (see docs/warehouse.md).
-``python -m repro.cli campaign worker <suite.yaml> --store shared.sqlite``
-    Join a campaign as one of N distributed workers: lease shards from the
-    shared warehouse with heartbeats, reclaim the shards of crashed
-    workers, and drain until the campaign is complete.  ``campaign leases``
-    shows the per-shard lease/heartbeat/attempt state (see the
-    "Distributed campaigns" section of docs/warehouse.md).
+    warehouse: the campaign is split into leased shards, every completed
+    simulation is checkpointed, it is safe to kill at any point, and
+    re-running executes only the missing scenarios.  The same command in N
+    processes or on N hosts sharing the warehouse drains one campaign
+    together.  ``campaign status/list/report/diff/leases`` inspect, export
+    and compare saved campaigns (see docs/warehouse.md).
 ``python -m repro.cli store query/export/import/gc``
     Query and maintain the warehouse directly: filter/aggregate stored runs,
     export CSV/JSON, import a legacy JSON cache directory (or another
@@ -333,7 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     campaign_run = campaign_sub.add_parser(
-        "run", help="run (or resume) a campaign from a YAML/JSON suite file"
+        "run",
+        help="run or resume a campaign from a YAML/JSON suite file (the "
+        "same command in several processes or hosts drains it together)",
     )
     campaign_run.add_argument("suite", help="path of the suite file")
     campaign_run.add_argument(
@@ -343,85 +341,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _store_argument(campaign_run)
     campaign_run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes to fan simulations out over",
-    )
-    campaign_run.add_argument(
-        "--batch-size",
-        type=int,
-        default=32,
-        help="simulations per checkpointed shard",
-    )
-    campaign_run.add_argument(
-        "--force",
-        action="store_true",
-        help="replace the saved manifest when the scenario set changed",
-    )
-    campaign_run.add_argument(
-        "--track-memory",
-        action="store_true",
-        help="record per-run peak memory with tracemalloc (slows simulation "
-        "down severalfold; strictly opt-in)",
-    )
-    campaign_worker = campaign_sub.add_parser(
-        "worker",
-        help="join a campaign as one of N lease-based distributed workers "
-        "(run the same command in several processes or hosts)",
-    )
-    campaign_worker.add_argument("suite", help="path of the suite file")
-    campaign_worker.add_argument(
-        "--name",
-        default=None,
-        help="campaign name (default: the suite's own name)",
-    )
-    _store_argument(campaign_worker)
-    campaign_worker.add_argument(
         "--worker-id",
         default=None,
         help="lease holder identity (default <hostname>-<pid>)",
     )
-    campaign_worker.add_argument(
+    campaign_run.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="worker processes to fan this worker's simulations out over",
+        help="worker processes to fan this process's simulations out over",
     )
-    campaign_worker.add_argument(
+    campaign_run.add_argument(
         "--shard-size",
         type=int,
-        default=4,
-        help="simulations per leased shard (only the first worker's plan "
+        default=32,
+        help="simulations per leased shard (only the first process's plan "
         "is used; later joiners adopt it)",
     )
-    campaign_worker.add_argument(
+    campaign_run.add_argument(
         "--lease-duration",
         type=float,
         default=60.0,
         help="seconds a claimed shard stays leased without a heartbeat "
-        "(expired leases are reclaimed by surviving workers)",
+        "(expired leases are reclaimed by the other processes or a rerun)",
     )
-    campaign_worker.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="attempts per shard before poison-shard quarantine",
-    )
-    campaign_worker.add_argument(
-        "--max-shards",
-        type=int,
-        default=None,
-        help="stop after this many shard attempts (default: drain until "
-        "the campaign is complete)",
-    )
-    campaign_worker.add_argument(
-        "--init",
+    campaign_run.add_argument(
+        "--force",
         action="store_true",
-        help="create the campaign manifest if it does not exist yet "
-        "(without this, joining an unknown campaign is an error)",
+        help="replace the saved manifest and its shard plan when the "
+        "scenario set changed (and retry quarantined shards)",
     )
-    campaign_worker.add_argument(
+    campaign_run.add_argument(
         "--track-memory",
         action="store_true",
         help="record per-run peak memory with tracemalloc (slows simulation "
@@ -546,8 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     store_import = store_sub.add_parser(
         "import",
-        help="import a legacy JSON cache directory (or another warehouse) "
-        "into --store",
+        help="import a legacy JSON cache directory (runs only) or another "
+        "warehouse (runs, metric series and campaign manifests) into --store",
     )
     store_import.add_argument(
         "source", help="legacy JSON cache directory or warehouse file"
@@ -556,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     store_import.add_argument(
         "--overwrite",
         action="store_true",
-        help="replace records that already exist in the destination",
+        help="replace items that already exist in the destination",
     )
     store_gc = store_sub.add_parser(
         "gc", help="delete records left behind by other code versions"
@@ -1021,12 +971,13 @@ def _open_store(target: str):
 def _sigterm_as_interrupt():
     """Treat SIGTERM like Ctrl-C for the duration of the block.
 
-    ``campaign worker`` processes are shut down by process supervisors
+    ``campaign run`` processes are shut down by process supervisors
     (systemd, batch schedulers, ``kill``) with SIGTERM; routing it through
-    the existing ``KeyboardInterrupt`` path means a terminated worker
-    releases its held lease immediately instead of making the fleet wait out
-    the lease expiry.  Signal handlers can only be installed on the main
-    thread; on any other thread (the in-process test suite) this is a no-op.
+    the ``KeyboardInterrupt`` path means a terminated process releases its
+    held lease immediately instead of making a rerun or the rest of the
+    fleet wait out the lease expiry.  Signal handlers can only be installed
+    on the main thread; on any other thread (the in-process test suite)
+    this is a no-op.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -1045,7 +996,7 @@ def _sigterm_as_interrupt():
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.scenarios import load_suite
     from repro.store import (
-        Campaign,
+        CampaignWorker,
         campaign_report,
         campaign_status,
         diff_campaigns,
@@ -1055,96 +1006,57 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.campaign_command == "run":
         try:
             suite = load_suite(args.suite)
-            specs = suite.compile()
-            store = _open_store(args.store)
-            campaign = Campaign(
-                args.name or suite.name,
-                specs,
-                store,
-                jobs=args.jobs,
-                batch_size=args.batch_size,
-                source=str(args.suite),
-                description=suite.description,
-                track_memory=args.track_memory,
-            )
-        except ValueError as error:
-            print(f"campaign: {error}", file=sys.stderr)
-            return 2
-        try:
-            # Batch progress/ETA is logged by Campaign.run itself (tune with
-            # the global -v / -q flags).
-            summary = campaign.run(force=args.force)
-        except ValueError as error:
-            print(f"campaign: {error}", file=sys.stderr)
-            return 2
-        except KeyboardInterrupt:
-            print(
-                f"\ncampaign {campaign.name!r} interrupted -- completed "
-                "simulations are checkpointed; rerun the same command to "
-                "resume",
-                file=sys.stderr,
-            )
-            return 130
-        verb = "resumed" if summary.resumed else "ran"
-        print(
-            f"campaign {summary.name!r} {verb}: {summary.entries} scenarios, "
-            f"{summary.simulations_total} unique simulations "
-            f"({summary.already_stored} already stored, "
-            f"{summary.executed} executed) in {summary.elapsed_seconds:.1f}s"
-        )
-        return 0
-
-    if args.campaign_command == "worker":
-        from repro.store import CampaignWorker
-
-        try:
-            suite = load_suite(args.suite)
-            specs = suite.compile()
             store = _open_store(args.store)
             worker = CampaignWorker(
                 args.name or suite.name,
-                specs,
+                suite.compile(),
                 store,
                 worker_id=args.worker_id,
                 jobs=args.jobs,
                 shard_size=args.shard_size,
                 lease_duration=args.lease_duration,
-                max_attempts=args.max_attempts,
-                init=args.init,
+                force=args.force,
                 source=str(args.suite),
                 description=suite.description,
                 track_memory=args.track_memory,
             )
-            worker.join()
         except ValueError as error:
             print(f"campaign: {error}", file=sys.stderr)
             return 2
         try:
             # SIGTERM (a supervisor's shutdown) takes the same path as
             # Ctrl-C: the held lease is released promptly, not by expiry.
+            # Per-shard progress and ETA are logged by the worker (tune
+            # with the global -v / -q flags).  Joining happens inside run,
+            # so a refused suite is exit 2 like any other worker error.
             with _sigterm_as_interrupt():
-                summary = worker.run(max_shards=args.max_shards)
+                summary = worker.run()
+        except ValueError as error:
+            print(f"campaign: {error}", file=sys.stderr)
+            return 2
         except KeyboardInterrupt:
             print(
-                f"\nworker {worker.worker_id!r} interrupted -- its shard was "
-                "released and completed simulations are checkpointed; other "
-                "workers (or a rerun) finish the campaign",
+                f"\ncampaign {worker.name!r} interrupted -- the held shard "
+                "was released and completed simulations are checkpointed; "
+                "rerun the same command to resume",
                 file=sys.stderr,
             )
             return 130
         print(
-            f"worker {summary.worker_id!r} drained campaign "
-            f"{summary.campaign!r}: {summary.completed}/{summary.shards} "
-            f"shard(s) completed here ({summary.executed} executed, "
-            f"{summary.reclaimed} reclaimed, {summary.lost} lost, "
-            f"{summary.failed} failed) in {summary.elapsed_seconds:.1f}s"
+            f"campaign {summary.campaign!r}: {summary.simulations} unique "
+            f"simulations ({summary.already_stored} already stored, "
+            f"{summary.executed} executed), {summary.completed}/"
+            f"{summary.shards} shard(s) completed here by "
+            f"{summary.worker_id!r} ({summary.reclaimed} reclaimed, "
+            f"{summary.lost} lost, {summary.failed} failed) in "
+            f"{summary.elapsed_seconds:.1f}s"
         )
         leases = store.lease_summary(worker.name)
         if leases is not None and leases["quarantined"]:
             print(
                 f"warning: {leases['quarantined']} shard(s) quarantined "
-                "after repeated failures -- see 'campaign leases' "
-                f"{worker.name}",
+                "after repeated failures -- see 'campaign leases "
+                f"{worker.name}'; rerun with --force to retry them",
                 file=sys.stderr,
             )
             return 1
@@ -1168,8 +1080,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             return 0
         if not rows:
             print(
-                f"campaign {args.name!r}: no lease rows (no distributed "
-                "worker has joined it)"
+                f"campaign {args.name!r}: no lease rows (no 'campaign run' "
+                "has written its shard plan)"
             )
             return 0
         print(format_table([
@@ -1235,15 +1147,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     f"worker        : {name}: {counts['completed']} "
                     f"shard(s) completed{active}"
                 )
-        profile = status.last_run_profile
-        if profile:
-            utilization = float(profile.get("utilization") or 0.0)
-            print(
-                f"last run      : {profile.get('executed')} executed over "
-                f"{profile.get('workers')} worker(s), "
-                f"pool utilization {utilization * 100.0:.0f}% "
-                f"({profile.get('finished_at')})"
-            )
         return 0
 
     if args.campaign_command == "list":
@@ -1420,12 +1323,11 @@ def _cmd_store(args: argparse.Namespace) -> int:
             except ValueError as error:
                 print(f"store: {error}", file=sys.stderr)
                 return 2
-        imported, skipped = import_store(
-            store, source, overwrite=args.overwrite
-        )
+        counts = import_store(store, source, overwrite=args.overwrite)
         print(
-            f"imported {imported} record(s) from {args.source} "
-            f"({skipped} already present)"
+            f"imported {counts.runs} record(s), {counts.metrics} metric "
+            f"series and {counts.campaigns} campaign(s) from {args.source} "
+            f"({counts.skipped} already present)"
         )
         return 0
 
@@ -1484,21 +1386,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"obs: {error}", file=sys.stderr)
         return 2
-    result = run_workload(
-        config=spec.resolved_config(),
-        tracker=spec.tracker,
-        workload=spec.workload if spec.core_plan is not None
-        else spec.resolved_workload(),
-        attack=spec.attack,
-        requests_per_core=spec.requests_per_core,
-        seed=spec.resolved_seed(),
-        enable_auditor=spec.enable_auditor,
-        attack_warmup_activations=spec.attack_warmup_activations,
-        llc_warmup_accesses=spec.llc_warmup_accesses,
-        core_plan=spec.core_plan,
-        engine=args.engine,
-        observers=(trace, metrics),
-        profiler=profiler,
+    result = spec.run(
+        engine=args.engine, observers=(trace, metrics), profiler=profiler
     )
 
     trace.write(args.output)
@@ -1595,7 +1484,7 @@ def _configure_logging(verbose: int, quiet: int) -> None:
 
     Results stay on stdout (plain ``print``); progress and diagnostics go to
     stderr through :mod:`logging`, so piping a command's output somewhere
-    never captures its chatter.  The default level is INFO -- campaign batch
+    never captures its chatter.  The default level is INFO -- campaign shard
     progress stays visible without any flag.
     """
     noise = verbose - quiet

@@ -40,14 +40,16 @@ distributed and memoized:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import logging
 import os
+import signal
 import time
 import tracemalloc
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
@@ -67,6 +69,9 @@ from repro.sim.simulator import SimulationResult
 CODE_VERSION = "dapper-sim-v2"
 
 _LOG = logging.getLogger("repro.sweep")
+
+#: The signals that interrupt a run (Ctrl-C, and SIGTERM in ``campaign run``).
+_INTERRUPTS = (signal.SIGINT, signal.SIGTERM)
 
 #: The mitigation back-end every baseline runs with (see
 #: :meth:`ScenarioSpec.baseline_spec`).
@@ -352,6 +357,34 @@ class ScenarioSpec:
             return benign_normalized_performance(result, baseline)
         return matched_benign_normalized_performance(result, baseline)
 
+    def run(
+        self, engine: str | None = None, observers=(), profiler=None
+    ) -> SimulationResult:
+        """Simulate this scenario: no cache, no baseline, no normalisation.
+
+        The one mapping of a spec onto
+        :func:`~repro.sim.experiment.run_workload`.  ``engine``,
+        ``observers`` and ``profiler`` are passed through; none of them
+        changes the result.
+        """
+        from repro.sim.experiment import run_workload
+
+        return run_workload(
+            config=self.resolved_config(),
+            tracker=self.tracker,
+            workload=self.workload,
+            attack=self.attack,
+            requests_per_core=self.requests_per_core,
+            seed=self.resolved_seed(),
+            enable_auditor=self.enable_auditor,
+            attack_warmup_activations=self.attack_warmup_activations,
+            llc_warmup_accesses=self.llc_warmup_accesses,
+            core_plan=self.core_plan,
+            engine=engine,
+            observers=observers,
+            profiler=profiler,
+        )
+
     def describe(self) -> dict:
         """Human-readable identity of the scenario (for reports and logs).
 
@@ -397,24 +430,7 @@ def _execute_spec(spec: ScenarioSpec) -> dict:
     pickle it; returns a plain dictionary so results cross the process
     boundary through the same serialization path the on-disk cache uses.
     """
-    from repro.sim.experiment import run_workload
-
-    result = run_workload(
-        config=spec.resolved_config(),
-        tracker=spec.tracker,
-        # Plan specs carry the workload only as a report label; resolving it
-        # against the registry would reject ad-hoc profile names.
-        workload=spec.workload if spec.core_plan is not None
-        else spec.resolved_workload(),
-        attack=spec.attack,
-        requests_per_core=spec.requests_per_core,
-        seed=spec.resolved_seed(),
-        enable_auditor=spec.enable_auditor,
-        attack_warmup_activations=spec.attack_warmup_activations,
-        llc_warmup_accesses=spec.llc_warmup_accesses,
-        core_plan=spec.core_plan,
-    )
-    return result.to_dict()
+    return spec.run().to_dict()
 
 
 def _execute_spec_timed(
@@ -569,6 +585,7 @@ class SweepRunner:
         self.worker_busy_seconds: dict[int, float] = {}
         self.pool_wall_seconds: float = 0.0
         self.pool_workers_used: int = 0
+        self._pool: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -580,51 +597,102 @@ class SweepRunner:
                 self._memory[key] = found
         return found
 
-    def _execute_pending(self, pending: dict[str, ScenarioSpec]) -> None:
-        """Simulate every pending scenario, in-process or across a pool."""
+    @contextlib.contextmanager
+    def pooled(self, batch: int | None = None) -> Iterator[None]:
+        """Keep one worker pool open for every batch run inside the block.
+
+        Every pooled batch runs on a pool opened here: a batch outside any
+        block opens one of its own, capped at ``batch`` workers so a small
+        batch never forks idle processes.  Inside an open block the pool
+        is reused, so long-lived workers keep their per-process memos (the
+        LLC warm-up cache) across batches.  On the way out, queued
+        simulations are cancelled and running ones finish.
+        """
+        if self.jobs == 1 or self._pool is not None:
+            yield
+            return
+        workers = min(self.jobs, batch or self.jobs)
+        self.pool_workers_used = max(self.pool_workers_used, workers)
+        self._pool = ProcessPoolExecutor(
+            max_workers=workers,
+            # Workers drop the interrupt mask they inherit from the fork.
+            initializer=signal.pthread_sigmask,
+            initargs=(signal.SIG_UNBLOCK, _INTERRUPTS),
+        )
+        try:
+            # Fork every worker now with SIGINT/SIGTERM held back: a signal
+            # handler that runs during a fork runs inside an at-fork hook,
+            # where the KeyboardInterrupt it raises is swallowed.
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, _INTERRUPTS)
+            try:
+                self._pool.submit(int).result()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            yield
+        finally:
+            pool, self._pool = self._pool, None
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _execute_pending(
+        self,
+        pending: dict[str, ScenarioSpec],
+        progress: Callable[[], None] | None = None,
+    ) -> None:
+        """Simulate every pending scenario, in-process or across a pool;
+        ``progress`` is called after each result is stored."""
         items = list(pending.items())
         if not items:
             return
         _LOG.debug("executing %d pending simulation(s)", len(items))
-        if self.jobs == 1 or len(items) == 1:
+        if self.jobs == 1 or (len(items) == 1 and self._pool is None):
             payloads = (
                 (key,) + _execute_spec_timed(spec, self.track_memory)
                 for key, spec in items
             )
         else:
             payloads = self._pool_payloads(items)
-        for key, payload, elapsed, peak, pid in payloads:
-            busy = self.worker_busy_seconds.get(pid, 0.0)
-            self.worker_busy_seconds[pid] = busy + elapsed
-            # Round-trip through the serialized form on every path so serial,
-            # parallel and cache-replayed sweeps see byte-identical results.
-            result = SimulationResult.from_dict(payload)
-            self._memory[key] = result
-            self.cache.store(
-                key,
-                pending[key],
-                result,
-                elapsed_seconds=elapsed,
-                peak_memory_bytes=peak,
-            )
+        # Closed on the way out, so a consumer that stops early (a raising
+        # ``progress``) cancels the rest of a pooled batch right away.
+        with contextlib.closing(payloads):
+            for key, payload, elapsed, peak, pid in payloads:
+                busy = self.worker_busy_seconds.get(pid, 0.0)
+                self.worker_busy_seconds[pid] = busy + elapsed
+                # Round-trip through the serialized form on every path so
+                # serial, parallel and cache-replayed sweeps see
+                # byte-identical results.
+                result = SimulationResult.from_dict(payload)
+                self._memory[key] = result
+                self.cache.store(
+                    key,
+                    pending[key],
+                    result,
+                    elapsed_seconds=elapsed,
+                    peak_memory_bytes=peak,
+                )
+                if progress is not None:
+                    progress()
 
     def _pool_payloads(
         self, items: list[tuple[str, ScenarioSpec]]
     ) -> Iterable[tuple[str, dict, float, int | None, int]]:
-        # Never spawn more workers than there is pending work: tiny batches
-        # would otherwise pay the fork cost of idle processes.
-        workers = min(self.jobs, len(items))
-        self.pool_workers_used = max(self.pool_workers_used, workers)
         started = time.perf_counter()
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with self.pooled(len(items)):
                 futures = {
-                    pool.submit(_execute_spec_timed, spec, self.track_memory): key
+                    self._pool.submit(
+                        _execute_spec_timed, spec, self.track_memory
+                    ): key
                     for key, spec in items
                 }
-                for future in as_completed(futures):
-                    payload, elapsed, peak, pid = future.result()
-                    yield futures[future], payload, elapsed, peak, pid
+                try:
+                    for future in as_completed(futures):
+                        payload, elapsed, peak, pid = future.result()
+                        yield futures[future], payload, elapsed, peak, pid
+                finally:
+                    # Drop what has not started yet when the consumer
+                    # stopped early.
+                    for future in futures:
+                        future.cancel()
         finally:
             self.pool_wall_seconds += time.perf_counter() - started
 
@@ -664,15 +732,20 @@ class SweepRunner:
         self._execute_pending({key: spec})
         return self._memory[key]
 
-    def ensure(self, specs: Sequence[ScenarioSpec]) -> int:
+    def ensure(
+        self,
+        specs: Sequence[ScenarioSpec],
+        progress: Callable[[], None] | None = None,
+    ) -> int:
         """Execute (or replay) a batch of scenarios without normalisation.
 
         Like :meth:`simulate` for many specs at once: missing simulations
         fan out over the worker pool together, already-stored ones are
         cheap membership checks.  Returns how many simulations actually
-        executed.  This is the campaign orchestrator's shard primitive --
-        campaigns pre-expand baselines into their work plan, so no baseline
-        resolution happens here.
+        executed; ``progress`` is called after each one is stored.  This is
+        the campaign drain's shard primitive -- campaigns pre-expand
+        baselines into their work plan, so no baseline resolution happens
+        here.
         """
         pending: dict[str, ScenarioSpec] = {}
         seen: set[str] = set()
@@ -687,7 +760,7 @@ class SweepRunner:
             else:
                 pending[key] = spec
         self.stats.cache_misses += len(pending)
-        self._execute_pending(pending)
+        self._execute_pending(pending, progress)
         return len(pending)
 
     def run(self, specs: Sequence[ScenarioSpec]) -> list[SweepOutcome]:

@@ -6,13 +6,13 @@ subsystem with four layers:
 * :mod:`repro.store.backend` -- :class:`SqliteStore`, the warehouse itself:
   one SQLite database (WAL mode, schema-versioned with migrations, indexed
   scenario columns, per-run timing, metrics, campaign manifests and leases).
-* :mod:`repro.store.campaign` -- resumable campaign orchestration: shard a
-  huge scenario batch, checkpoint every completed run, resume with zero
-  re-execution, report and diff finished campaigns.
-* :mod:`repro.store.worker` -- distributed campaign drains: N worker
-  processes (one or many hosts) lease shards of the same campaign from the
-  warehouse's ``leases`` table with heartbeats, crash reclaim, bounded
-  attempts and poison-shard quarantine.
+* :mod:`repro.store.campaign` -- campaign manifests: what a campaign is,
+  how far it got, its result table and diffs between campaigns.
+* :mod:`repro.store.worker` -- the campaign drain behind ``campaign run``:
+  one process, or N of them on one or many hosts, lease shards of a
+  campaign from the warehouse's ``leases`` table with heartbeats, crash
+  reclaim, bounded attempts and poison-shard quarantine; every completed
+  run is checkpointed and a rerun executes only what is missing.
 * :mod:`repro.store.query` -- the read side: filter/aggregate stored runs,
   export CSV/JSON, import legacy JSON cache directories and other
   warehouses, garbage-collect stale code versions.
@@ -30,9 +30,6 @@ from repro.store.backend import (
     open_store,
 )
 from repro.store.campaign import (
-    Campaign,
-    CampaignProgress,
-    CampaignRunSummary,
     CampaignStatus,
     build_manifest,
     campaign_report,
@@ -66,9 +63,6 @@ __all__ = [
     "RunRecord",
     "SqliteStore",
     "open_store",
-    "Campaign",
-    "CampaignProgress",
-    "CampaignRunSummary",
     "CampaignStatus",
     "build_manifest",
     "campaign_report",

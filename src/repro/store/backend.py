@@ -605,17 +605,54 @@ class SqliteStore:
     # -- campaign manifests --------------------------------------------- #
 
     def save_campaign(self, name: str, manifest: dict) -> None:
-        """Persist a campaign manifest (raises on storage failure)."""
-        self._connection.execute(
-            "INSERT OR REPLACE INTO campaigns (name, created_at, manifest) "
-            "VALUES (?, ?, ?)",
-            (
-                name,
-                manifest.get("created_at") or utc_now(),
-                json.dumps(manifest, default=str),
-            ),
+        """Create or replace a campaign manifest (raises on storage failure).
+
+        Any lease rows of ``name`` go in the same transaction: a shard plan
+        belongs to the manifest it was drawn from, and workers of the new
+        manifest write their own.
+        """
+        self._swap_campaign(name, manifest, None, check=False)
+
+    def swap_campaign(
+        self, name: str, manifest: dict, expected: dict | None
+    ) -> bool:
+        """Compare-and-swap a campaign manifest; returns whether it wrote.
+
+        Like :meth:`save_campaign`, but only while the stored manifest
+        still equals ``expected`` (``None``: no readable manifest), checked
+        and written under one write lock.  Of several processes that read
+        the same manifest and each decided to replace it, one wins; the
+        others' lease-dropping writes do not happen, so they cannot wipe
+        the winner's shard plan.
+        """
+        return self._swap_campaign(name, manifest, expected, check=True)
+
+    def _swap_campaign(
+        self, name: str, manifest: dict, expected: dict | None, check: bool
+    ) -> bool:
+        row = (
+            name,
+            manifest.get("created_at") or utc_now(),
+            json.dumps(manifest, default=str),
         )
-        self._connection.commit()
+        self._begin_immediate()
+        try:
+            if check and self.load_campaign(name) != expected:
+                self._connection.commit()
+                return False
+            self._connection.execute(
+                "INSERT OR REPLACE INTO campaigns (name, created_at, manifest) "
+                "VALUES (?, ?, ?)",
+                row,
+            )
+            self._connection.execute(
+                "DELETE FROM leases WHERE campaign = ?", (name,)
+            )
+            self._connection.commit()
+            return True
+        except BaseException:
+            self._connection.rollback()
+            raise
 
     def load_campaign(self, name: str) -> dict | None:
         """The manifest saved under ``name``, or ``None``."""
@@ -809,20 +846,25 @@ class SqliteStore:
         self._connection.commit()
         return cursor.rowcount > 0
 
-    def complete_lease(self, campaign: str, shard: int, worker: str) -> bool:
+    def complete_lease(
+        self, campaign: str, shard: int, worker: str, keys: "Sequence[str]"
+    ) -> bool:
         """Mark a shard done; idempotent (re-completing is a no-op).
 
         Completion is deliberately *not* conditioned on still holding the
         lease: by the time a worker completes a shard every result is
         already committed under its scenario hash, so the work is done even
-        if the lease expired and was reclaimed mid-drain.  Returns whether
-        this call performed the transition.
+        if the lease expired and was reclaimed mid-drain.  It is conditioned
+        on ``keys``, the keys the worker drained: a shard of a plan that
+        replaced the one the worker claimed from is left alone.  Returns
+        whether this call performed the transition.
         """
         cursor = self._connection.execute(
             "UPDATE leases SET state = 'done', worker = ?, deadline = NULL, "
             "last_error = NULL, completed_at = ? "
-            "WHERE campaign = ? AND shard = ? AND state != 'done'",
-            (worker, utc_now(), campaign, shard),
+            "WHERE campaign = ? AND shard = ? AND keys = ? "
+            "AND state != 'done'",
+            (worker, utc_now(), campaign, shard, json.dumps(list(keys))),
         )
         self._connection.commit()
         return cursor.rowcount > 0

@@ -1,35 +1,25 @@
-"""Resumable experiment campaigns over the warehouse.
+"""Campaign manifests, status, reports and diffs over the warehouse.
 
 A *campaign* is a named, persisted execution of a large scenario batch --
 typically a suite file or a family cross-product expanding to hundreds or
 thousands of :class:`~repro.sim.sweep.ScenarioSpec` objects.  The paper's
 evaluation matrix (trackers x attacks x workloads x NRH sweeps) is exactly
-this shape, and at that volume three things matter that a one-shot sweep does
-not give you:
+this shape.  :class:`~repro.store.worker.CampaignWorker` (``campaign run``)
+drains a campaign; this module holds what every process reads about it:
 
-* **Checkpointing.**  Every completed simulation is committed to the store
-  the moment it finishes, so killing the process (Ctrl-C, OOM, preemption)
-  loses at most the simulations currently in flight.
-* **Resumption.**  Re-running the same campaign recomputes the work plan
-  against the store and executes *only* the missing scenario keys; specs
-  whose results are already stored are never re-simulated.
-* **Accounting.**  The campaign's manifest -- the full list of scenario
-  descriptions and their content-hash keys -- is persisted next to the
-  results, so progress (:func:`campaign_status`), result tables
+* **The manifest** (:func:`build_manifest`): every scenario's description
+  and content-hash key, plus its baseline's, persisted next to the results
+  so progress (:func:`campaign_status`), result tables
   (:func:`campaign_report`) and cross-campaign comparisons
   (:func:`diff_campaigns`) work in any later process, including ones that
   never saw the suite file.
-
-Execution is sharded into batches of ``batch_size`` scenarios; each batch
-runs through the ordinary :class:`~repro.sim.sweep.SweepRunner` (insecure
-baselines deduplicated within the batch, fan-out over ``jobs`` worker
-processes), and a progress callback receives completed/total counts with an
-ETA extrapolated from the measured simulation rate.
+* **Resumption**, for free: results are committed under their scenario
+  hash as they finish, so a rerun executes only the keys the store lacks.
 
 Campaign identity is content-based: the manifest records each scenario's
 cache key, which covers the full system configuration and the simulator code
 version.  Re-running a campaign whose suite (or the simulator itself)
-changed is therefore refused unless ``force=True`` replaces the manifest --
+changed is therefore refused unless ``--force`` replaces the manifest --
 results from both versions stay in the store, which is what makes
 :func:`diff_campaigns` across code versions possible.
 """
@@ -37,18 +27,14 @@ results from both versions stay in the store, which is what makes
 from __future__ import annotations
 
 import json
-import logging
 import re
-import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.sim.metrics import slowdown_percent
 from repro.sim.simulator import SimulationResult
-from repro.sim.sweep import CODE_VERSION, ScenarioSpec, SweepRunner
+from repro.sim.sweep import CODE_VERSION, ScenarioSpec
 from repro.store.backend import RunRecord, SqliteStore, utc_now
-
-_LOG = logging.getLogger("repro.campaign")
 
 #: Manifest format version (bumped on incompatible manifest changes).
 MANIFEST_VERSION = 1
@@ -131,193 +117,6 @@ def load_manifest(store: SqliteStore, name: str) -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# Running
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class CampaignProgress:
-    """One progress tick, delivered after every completed batch."""
-
-    name: str
-    batch: int
-    batches: int
-    simulations_done: int      # unique simulations present in the store
-    simulations_total: int     # unique simulations the campaign needs
-    executed: int              # simulations actually run by this invocation
-    elapsed_seconds: float
-    eta_seconds: float | None  # None until at least one batch completes
-
-    @property
-    def percent(self) -> float:
-        if not self.simulations_total:
-            return 100.0
-        return 100.0 * self.simulations_done / self.simulations_total
-
-
-@dataclass(frozen=True)
-class CampaignRunSummary:
-    """What one ``campaign run`` invocation did."""
-
-    name: str
-    entries: int               # scenarios in the manifest
-    simulations_total: int     # unique simulations (measured + baselines)
-    already_stored: int        # unique simulations found in the store
-    executed: int              # simulations this invocation ran
-    batches: int
-    elapsed_seconds: float
-    resumed: bool              # True when a manifest already existed
-
-
-class Campaign:
-    """Plans and executes one named campaign against a result store."""
-
-    def __init__(
-        self,
-        name: str,
-        specs: Sequence[ScenarioSpec],
-        store: SqliteStore,
-        jobs: int = 1,
-        batch_size: int = 32,
-        source: str = "",
-        description: str = "",
-        track_memory: bool = False,
-    ):
-        self.name = validate_campaign_name(name)
-        self.specs = list(specs)
-        self.store = store
-        self.jobs = max(1, int(jobs))
-        self.batch_size = max(1, int(batch_size))
-        self.track_memory = bool(track_memory)
-        self.manifest = build_manifest(
-            name, self.specs, source=source, description=description
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def _reconcile_manifest(self, force: bool) -> bool:
-        """Persist the manifest; returns whether this resumes a previous run."""
-        existing = self.store.load_campaign(self.name)
-        if existing is None:
-            self.store.save_campaign(self.name, self.manifest)
-            return False
-        if _manifest_keys(existing) == _manifest_keys(self.manifest):
-            # Same scenario set: keep the original manifest (and its
-            # created_at) so status/report history stays coherent.
-            self.manifest = existing
-            return True
-        if not force:
-            raise ValueError(
-                f"campaign {self.name!r} already exists with a different "
-                f"scenario set (saved under code version "
-                f"{existing.get('code_version')!r}, current {CODE_VERSION!r}); "
-                "rerun with force=True / --force to replace its manifest, or "
-                "pick a new name to keep both for diffing"
-            )
-        self.store.save_campaign(self.name, self.manifest)
-        return False
-
-    def _unique_specs(self) -> dict[str, ScenarioSpec]:
-        """Every distinct simulation the campaign needs, keyed by hash."""
-        plan: dict[str, ScenarioSpec] = {}
-        for spec in self.specs:
-            plan.setdefault(spec.cache_key(), spec)
-            baseline = spec.baseline_spec()
-            plan.setdefault(baseline.cache_key(), baseline)
-        return plan
-
-    def run(
-        self,
-        progress: Callable[[CampaignProgress], None] | None = None,
-        force: bool = False,
-    ) -> CampaignRunSummary:
-        """Execute every missing simulation, checkpointing as results land.
-
-        Scenarios whose keys are already in the store are *not* re-executed
-        -- not even loaded -- which is what makes interrupt/resume cycles
-        cheap.  ``KeyboardInterrupt`` propagates to the caller: by the time
-        it fires, every completed simulation is already committed, so simply
-        invoking :meth:`run` again resumes from the checkpoint.
-        """
-        started = time.perf_counter()
-        resumed = self._reconcile_manifest(force)
-        plan = self._unique_specs()
-        stored = self.store.keys() & set(plan)
-        pending = {key: spec for key, spec in plan.items() if key not in stored}
-
-        # Shard by unique simulation so batches stay evenly sized no matter
-        # how many entries share baselines.
-        pending_specs = list(pending.values())
-        batches = [
-            pending_specs[offset:offset + self.batch_size]
-            for offset in range(0, len(pending_specs), self.batch_size)
-        ]
-        runner = SweepRunner(
-            store=self.store, jobs=self.jobs, track_memory=self.track_memory
-        )
-        executed = 0
-        for number, batch in enumerate(batches, start=1):
-            executed += runner.ensure(batch)
-            elapsed = time.perf_counter() - started
-            done = len(stored) + executed
-            rate = executed / elapsed if elapsed > 0 else 0.0
-            remaining = len(plan) - done
-            tick = CampaignProgress(
-                name=self.name,
-                batch=number,
-                batches=len(batches),
-                simulations_done=done,
-                simulations_total=len(plan),
-                executed=executed,
-                elapsed_seconds=elapsed,
-                eta_seconds=remaining / rate if rate > 0 else None,
-            )
-            eta = (
-                f"{tick.eta_seconds:.0f}s"
-                if tick.eta_seconds is not None
-                else "unknown"
-            )
-            _LOG.info(
-                "campaign %r: batch %d/%d, %d/%d simulations (%.1f%%), eta %s",
-                tick.name, tick.batch, tick.batches, tick.simulations_done,
-                tick.simulations_total, tick.percent, eta,
-            )
-            if progress is not None:
-                progress(tick)
-        if executed:
-            self._save_run_profile(runner, executed)
-        return CampaignRunSummary(
-            name=self.name,
-            entries=len(self.manifest["entries"]),
-            simulations_total=len(plan),
-            already_stored=len(stored),
-            executed=executed,
-            batches=len(batches),
-            elapsed_seconds=time.perf_counter() - started,
-            resumed=resumed,
-        )
-
-    def _save_run_profile(self, runner: SweepRunner, executed: int) -> None:
-        """Persist this invocation's worker-pool profile into the manifest.
-
-        Only pooled runs carry a worker report; serial invocations leave the
-        manifest untouched.  The profile is pure bookkeeping -- every result
-        is already committed by the time it is written -- so a campaign's
-        identity (its entry keys) is unaffected.
-        """
-        profile = runner.worker_report()
-        if profile is None:
-            return
-        self.manifest["last_run_profile"] = {
-            "finished_at": utc_now(),
-            "executed": executed,
-            "jobs": self.jobs,
-            **profile,
-        }
-        self.store.save_campaign(self.name, self.manifest)
-
-
-# --------------------------------------------------------------------------- #
 # Status
 # --------------------------------------------------------------------------- #
 
@@ -335,13 +134,10 @@ class CampaignStatus:
     simulations_total: int     # unique simulation keys
     simulations_stored: int
     source: str
-    #: Worker-pool profile of the most recent pooled ``campaign run``
-    #: invocation (``None`` for campaigns only ever run serially).
-    last_run_profile: dict | None = None
-    #: Distributed-drain lease accounting from the warehouse's ``leases``
-    #: table (``None`` when no worker ever joined, or the backend has no
-    #: lease support): shard/done/leased/pending/quarantined counts, total
-    #: attempts and reclaims, and a per-worker ``{completed, active}`` map.
+    #: Lease accounting from the warehouse's ``leases`` table (``None``
+    #: before any ``campaign run`` wrote the shard plan):
+    #: shard/done/leased/pending/quarantined counts, total attempts and
+    #: reclaims, and a per-worker ``{completed, active}`` map.
     leases: dict | None = None
 
     @property
@@ -376,7 +172,6 @@ def campaign_status(store: SqliteStore, name: str) -> CampaignStatus:
         simulations_total=len(keys),
         simulations_stored=len(stored),
         source=str(manifest.get("source") or ""),
-        last_run_profile=manifest.get("last_run_profile"),
         leases=store.lease_summary(name),
     )
 

@@ -15,9 +15,10 @@ import csv
 import io
 import json
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import closing
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.sim.sweep import CODE_VERSION
 from repro.store.backend import RunRecord, SqliteStore
@@ -29,9 +30,12 @@ IDENTITY_COLUMNS = ("tracker", "workload", "attack", "seed", "nrh")
 def flatten_record(record: RunRecord) -> dict:
     """One flat report row for a stored run.
 
-    Identity fields come from the stored scenario description; metrics are
-    extracted from the serialized result without rebuilding simulator
-    objects, so flattening thousands of records stays cheap.
+    The row starts with :data:`IDENTITY_COLUMNS`, then carries every other
+    field of the stored scenario description (mitigation back-end,
+    geometry, request budget, core plan, ...), so runs that differ only
+    there stay distinguishable.  Metrics are extracted from the serialized
+    result without rebuilding simulator objects, so flattening thousands of
+    records stays cheap.
     """
     result = record.result if isinstance(record.result, dict) else {}
     core_results = result.get("core_results") or []
@@ -45,9 +49,13 @@ def flatten_record(record: RunRecord) -> dict:
     dram = result.get("dram_stats") or {}
     tracker_stats = result.get("tracker_stats") or {}
     row = {column: record.scenario.get(column) for column in IDENTITY_COLUMNS}
-    cores = record.scenario.get("cores")
-    if isinstance(cores, list):
-        row["cores"] = "+".join(str(core) for core in cores)
+    for column, value in record.scenario.items():
+        if column not in row:
+            row[column] = (
+                "+".join(str(item) for item in value)
+                if isinstance(value, list)
+                else value
+            )
     row.update(
         mean_benign_ipc=(
             sum(benign_ipcs) / len(benign_ipcs) if benign_ipcs else None
@@ -212,29 +220,49 @@ def legacy_json_records(directory: str | os.PathLike) -> Iterator[RunRecord]:
         yield record
 
 
+class ImportCounts(NamedTuple):
+    """What :func:`import_store` copied, and how much it skipped."""
+
+    runs: int
+    metrics: int       # runs' metric series
+    campaigns: int     # campaign manifests
+    skipped: int       # items the destination already had
+
+
 def import_store(
     destination: SqliteStore,
     source: "SqliteStore | str | os.PathLike",
     overwrite: bool = False,
-) -> tuple[int, int]:
-    """Copy every readable record from ``source`` into ``destination``.
+) -> ImportCounts:
+    """Copy every readable item from ``source`` into ``destination``.
 
-    A directory ``source`` is read as a legacy JSON cache
-    (:func:`legacy_json_records`) -- the one-shot upgrade path for caches
-    written before the warehouse was the only backend; any other existing
-    path is opened as another warehouse (a missing one raises
-    :class:`FileNotFoundError` rather than being created empty).  Returns
-    ``(imported, skipped)``; existing keys are skipped unless ``overwrite``.
+    Another warehouse (an open store, or any existing path that is not a
+    directory) contributes its runs, metric series and campaign manifests.
+    Lease rows are not copied: the destination draws its own shard plan on
+    its next ``campaign run``.  A directory ``source`` is read as a legacy
+    JSON cache (:func:`legacy_json_records`) -- the one-shot upgrade path
+    for caches written before the warehouse was the only backend -- and
+    contributes runs only; its ``metrics/`` and ``campaigns/`` sidecars are
+    not read.  A missing path raises :class:`FileNotFoundError` rather than
+    being created empty.  Items the destination already has are skipped
+    unless ``overwrite``.
     """
     if isinstance(source, SqliteStore):
-        records = source.records()
-    elif Path(source).is_dir():
-        records = legacy_json_records(source)
-    elif not Path(source).exists():
+        return _import_warehouse(destination, source, overwrite)
+    if Path(source).is_dir():
+        runs, skipped = _import_runs(
+            destination, legacy_json_records(source), overwrite
+        )
+        return ImportCounts(runs, 0, 0, skipped)
+    if not Path(source).exists():
         raise FileNotFoundError(f"import source {source} does not exist")
-    else:
-        with closing(SqliteStore(source)) as warehouse:
-            records = list(warehouse.records())
+    with closing(SqliteStore(source)) as warehouse:
+        return _import_warehouse(destination, warehouse, overwrite)
+
+
+def _import_runs(
+    destination: SqliteStore, records: Iterable[RunRecord], overwrite: bool
+) -> tuple[int, int]:
     existing = destination.keys()
     imported = skipped = 0
     for record in records:
@@ -244,6 +272,34 @@ def import_store(
         destination.put(record)
         imported += 1
     return imported, skipped
+
+
+def _import_warehouse(
+    destination: SqliteStore, source: SqliteStore, overwrite: bool
+) -> ImportCounts:
+    runs, skipped = _import_runs(destination, list(source.records()), overwrite)
+    metrics = campaigns = 0
+    existing = destination.metrics_keys()
+    for key in sorted(source.metrics_keys()):
+        if not overwrite and key in existing:
+            skipped += 1
+            continue
+        destination.put_metrics(key, [
+            (metric, t_ns, value)
+            for metric, samples in source.get_metrics(key).items()
+            for t_ns, value in samples
+        ])
+        metrics += 1
+    existing = set(destination.campaign_names())
+    for name in source.campaign_names():
+        if not overwrite and name in existing:
+            skipped += 1
+            continue
+        manifest = source.load_campaign(name)
+        if manifest is not None:
+            destination.save_campaign(name, manifest)
+            campaigns += 1
+    return ImportCounts(runs, metrics, campaigns, skipped)
 
 
 def gc_store(

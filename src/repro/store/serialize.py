@@ -33,7 +33,6 @@ def status_document(status: CampaignStatus) -> dict:
         "percent": status.percent,
         "state": "complete" if status.complete else "resumable",
         "leases": status.leases,
-        "last_run_profile": status.last_run_profile,
     }
 
 

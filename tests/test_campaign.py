@@ -1,14 +1,17 @@
-"""Campaign orchestrator: resumability, interrupt-safety, determinism of the
+"""Campaign drains: resumability, bounded participation, determinism of the
 resumed results, manifest reconciliation, status/report/diff."""
 
 from __future__ import annotations
+
+import logging
+import re
 
 import pytest
 
 from repro.config import MitigationCommand, reduced_row_config
 from repro.sim.sweep import ScenarioSpec
 from repro.store import (
-    Campaign,
+    CampaignWorker,
     SqliteStore,
     campaign_report,
     campaign_status,
@@ -52,45 +55,56 @@ UNIQUE_SIMS = len(TRACKERS) * len(WORKLOADS)
 def finished_store(specs, tmp_path_factory):
     """One fully-executed campaign, shared by the read-only tests."""
     store = SqliteStore(tmp_path_factory.mktemp("campaign") / "wh.sqlite")
-    Campaign("full", specs, store, batch_size=4).run()
+    CampaignWorker("full", specs, store, shard_size=4).run()
     return store
+
+
+#: The per-shard progress line the worker logs (``repro.worker``, INFO).
+SHARD_LINE = re.compile(
+    r"completed shard \d+ \((?P<executed>\d+)/\d+ executed here\); "
+    r"(?P<shards>\d+)/\d+ shards, (?P<done>\d+)/(?P<total>\d+) simulations "
+    r"\((?P<percent>[\d.]+)%\), eta (?P<eta>\S+)"
+)
 
 
 class TestRunAndResume:
     def test_first_run_executes_everything(self, specs, finished_store):
         # finished_store ran the campaign; inspect its summary via a re-run.
-        summary = Campaign("full", specs, finished_store).run()
-        assert summary.entries == len(specs)
-        assert summary.simulations_total == UNIQUE_SIMS
+        saved = finished_store.load_campaign("full")
+        worker = CampaignWorker("full", specs, finished_store)
+        summary = worker.run()
+        assert len(worker.manifest["entries"]) == len(specs)
+        assert summary.simulations == UNIQUE_SIMS
         assert summary.already_stored == UNIQUE_SIMS
         assert summary.executed == 0
-        assert summary.resumed
+        assert worker.manifest == saved   # resumed: the manifest was adopted
 
-    def test_progress_ticks_and_eta(self, specs, tmp_path):
+    def test_progress_ticks_and_eta(self, specs, tmp_path, caplog):
         store = SqliteStore(tmp_path / "wh.sqlite")
-        ticks = []
-        Campaign("ticks", specs, store, batch_size=2).run(progress=ticks.append)
-        assert [tick.batch for tick in ticks] == [1, 2, 3]
-        assert ticks[-1].simulations_done == UNIQUE_SIMS
-        assert ticks[-1].percent == 100.0
-        assert all(tick.eta_seconds is not None for tick in ticks)
-        assert ticks[0].executed == 2
+        with caplog.at_level(logging.INFO, logger="repro.worker"):
+            CampaignWorker("ticks", specs, store, shard_size=2).run()
+        ticks = [
+            SHARD_LINE.search(record.getMessage())
+            for record in caplog.records
+            if "completed shard" in record.getMessage()
+        ]
+        assert all(ticks)
+        assert [int(tick["shards"]) for tick in ticks] == [1, 2, 3]
+        assert int(ticks[-1]["done"]) == UNIQUE_SIMS
+        assert float(ticks[-1]["percent"]) == 100.0
+        assert all(tick["eta"] != "unknown" for tick in ticks)
+        assert int(ticks[0]["executed"]) == 2
 
     def test_interrupt_then_resume_executes_only_missing(
         self, specs, tmp_path, finished_store
     ):
         store = SqliteStore(tmp_path / "wh.sqlite")
-
-        def _interrupt_after_first_batch(progress):
-            if progress.batch == 1:
-                raise KeyboardInterrupt
-
-        campaign = Campaign("resume", specs, store, batch_size=2)
-        with pytest.raises(KeyboardInterrupt):
-            campaign.run(progress=_interrupt_after_first_batch)
+        # Stop after one shard: everything it drained is checkpointed.
+        first = CampaignWorker("resume", specs, store, shard_size=2)
+        first.run(max_shards=1)
         manifest_keys = {
             key
-            for entry in campaign.manifest["entries"]
+            for entry in first.manifest["entries"]
             for key in (entry["key"], entry["baseline_key"])
         }
         stored = len(store.keys() & manifest_keys)
@@ -99,13 +113,14 @@ class TestRunAndResume:
         assert not status.complete
         assert status.simulations_stored == stored
 
-        resumed = Campaign("resume", specs, store, batch_size=2).run()
-        assert resumed.resumed
+        worker = CampaignWorker("resume", specs, store, shard_size=2)
+        resumed = worker.run()
+        assert worker.manifest == first.manifest   # resumed, not replaced
         assert resumed.already_stored == stored
         assert resumed.executed == UNIQUE_SIMS - stored   # zero re-execution
         assert campaign_status(store, "resume").complete
 
-        third = Campaign("resume", specs, store, batch_size=2).run()
+        third = CampaignWorker("resume", specs, store, shard_size=2).run()
         assert third.executed == 0
 
         # Determinism: the interrupted-and-resumed campaign reports exactly
@@ -121,31 +136,39 @@ class TestRunAndResume:
         # Any path is a warehouse file, with or without a .sqlite suffix.
         store = open_store(tmp_path / "cache")
         subset = specs[:2]   # none + dapper-h on one workload
-        summary = Campaign("plain-path", subset, store, batch_size=8).run()
+        summary = CampaignWorker("plain-path", subset, store, shard_size=8).run()
         assert summary.executed == 2
         assert campaign_status(store, "plain-path").complete
         # The manifest must not pollute the run-record key space.
         assert not any(key.startswith("plain-path") for key in store.keys())
         store.close()
-        resumed = Campaign("plain-path", subset, open_store(tmp_path / "cache")).run()
+        resumed = CampaignWorker(
+            "plain-path", subset, open_store(tmp_path / "cache")
+        ).run()
         assert resumed.executed == 0
 
 
 class TestManifestReconciliation:
     def test_changed_scenario_set_requires_force(self, specs, finished_store):
         with pytest.raises(ValueError, match="different scenario set"):
-            Campaign("full", specs[:2], finished_store).run()
+            CampaignWorker("full", specs[:2], finished_store).run()
 
     def test_force_replaces_manifest(self, specs, tmp_path):
         store = SqliteStore(tmp_path / "wh.sqlite")
-        Campaign("evolving", specs[:2], store).run()
-        summary = Campaign("evolving", specs[:4], store).run(force=True)
-        assert not summary.resumed           # a fresh manifest was written
-        assert summary.entries == 4
+        first = CampaignWorker("evolving", specs[:2], store)
+        first.run()
+        worker = CampaignWorker("evolving", specs[:4], store, force=True)
+        summary = worker.run()
+        # A fresh manifest was written, and the shard plan with it.
+        assert store.load_campaign("evolving") == worker.manifest
+        assert worker.manifest["entries"] != first.manifest["entries"]
+        assert len(worker.manifest["entries"]) == 4
         # Results stored by the first manifest still count: only the two new
         # unique simulations execute.
-        assert summary.executed == summary.simulations_total - summary.already_stored
-        assert campaign_status(store, "evolving").entries == 4
+        assert summary.executed == summary.simulations - summary.already_stored
+        status = campaign_status(store, "evolving")
+        assert status.entries == 4 and status.complete
+        assert status.leases["done"] == status.leases["shards"]
 
     def test_unknown_campaign_is_reported(self, finished_store):
         with pytest.raises(ValueError, match="unknown campaign"):
@@ -192,13 +215,13 @@ class TestStatusReportDiff:
     def test_diff_two_campaigns_same_store(self, specs, finished_store):
         # A second campaign over the same specs costs zero simulations (every
         # key is already stored) and diffs clean against the first.
-        Campaign("full-copy", specs, finished_store).run()
+        CampaignWorker("full-copy", specs, finished_store).run()
         diff = diff_campaigns(finished_store, "full", finished_store, "full-copy")
         assert diff["matched"] == UNIQUE_SIMS
         assert diff["max_abs_normalized_delta"] == 0.0
 
     def test_diff_reports_missing_scenarios(self, specs, finished_store):
-        Campaign("subset", specs[:2], finished_store).run()
+        CampaignWorker("subset", specs[:2], finished_store).run()
         diff = diff_campaigns(finished_store, "full", finished_store, "subset")
         assert diff["matched"] == 2
         assert len(diff["only_in_a"]) == UNIQUE_SIMS - 2
@@ -223,7 +246,7 @@ class TestStatusReportDiff:
             )
         ]
         store = SqliteStore(tmp_path / "wh.sqlite")
-        Campaign("backends", specs, store).run()
+        CampaignWorker("backends", specs, store).run()
         rows = campaign_report(store, "backends")["rows"]
         assert [
             (row.get("mitigation_command", "VRR"), row.get("blast_radius", 1))

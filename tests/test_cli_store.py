@@ -58,13 +58,13 @@ class TestCampaignVerbs:
     ):
         import logging
 
-        # Batch progress/ETA is logged (stderr), not printed: the summary on
+        # Shard progress/ETA is logged (stderr), not printed: the summary on
         # stdout stays machine-greppable while -q can silence the chatter.
-        with caplog.at_level(logging.INFO, logger="repro.campaign"):
-            assert _campaign(tmp_path, suite_path, "--batch-size", "1") == 0
+        with caplog.at_level(logging.INFO, logger="repro.worker"):
+            assert _campaign(tmp_path, suite_path, "--shard-size", "1") == 0
         first = capsys.readouterr().out
         assert "2 executed" in first
-        assert any("batch" in record.message for record in caplog.records)
+        assert any("shard" in record.message for record in caplog.records)
 
         # Re-running resumes with zero executions ("..., 0 executed)" is the
         # anchored form: a bare "0 executed" would also match "10 executed").
@@ -119,12 +119,14 @@ class TestCampaignVerbs:
         assert report["next_offset"] is None
         assert report["rows"][0]["normalized_performance"] is not None
 
-        # No distributed worker joined: an empty-but-valid lease document.
+        # `campaign run` drained one shard (two simulations) and says so.
         assert main(
             ["campaign", "leases", "cli-campaign", *store_arg, "--json"]
         ) == 0
         leases = json.loads(capsys.readouterr().out)
-        assert leases == {"shards": [], "summary": None}
+        assert [(shard["keys"], shard["state"]) for shard in leases["shards"]] \
+            == [(2, "done")]
+        assert leases["summary"]["done"] == leases["summary"]["shards"] == 1
 
     def test_unknown_campaign_and_bad_suite_exit_2(self, tmp_path, capsys):
         store_arg = ["--store", str(tmp_path / "wh.sqlite")]
@@ -181,6 +183,41 @@ class TestStoreVerbs:
         assert main(["store", "gc", *store_arg]) == 0
         assert "deleted 1" in capsys.readouterr().out
         assert SqliteStore(store_path).keys() == {"a"}
+
+    def test_query_rows_name_every_mitigation_backend(self, tmp_path, capsys):
+        # Figure 13 runs DAPPER-H under the refresh attack with three
+        # mitigation back-ends; their rows must differ beyond the identity
+        # columns, so grouping by the back-end keeps them apart.
+        from repro.scenarios.families import figure13_series, paper_batch
+
+        store_path = tmp_path / "wh.sqlite"
+        SweepRunner(store=store_path).run(
+            paper_batch([500], figure13_series, ["429.mcf"], 300)
+        )
+        store_arg = ["--store", str(store_path)]
+        filters = ["--tracker", "dapper-h", "--workload", "429.mcf",
+                   "--attack", "refresh", "--nrh", "500"]
+        assert main(["store", "query", *store_arg, *filters,
+                     "--group-by", "tracker,workload,attack,nrh"]) == 0
+        assert capsys.readouterr().out.count("dapper-h") == 1
+        assert main([
+            "store", "query", *store_arg, *filters, "--group-by",
+            "tracker,workload,attack,nrh,mitigation_command,blast_radius",
+        ]) == 0
+        groups = capsys.readouterr().out
+        assert groups.count("dapper-h") == 3 and "DRFMsb" in groups
+
+        exported = tmp_path / "runs.json"
+        assert main(["store", "export", *store_arg, "-o", str(exported)]) == 0
+        capsys.readouterr()
+        rows = json.loads(exported.read_text(encoding="utf-8"))
+        # VRR is the default command, so only its blast radius is named.
+        assert {
+            (row.get("mitigation_command"), row.get("blast_radius"))
+            for row in rows
+            if row["tracker"] == "dapper-h" and row["attack"] == "refresh"
+        } == {(None, None), (None, 2), ("DRFMsb", 2)}
+        assert all(row["requests_per_core"] == 300 for row in rows)
 
     def test_query_offset_pages_through_rows(self, tmp_path, capsys):
         store_path = tmp_path / "wh.sqlite"
@@ -285,9 +322,6 @@ class TestStoreVerbs:
         "store-gc": lambda p: ["store", "gc", "--store", p.store],
         "store-metrics": lambda p: ["store", "metrics", "--list", "--store", p.store],
         "campaign-run": lambda p: ["campaign", "run", p.suite, "--store", p.store],
-        "campaign-worker": lambda p: [
-            "campaign", "worker", p.suite, "--init", "--store", p.store,
-        ],
         "campaign-status": lambda p: [
             "campaign", "status", "any", "--store", p.store,
         ],

@@ -14,15 +14,16 @@ Four layers of evidence, cheapest first:
 * a property-based state machine (seeded stdlib ``random``) driving random
   claim/renew/expire/complete/crash/release interleavings against the real
   SQLite lease table, with model-checked invariants;
-* degenerate-manifest regressions (zero-spec percent, unknown-campaign
-  joins) and the CLI worker/leases verbs;
-* the headline fault-injection harness: real worker subprocesses on one
-  warehouse, one SIGKILLed while it holds a lease, survivors reclaim and
-  finish.
+* degenerate-manifest regressions (zero-spec percent, stale shard plans
+  left by a forced suite change) and the CLI run/leases verbs;
+* the headline fault-injection harness: real ``campaign run`` subprocesses
+  on one warehouse, one SIGKILLed while it holds a lease, survivors reclaim
+  and finish.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -38,15 +39,15 @@ import repro
 from repro.config import reduced_row_config
 from repro.sim.sweep import ScenarioSpec
 from repro.store import (
-    Campaign,
     CampaignWorker,
     LeaseLost,
     SqliteStore,
+    build_manifest,
     campaign_report,
     campaign_status,
     manifest_shard_plan,
 )
-from repro.store.campaign import CampaignProgress, CampaignStatus
+from repro.store.campaign import CampaignStatus
 
 REQUESTS = 200
 TRACKERS = ("none", "dapper-h", "graphene")
@@ -77,9 +78,10 @@ def specs(sweep_config):
 
 @pytest.fixture(scope="module")
 def serial_report(specs, tmp_path_factory):
-    """The reference: the same suite drained by one ordinary Campaign."""
+    """The reference: the same suite drained by one worker in its own
+    warehouse."""
     store = SqliteStore(tmp_path_factory.mktemp("serial") / "wh.sqlite")
-    Campaign("dist", specs, store).run()
+    CampaignWorker("dist", specs, store).run()
     return campaign_report(store, "dist")
 
 
@@ -124,7 +126,7 @@ class TestWorkerDrain:
         self, specs, tmp_path, serial_report
     ):
         store = SqliteStore(tmp_path / "wh.sqlite")
-        worker = _worker("dist", specs, store, init=True, shard_size=2,
+        worker = _worker("dist", specs, store, shard_size=2,
                          worker_id="w0")
         summary = worker.run()
         assert summary.completed == summary.shards == 2   # ceil(3 / 2)
@@ -141,7 +143,7 @@ class TestWorkerDrain:
         self, specs, tmp_path, serial_report
     ):
         path = tmp_path / "wh.sqlite"
-        first = _worker("dist", specs, SqliteStore(path), init=True,
+        first = _worker("dist", specs, SqliteStore(path),
                         shard_size=1, worker_id="a")
         second = _worker("dist", specs, SqliteStore(path), shard_size=99,
                          worker_id="b")
@@ -166,14 +168,14 @@ class TestWorkerDrain:
 
     def test_finished_campaign_rejoins_as_noop(self, specs, tmp_path):
         store = SqliteStore(tmp_path / "wh.sqlite")
-        _worker("dist", specs, store, init=True, worker_id="w0").run()
+        _worker("dist", specs, store, worker_id="w0").run()
         again = _worker("dist", specs, store, worker_id="w1").run()
         assert again.completed == 0 and again.executed == 0
 
     def test_worker_refuses_mismatched_suite(self, specs, tmp_path):
         store = SqliteStore(tmp_path / "wh.sqlite")
         # A campaign saved with a two-spec manifest...
-        Campaign("dist", specs[:2], store)._reconcile_manifest(force=False)
+        store.save_campaign("dist", build_manifest("dist", specs[:2]))
         # ...cannot be joined by a worker compiled from three specs.
         with pytest.raises(ValueError, match="does not match"):
             _worker("dist", specs, store).join()
@@ -187,7 +189,7 @@ class TestWorkerDrain:
 class TestCrashReclaim:
     def test_dead_workers_shard_is_reclaimed(self, specs, tmp_path):
         path = tmp_path / "wh.sqlite"
-        dead = _worker("dist", specs, SqliteStore(path), init=True,
+        dead = _worker("dist", specs, SqliteStore(path),
                        shard_size=1, worker_id="dead", lease_duration=30.0)
         dead.join()
         # The "crash": claim a shard and never touch it again (a SIGKILLed
@@ -207,7 +209,7 @@ class TestCrashReclaim:
 
     def test_lost_lease_aborts_the_drain(self, specs, tmp_path):
         path = tmp_path / "wh.sqlite"
-        slow = _worker("dist", specs, SqliteStore(path), init=True,
+        slow = _worker("dist", specs, SqliteStore(path),
                        shard_size=3, worker_id="slow", lease_duration=10.0,
                        heartbeat_interval=0.0, clock=FakeClock(0.0))
         slow.join()
@@ -227,11 +229,11 @@ class TestCrashReclaim:
         # the shard done is still safe (results are content-keyed) and the
         # second complete call is a no-op.
         store = SqliteStore(tmp_path / "wh.sqlite")
-        _worker("dist", specs, store, init=True, shard_size=3).join()
-        store.claim_lease("dist", "a", now=0.0, duration=5.0)
+        _worker("dist", specs, store, shard_size=3).join()
+        lease = store.claim_lease("dist", "a", now=0.0, duration=5.0)
         store.claim_lease("dist", "b", now=6.0, duration=5.0)
-        assert store.complete_lease("dist", 0, "a") is True
-        assert store.complete_lease("dist", 0, "b") is False
+        assert store.complete_lease("dist", 0, "a", lease.keys) is True
+        assert store.complete_lease("dist", 0, "b", lease.keys) is False
         assert store.lease_rows("dist")[0].state == "done"
 
 
@@ -247,7 +249,7 @@ class _PoisonWorker(CampaignWorker):
 class TestPoisonShardQuarantine:
     def test_repeated_failure_quarantines_not_wedges(self, specs, tmp_path):
         store = SqliteStore(tmp_path / "wh.sqlite")
-        worker = _PoisonWorker("dist", specs, store, init=True, shard_size=1,
+        worker = _PoisonWorker("dist", specs, store, shard_size=1,
                                max_attempts=2, worker_id="w0",
                                clock=FakeClock(), sleep=lambda _s: None)
         summary = worker.run()
@@ -268,7 +270,7 @@ class TestPoisonShardQuarantine:
                 raise KeyboardInterrupt
 
         store = SqliteStore(tmp_path / "wh.sqlite")
-        worker = _Interrupted("dist", specs, store, init=True, shard_size=3,
+        worker = _Interrupted("dist", specs, store, shard_size=3,
                               worker_id="w0", clock=FakeClock(),
                               sleep=lambda _s: None)
         with pytest.raises(KeyboardInterrupt):
@@ -276,6 +278,130 @@ class TestPoisonShardQuarantine:
         rows = store.lease_rows("dist")
         # Ctrl-C gives the shard straight back: no waiting out the lease.
         assert rows[0].state == "pending" and rows[0].worker is None
+
+
+class TestForcedSuiteChange:
+    """``force`` replaces a campaign's manifest and its shard plan together;
+    workers of the old suite must never drain or complete the new plan."""
+
+    def test_force_replaces_a_mismatched_plan(self, specs, tmp_path):
+        store = SqliteStore(tmp_path / "wh.sqlite")
+        _worker("dist", specs[:2], store, shard_size=1).run()
+        # A manifest replaced behind the plan's back (as a forced run of
+        # older code did) leaves a plan drawn from another manifest...
+        store._connection.execute(
+            "UPDATE campaigns SET manifest = ? WHERE name = 'dist'",
+            (json.dumps(build_manifest("dist", specs)),),
+        )
+        store._connection.commit()
+        with pytest.raises(ValueError, match="shard plan.*--force"):
+            _worker("dist", specs, store).join()
+        # ...which --force replaces along with the manifest.
+        summary = _worker("dist", specs, store, force=True).run()
+        assert summary.executed == UNIQUE_SIMS - 2
+        leases = store.lease_summary("dist")
+        assert leases["done"] == leases["shards"] == 1
+        assert campaign_status(store, "dist").complete
+
+    def test_stale_worker_stops_at_a_forced_suites_shard(self, specs, tmp_path):
+        path = tmp_path / "wh.sqlite"
+        other = [dataclasses.replace(spec, workload="429.mcf") for spec in specs]
+        stale = _worker("swap", specs, SqliteStore(path), shard_size=1,
+                        worker_id="stale")
+        stale.join()
+        fresh = _worker("swap", other, SqliteStore(path), shard_size=1,
+                        force=True, worker_id="fresh")
+        fresh.join()   # replaces the manifest and the shard plan
+        with pytest.raises(ValueError, match="replaced after this worker"):
+            stale.run()
+        store = SqliteStore(path)
+        rows = store.lease_rows("swap")
+        # The shard went back undrained: pending, unowned, nothing stored.
+        assert rows[0].state == "pending" and rows[0].worker is None
+        assert all(row.state == "pending" for row in rows)
+        assert not store.keys() & {key for row in rows for key in row.keys}
+        # The current suite's worker drains it as ordinary pending work.
+        assert fresh.run().completed == UNIQUE_SIMS
+        assert campaign_status(store, "swap").complete
+
+    def test_stale_completion_leaves_the_new_plans_shard_alone(
+        self, specs, tmp_path
+    ):
+        # A worker that claimed shard 0 of the old plan finishes it after a
+        # forced run replaced the plan: shard 0 of the new plan was never
+        # drained and must stay pending.
+        store = SqliteStore(tmp_path / "wh.sqlite")
+        other = [dataclasses.replace(spec, workload="429.mcf") for spec in specs]
+        _worker("swap", specs, store, shard_size=1).join()
+        stale = store.claim_lease("swap", "stale", now=0.0, duration=60.0)
+        _worker("swap", other, store, shard_size=1, force=True).join()
+        assert not store.complete_lease("swap", 0, "stale", stale.keys)
+        assert store.lease_rows("swap")[0].state == "pending"
+
+
+def _read_before_write(store, monkeypatch, stale):
+    """Make ``store``'s next manifest read return ``stale``, as if the read
+    happened before another process saved its manifest."""
+    real = store.load_campaign
+    reads = [stale]
+    monkeypatch.setattr(
+        store, "load_campaign", lambda name: reads.pop() if reads else real(name)
+    )
+
+
+class TestRacingJoins:
+    """Processes that start the same command at once: whoever writes the
+    manifest first wins, and the others adopt it and its plan instead of
+    wiping the winner's leases."""
+
+    def _first_joiner_at_work(self, specs, path, clock, **kwargs):
+        first = _worker("race", specs, SqliteStore(path), shard_size=1,
+                        worker_id="first", clock=clock, **kwargs)
+        first.join()
+        assert first.run(max_shards=1).completed == 1
+        held = first.store.claim_lease("race", "first", now=clock(),
+                                       duration=60.0)
+        assert held.shard == 1
+
+    def _assert_untouched(self, path, manifest, clock):
+        store = SqliteStore(path)
+        assert store.load_campaign("race") == manifest
+        rows = store.lease_rows("race")
+        assert len(rows) == UNIQUE_SIMS   # the first joiner's shard size
+        assert (rows[0].state, rows[0].worker) == ("done", "first")
+        assert (rows[1].state, rows[1].worker, rows[1].attempts) == (
+            "leased", "first", 1,
+        )
+        # The first joiner's heartbeat still holds its shard.
+        assert store.renew_lease("race", 1, "first", now=clock(), duration=60.0)
+
+    def test_racing_creators_keep_the_first_plan(
+        self, specs, tmp_path, monkeypatch
+    ):
+        path, clock = tmp_path / "wh.sqlite", FakeClock()
+        second = _worker("race", specs, SqliteStore(path), shard_size=4,
+                         worker_id="second", clock=clock)
+        _read_before_write(second.store, monkeypatch, None)
+        self._first_joiner_at_work(specs, path, clock)
+        manifest = SqliteStore(path).load_campaign("race")
+        assert second.join() == UNIQUE_SIMS
+        self._assert_untouched(path, manifest, clock)
+
+    def test_racing_forced_replacements_keep_the_first_plan(
+        self, specs, tmp_path, monkeypatch
+    ):
+        path, clock = tmp_path / "wh.sqlite", FakeClock()
+        old = SqliteStore(path)
+        _worker("race", specs[:2], old, clock=clock).run()
+        stale = old.load_campaign("race")
+        second = _worker("race", specs, SqliteStore(path), shard_size=4,
+                         force=True, worker_id="second", clock=clock)
+        _read_before_write(second.store, monkeypatch, stale)
+        self._first_joiner_at_work(specs, path, clock, force=True)
+        manifest = SqliteStore(path).load_campaign("race")
+        assert manifest != stale
+        assert second.join() == UNIQUE_SIMS
+        self._assert_untouched(path, manifest, clock)
 
 
 # --------------------------------------------------------------------------- #
@@ -353,7 +479,7 @@ class TestLeaseStateMachine:
                     else:
                         held[worker].pop(shard)   # takeover discovered
                 elif event == "complete":
-                    store.complete_lease("prop", shard, worker)
+                    store.complete_lease("prop", shard, worker, [f"key-{shard}"])
                     held[worker].pop(shard)
                 elif event == "release":
                     store.release_lease(
@@ -377,7 +503,7 @@ class TestLeaseStateMachine:
                 if not summary["pending"] and not summary["leased"]:
                     break
                 continue
-            store.complete_lease("prop", lease.shard, "finisher")
+            store.complete_lease("prop", lease.shard, "finisher", lease.keys)
         summary = store.lease_summary("prop")
         assert summary["done"] + summary["quarantined"] == self.SHARDS, (
             f"seed {seed}: non-terminal shards remain: {summary}"
@@ -397,14 +523,6 @@ class TestLeaseStateMachine:
 
 
 class TestDegenerateManifests:
-    def test_progress_percent_on_zero_spec_manifest(self):
-        tick = CampaignProgress(
-            name="empty", batch=0, batches=0, simulations_done=0,
-            simulations_total=0, executed=0, elapsed_seconds=0.0,
-            eta_seconds=None,
-        )
-        assert tick.percent == 100.0   # not a ZeroDivisionError
-
     def test_status_percent_on_zero_spec_manifest(self):
         status = CampaignStatus(
             name="empty", created_at=None, code_version=None,
@@ -414,18 +532,10 @@ class TestDegenerateManifests:
         assert status.percent == 100.0 and status.complete
         assert status.leases is None   # never joined by a worker
 
-    def test_join_unknown_campaign_is_a_clear_error(self, specs, tmp_path):
-        store = SqliteStore(tmp_path / "wh.sqlite")
-        with pytest.raises(ValueError) as excinfo:
-            _worker("ghost", specs, store).join()
-        message = str(excinfo.value)
-        assert "unknown campaign 'ghost'" in message
-        assert "--init" in message   # tells the user how to proceed
-
     def test_init_with_zero_specs_is_refused(self, tmp_path):
         store = SqliteStore(tmp_path / "wh.sqlite")
         with pytest.raises(ValueError, match="no scenarios"):
-            _worker("empty", [], store, init=True).join()
+            _worker("empty", [], store).join()
 
     def test_shard_plan_dedups_preserving_manifest_order(self):
         manifest = {
@@ -446,7 +556,7 @@ class TestDegenerateManifests:
         # Orphaned lease rows would make a later same-named campaign adopt
         # a stale shard plan.
         store = SqliteStore(tmp_path / "wh.sqlite")
-        worker = _worker("dist", specs, store, init=True)
+        worker = _worker("dist", specs, store)
         worker.join()
         assert store.lease_rows("dist")
         assert store.delete_campaign("dist")
@@ -490,8 +600,8 @@ class TestWorkerCli:
 
         store_arg = ["--store", str(tmp_path / "wh.sqlite")]
         assert main([
-            "campaign", "worker", str(suite_path), *store_arg,
-            "--init", "--shard-size", "1", "--worker-id", "cli-w0",
+            "campaign", "run", str(suite_path), *store_arg,
+            "--shard-size", "1", "--worker-id", "cli-w0",
         ]) == 0
         out = capsys.readouterr().out
         assert "2/2 shard(s) completed here" in out
@@ -510,18 +620,67 @@ class TestWorkerCli:
         assert "shards        : 2/2 done" in status_out
         assert "cli-w0: 2 shard(s) completed" in status_out
 
-    def test_worker_without_init_on_unknown_campaign_exits_2(
-        self, tmp_path, suite_path, capsys
+    def test_forced_suite_interrupted_then_rerun_completes(
+        self, tmp_path, monkeypatch, capsys
     ):
+        # Suite A is drained (2 shards), a forced run of suite B is
+        # interrupted after 1 of its 4 simulations, and a plain rerun of B
+        # must store all 4 -- not skip B's keys as outside a stale A plan.
+        from repro.cli import main
+        from repro.sim.sweep import ResultCache
+
+        def _suite(trackers, workload):
+            path = tmp_path / f"{workload}.json"
+            suite = json.loads(json.dumps(CLI_SUITE))
+            suite["scenarios"][0]["params"].update(
+                trackers=trackers, workloads=[workload]
+            )
+            path.write_text(json.dumps(suite), encoding="utf-8")
+            return str(path)
+
+        suite_a = _suite(["none", "dapper-h"], "453.povray")
+        suite_b = _suite(["none", "dapper-h", "graphene", "hydra"], "429.mcf")
+        store_arg = ["--store", str(tmp_path / "wh.sqlite")]
+        assert main(["campaign", "run", suite_a, *store_arg,
+                     "--shard-size", "1"]) == 0
+
+        original = ResultCache.store
+
+        def _store_then_interrupt(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ResultCache, "store", _store_then_interrupt)
+        assert main(["campaign", "run", suite_b, *store_arg, "--force",
+                     "--shard-size", "2"]) == 130
+        monkeypatch.setattr(ResultCache, "store", original)
+        capsys.readouterr()
+
+        assert main(["campaign", "run", suite_b, *store_arg]) == 0
+        assert "(1 already stored, 3 executed)" in capsys.readouterr().out
+        assert main(["campaign", "status", "cli-dist", *store_arg,
+                     "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["state"] == "complete"
+        assert status["simulations_stored"] == status["simulations_total"] == 4
+        assert status["leases"]["done"] == status["leases"]["shards"] == 2
+
+    def test_pooled_run_reports_like_a_serial_run(self, tmp_path, capsys):
         from repro.cli import main
 
-        code = main([
-            "campaign", "worker", str(suite_path),
-            "--store", str(tmp_path / "wh.sqlite"),
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown campaign" in err and "Traceback" not in err
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps(DIST_SUITE), encoding="utf-8")
+        reports = []
+        for jobs in ("1", "2"):
+            store_arg = ["--store", str(tmp_path / f"jobs{jobs}.sqlite")]
+            assert main(["campaign", "run", str(suite), *store_arg,
+                         "--jobs", jobs, "--shard-size", "2"]) == 0
+            capsys.readouterr()
+            assert main(["campaign", "report", "chaos", *store_arg,
+                         "--json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert len(reports[0]["rows"]) == 2 * len(TRACKERS)   # 2 workloads
+        assert _stable(reports[1]) == _stable(reports[0])
 
     def test_leases_on_unknown_campaign_exits_2(self, tmp_path, capsys):
         from repro.cli import main
@@ -547,14 +706,23 @@ class TestWorkerCli:
         self, tmp_path, suite_path, capsys
     ):
         from repro.cli import main
+        from repro.scenarios import load_suite
 
+        # A manifest without a shard plan: saved directly, as an imported
+        # campaign arrives.
+        store = SqliteStore(tmp_path / "wh.sqlite")
+        specs = load_suite(suite_path).compile()
+        store.save_campaign("cli-dist", build_manifest("cli-dist", specs))
+        store.close()
         store_arg = ["--store", str(tmp_path / "wh.sqlite")]
-        assert main([
-            "campaign", "run", str(suite_path), *store_arg,
-        ]) == 0
-        capsys.readouterr()
         assert main(["campaign", "leases", "cli-dist", *store_arg]) == 0
         assert "no lease rows" in capsys.readouterr().out
+        assert main(
+            ["campaign", "leases", "cli-dist", *store_arg, "--json"]
+        ) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "shards": [], "summary": None,
+        }
 
 
 # --------------------------------------------------------------------------- #
@@ -592,8 +760,8 @@ class TestFaultInjection:
         )
         return subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "campaign", "worker",
-                str(suite), "--store", str(db), "--init",
+                sys.executable, "-m", "repro.cli", "campaign", "run",
+                str(suite), "--store", str(db),
                 "--worker-id", worker_id, "--shard-size", "2",
                 "--lease-duration", self.LEASE_DURATION, *extra,
             ],
@@ -686,7 +854,7 @@ class TestFaultInjection:
         from repro.scenarios import load_suite
 
         serial_store = SqliteStore(tmp_path / "serial.sqlite")
-        Campaign("chaos", load_suite(suite).compile(), serial_store).run()
+        CampaignWorker("chaos", load_suite(suite).compile(), serial_store).run()
         assert _stable(campaign_report(store, "chaos")) == \
             _stable(campaign_report(serial_store, "chaos"))
 
@@ -703,7 +871,7 @@ class TestSigtermRelease:
     if the shard were merely waiting out an orphaned lease.
     """
 
-    def _spawn(self, suite, db, worker_id):
+    def _spawn(self, suite, db, worker_id, extra=()):
         src = Path(repro.__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -711,10 +879,10 @@ class TestSigtermRelease:
         )
         return subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "campaign", "worker",
-                str(suite), "--store", str(db), "--init",
+                sys.executable, "-m", "repro.cli", "campaign", "run",
+                str(suite), "--store", str(db),
                 "--worker-id", worker_id, "--shard-size", "2",
-                "--lease-duration", "60",
+                "--lease-duration", "60", *extra,
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -765,4 +933,27 @@ class TestSigtermRelease:
         store = SqliteStore(db)
         status = campaign_status(store, "chaos")
         assert status.complete and status.percent == 100.0
+        store.close()
+
+    def test_sigterm_releases_a_pooled_runs_lease(self, tmp_path):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps(DIST_SUITE), encoding="utf-8")
+        db = tmp_path / "wh.sqlite"
+
+        victim = self._spawn(suite, db, "victim", extra=("--jobs", "2"))
+        try:
+            TestFaultInjection._wait_for_lease(
+                TestFaultInjection(), db, "victim"
+            )
+            victim.send_signal(signal.SIGTERM)
+            out, err = victim.communicate(timeout=60)
+        finally:
+            if victim.poll() is None:       # pragma: no cover - cleanup
+                victim.kill()
+                victim.communicate(timeout=30)
+        assert victim.returncode == 130, (victim.returncode, out, err)
+        assert "interrupted" in err
+        store = SqliteStore(db)
+        rows = store.lease_rows("chaos")
+        assert rows and not [row for row in rows if row.state == "leased"]
         store.close()

@@ -74,21 +74,7 @@ def _run(
 
 
 def _run_spec(spec, engine, observers=()):
-    return _canon(
-        run_workload(
-            config=spec.config,
-            tracker=spec.tracker,
-            workload=spec.workload,
-            attack=spec.attack,
-            requests_per_core=spec.requests_per_core,
-            seed=spec.seed,
-            attack_warmup_activations=spec.attack_warmup_activations,
-            llc_warmup_accesses=spec.llc_warmup_accesses,
-            core_plan=spec.core_plan,
-            engine=engine,
-            observers=observers,
-        )
-    )
+    return _canon(spec.run(engine=engine, observers=observers))
 
 
 class TestEngineParity:

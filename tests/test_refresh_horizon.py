@@ -14,7 +14,6 @@ import json
 import pytest
 
 from repro.scenarios import family_by_name
-from repro.sim.experiment import run_workload
 
 WINDOWS = 2
 
@@ -33,18 +32,7 @@ def _spec(tracker="graphene", windows=WINDOWS):
 
 
 def _run(spec, engine):
-    return run_workload(
-        config=spec.config,
-        tracker=spec.tracker,
-        workload=spec.workload,
-        attack=spec.attack,
-        requests_per_core=spec.requests_per_core,
-        seed=spec.seed,
-        attack_warmup_activations=spec.attack_warmup_activations,
-        llc_warmup_accesses=spec.llc_warmup_accesses,
-        core_plan=spec.core_plan,
-        engine=engine,
-    )
+    return spec.run(engine=engine)
 
 
 def _canon(result) -> dict:

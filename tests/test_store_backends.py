@@ -137,8 +137,8 @@ class TestBackendParity:
         # Unreadable files are skipped, as the JSON cache treated them.
         (tmp_path / "cache" / "truncated.json").write_text("{", encoding="utf-8")
         warehouse = SqliteStore(tmp_path / "wh.sqlite")
-        imported, skipped = import_store(warehouse, tmp_path / "cache")
-        assert imported == 2 and skipped == 0  # measured + baseline
+        counts = import_store(warehouse, tmp_path / "cache")
+        assert counts.runs == 2 and counts.skipped == 0  # measured + baseline
         # Imported entries must be replayed as cache hits, bit-identically.
         replay = SweepRunner(store=warehouse)
         outcome = replay.run_one(spec)
@@ -148,7 +148,7 @@ class TestBackendParity:
             reference.result.to_dict(), sort_keys=True
         )
         # Importing again skips everything.
-        assert import_store(warehouse, tmp_path / "cache") == (0, 2)
+        assert import_store(warehouse, tmp_path / "cache") == (0, 0, 0, 2)
 
     def test_sqlite_tolerates_corrupted_payload(self, tmp_path):
         store = SqliteStore(tmp_path / "wh.sqlite")
@@ -165,8 +165,58 @@ class TestBackendParity:
         source.put(_record("k1"))
         source.close()
         warehouse = SqliteStore(tmp_path / "b.sqlite")
-        assert import_store(warehouse, tmp_path / "a.sqlite") == (1, 0)
+        assert import_store(warehouse, tmp_path / "a.sqlite") == (1, 0, 0, 0)
         assert warehouse.get("k1").result == {"payload": "k1"}
+
+
+class TestWarehouseImport:
+    """``store import A.sqlite``: runs, metric series and campaign manifests
+    come over; lease rows do not."""
+
+    @staticmethod
+    def _source(path) -> SqliteStore:
+        source = SqliteStore(path)
+        source.put(_record("k1"))
+        source.put_metrics("k1", [("mc.requests", 100.0, 10.0)])
+        source.save_campaign("c", {"name": "c", "entries": []})
+        source.init_leases("c", [["k1"]])
+        return source
+
+    def test_metrics_and_campaigns_come_over(self, tmp_path):
+        self._source(tmp_path / "a.sqlite").close()
+        warehouse = SqliteStore(tmp_path / "b.sqlite")
+        assert import_store(warehouse, tmp_path / "a.sqlite") == (1, 1, 1, 0)
+        assert warehouse.metrics_keys() == {"k1"}
+        assert warehouse.get_metrics("k1") == {"mc.requests": [(100.0, 10.0)]}
+        assert warehouse.campaign_names() == ("c",)
+        assert warehouse.load_campaign("c") == {"name": "c", "entries": []}
+        # The destination draws its own shard plan on its next run.
+        assert warehouse.lease_rows("c") == []
+        # Everything is skipped the second time, unless overwriting.
+        assert import_store(warehouse, tmp_path / "a.sqlite") == (0, 0, 0, 3)
+        assert import_store(
+            warehouse, tmp_path / "a.sqlite", overwrite=True
+        ) == (1, 1, 1, 0)
+
+    def test_existing_campaign_is_kept_without_overwrite(self, tmp_path):
+        source = self._source(tmp_path / "a.sqlite")
+        warehouse = SqliteStore(tmp_path / "b.sqlite")
+        warehouse.save_campaign("c", {"name": "c", "entries": [], "mine": 1})
+        warehouse.init_leases("c", [["k9"]])
+        assert import_store(warehouse, source) == (1, 1, 0, 1)
+        assert warehouse.load_campaign("c")["mine"] == 1
+        assert [row.keys for row in warehouse.lease_rows("c")] == [("k9",)]
+
+    def test_cli_line_counts_all_three(self, tmp_path, capsys):
+        from repro.cli import main
+
+        self._source(tmp_path / "a.sqlite").close()
+        assert main([
+            "store", "import", str(tmp_path / "a.sqlite"),
+            "--store", str(tmp_path / "b.sqlite"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "imported 1 record(s), 1 metric series and 1 campaign(s)" in out
 
 
 class TestLegacyJsonImport:
@@ -202,7 +252,7 @@ class TestLegacyJsonImport:
         self._write(cache, "no-version.json", {"scenario": {}, "result": {}})
         assert [record.key for record in legacy_json_records(cache)] == ["good"]
         warehouse = SqliteStore(tmp_path / "wh.sqlite")
-        assert import_store(warehouse, cache) == (1, 0)
+        assert import_store(warehouse, cache) == (1, 0, 0, 0)
         assert warehouse.keys() == {"good"}
 
     def test_metrics_campaigns_and_temp_files_are_not_runs(self, tmp_path):
@@ -214,7 +264,7 @@ class TestLegacyJsonImport:
         self._write(cache / "campaigns", "full.json", {"name": "full", "entries": []})
         self._write(cache, "k2.tmp.4242", '{"partial":')
         warehouse = SqliteStore(tmp_path / "wh.sqlite")
-        assert import_store(warehouse, cache) == (1, 0)
+        assert import_store(warehouse, cache) == (1, 0, 0, 0)
         assert warehouse.keys() == {"k1"}
         assert warehouse.campaign_names() == ()
         assert warehouse.metrics_keys() == set()
@@ -229,7 +279,7 @@ class TestLegacyJsonImport:
         ))
         self._write(cache, "stale.json", self._entry("stale", code_version="older"))
         warehouse = SqliteStore(tmp_path / "wh.sqlite")
-        assert import_store(warehouse, cache) == (2, 0)
+        assert import_store(warehouse, cache) == (2, 0, 0, 0)
         fresh = warehouse.get("fresh")
         assert (fresh.elapsed_seconds, fresh.peak_memory_bytes, fresh.created_at) == (
             1.5, 4096, "2024-01-02T03:04:05+00:00",
@@ -246,9 +296,9 @@ class TestLegacyJsonImport:
         cache = tmp_path / "cache"
         self._write(cache, "k1.json", self._entry("k1", result={"payload": "json"}))
         self._write(cache, "k2.json", self._entry("k2"))
-        assert import_store(warehouse, cache) == (1, 1)
+        assert import_store(warehouse, cache) == (1, 0, 0, 1)
         assert warehouse.get("k1").result == {"payload": "k1"}
-        assert import_store(warehouse, cache, overwrite=True) == (2, 0)
+        assert import_store(warehouse, cache, overwrite=True) == (2, 0, 0, 0)
         assert warehouse.get("k1").result == {"payload": "json"}
 
     def test_open_warehouse_source_stays_usable(self, tmp_path):
@@ -256,7 +306,7 @@ class TestLegacyJsonImport:
         source.put(_record("k1"))
         source.put(_record("k2", tracker="graphene"))
         warehouse = SqliteStore(tmp_path / "b.sqlite")
-        assert import_store(warehouse, source) == (2, 0)
+        assert import_store(warehouse, source) == (2, 0, 0, 0)
         assert [record.scenario["tracker"] for record in warehouse.records()] == [
             "dapper-h", "graphene",
         ]
@@ -455,14 +505,11 @@ class _RecordingPool:
 
     max_workers_seen: int | None = None
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         type(self).max_workers_seen = max_workers
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
     def submit(self, fn, *args):
         future = Future()
@@ -754,7 +801,7 @@ class TestSchemaV4Migration:
         assert store.init_leases("mig", [["a", "b"], ["c"]]) == 2
         lease = store.claim_lease("mig", "w0", now=0.0, duration=10.0)
         assert lease.shard == 0 and lease.keys == ("a", "b")
-        assert store.complete_lease("mig", 0, "w0")
+        assert store.complete_lease("mig", 0, "w0", lease.keys)
         summary = store.lease_summary("mig")
         assert summary["done"] == 1 and summary["pending"] == 1
 

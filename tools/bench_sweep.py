@@ -103,23 +103,12 @@ def _profile_stages(specs) -> dict[str, float]:
     stage-level cost shifts show up next to the headline speedups.
     """
     from repro.obs import PipelineProfiler
-    from repro.sim.experiment import run_workload
 
     spec = next(
         (s for s in specs if s.tracker != "none" and s.attack), specs[0]
     )
     profiler = PipelineProfiler()
-    run_workload(
-        config=spec.resolved_config(),
-        tracker=spec.tracker,
-        workload=spec.resolved_workload(),
-        attack=spec.attack,
-        requests_per_core=spec.requests_per_core,
-        seed=spec.resolved_seed(),
-        attack_warmup_activations=spec.attack_warmup_activations,
-        llc_warmup_accesses=spec.llc_warmup_accesses,
-        profiler=profiler,
-    )
+    spec.run(profiler=profiler)
     report = profiler.report()
     return {
         name: stage["seconds"] for name, stage in report["stages"].items()
@@ -140,7 +129,6 @@ def _longhorizon_case(tmp: Path, requests: int) -> dict:
 
     from repro.cpu.trace import TraceEntry
     from repro.cpu.tracefile import write_trace
-    from repro.sim.experiment import run_workload
 
     rng = random.Random(7)
     entries = [
@@ -168,16 +156,7 @@ def _longhorizon_case(tmp: Path, requests: int) -> dict:
 
     def _one(engine: str):
         started = time.perf_counter()
-        result = run_workload(
-            config=spec.config,
-            tracker=spec.tracker,
-            workload=spec.workload,
-            requests_per_core=spec.requests_per_core,
-            seed=spec.seed,
-            llc_warmup_accesses=spec.llc_warmup_accesses,
-            core_plan=spec.core_plan,
-            engine=engine,
-        )
+        result = spec.run(engine=engine)
         return time.perf_counter() - started, result
 
     scalar_seconds, scalar_result = _one("scalar")
