@@ -802,7 +802,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     runner = SweepRunner(store=args.cache_dir or None, jobs=args.jobs)
     started = time.monotonic()
-    outcomes = runner.run(specs)
+    try:
+        outcomes = runner.run(specs)
+    except KeyboardInterrupt:
+        return _interrupted("sweep", args.cache_dir)
     elapsed = time.monotonic() - started
 
     report = {
@@ -819,6 +822,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _write_report(report, args.output, len(outcomes))
     _print_outcomes(outcomes, runner.stats, elapsed, args.jobs)
     return 0
+
+
+def _interrupted(command: str, store: str | None) -> int:
+    """Report a Ctrl-C'd batch in one line; 130 is the shell's code for a
+    SIGINT exit."""
+    resume = (
+        " -- completed simulations are stored; rerun the same command to "
+        "resume"
+        if store
+        else ""
+    )
+    print(f"\n{command} interrupted{resume}", file=sys.stderr)
+    return 130
 
 
 def _outcome_rows(outcomes) -> list[dict]:
@@ -930,7 +946,10 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             return 0
         runner = SweepRunner(store=args.cache_dir or None, jobs=args.jobs)
         started = time.monotonic()
-        outcomes = runner.run(specs)
+        try:
+            outcomes = runner.run(specs)
+        except KeyboardInterrupt:
+            return _interrupted("scenarios run", args.cache_dir)
         elapsed = time.monotonic() - started
         report = {
             "suite": {

@@ -37,6 +37,11 @@ from repro.cpu.trace import RequestGenerator, TraceEntry, WorkloadTraceGenerator
 from repro.cpu.workloads import WorkloadProfile, get_workload
 from repro.dram.address import AddressMapper
 
+try:  # numpy backs the array hook of the fast engine; optional.
+    import numpy as _np
+except ImportError:  # pragma: no cover - the CI image ships numpy
+    _np = None
+
 
 class TraceFormatError(ValueError):
     """Raised when a trace file line cannot be parsed."""
@@ -128,6 +133,7 @@ class FileTraceGenerator:
         self._cursor = 0
         self.replays = 0
         self._digest = None
+        self._arrays = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -142,17 +148,16 @@ class FileTraceGenerator:
         self._cursor += 1
         return entry
 
-    def next_batch(self, count: int):
-        """Next ``count`` entries as parallel ``(gaps, addresses, writes)``.
+    def _advance(self, count: int) -> list[tuple[int, int]]:
+        """Move the cursor over the next ``count`` entries.
 
-        Bit-identical to ``count`` calls of :meth:`next_entry` (same lazy
-        wrap-around, same ``replays`` accounting, same :class:`StopIteration`
-        point for non-looping traces), but built from slices of the
-        pre-split parallel arrays.
+        Returns the ``(start, stop)`` slices of the entry arrays those
+        entries occupy, in stream order.  Bit-identical to ``count`` calls
+        of :meth:`next_entry`: same lazy wrap-around, same ``replays``
+        accounting, same :class:`StopIteration` point for non-looping
+        traces.
         """
-        gaps: list[int] = []
-        addresses: list[int] = []
-        writes: list[bool] = []
+        spans: list[tuple[int, int]] = []
         total = len(self._entries)
         remaining = count
         while remaining > 0:
@@ -168,12 +173,44 @@ class FileTraceGenerator:
                 self.replays += 1
             take = min(remaining, total - self._cursor)
             stop = self._cursor + take
-            gaps.extend(self._gaps[self._cursor:stop])
-            addresses.extend(self._addresses[self._cursor:stop])
-            writes.extend(self._writes[self._cursor:stop])
+            spans.append((self._cursor, stop))
             self._cursor = stop
             remaining -= take
+        return spans
+
+    def next_batch(self, count: int):
+        """Next ``count`` entries as parallel ``(gaps, addresses, writes)``
+        lists, sliced from the pre-split parallel arrays (see
+        :meth:`_advance`)."""
+        gaps: list[int] = []
+        addresses: list[int] = []
+        writes: list[bool] = []
+        for start, stop in self._advance(count):
+            gaps.extend(self._gaps[start:stop])
+            addresses.extend(self._addresses[start:stop])
+            writes.extend(self._writes[start:stop])
         return gaps, addresses, writes
+
+    def next_arrays(self, count: int):
+        """:meth:`next_batch` as numpy arrays: ``(gaps, addresses, writes)``
+        of dtypes int64, int64 and bool, advancing the same cursor.
+
+        The fast engine's stretch executor refills through this hook, so a
+        replayed trace reaches it without a per-entry list in between.
+        """
+        if self._arrays is None:
+            self._arrays = (
+                _np.array(self._gaps, dtype=_np.int64),
+                _np.array(self._addresses, dtype=_np.int64),
+                _np.array(self._writes, dtype=bool),
+            )
+        spans = self._advance(count)
+        return tuple(
+            _np.concatenate(
+                [array[start:stop] for start, stop in spans] or [array[:0]]
+            )
+            for array in self._arrays
+        )
 
     def content_digest(self) -> str:
         """SHA-256 over the canonical text form of the entries.

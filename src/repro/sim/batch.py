@@ -25,12 +25,23 @@ the per-request hot path around batches:
   source of truth the scalar engine uses;
 * once the heap goes *quiescent* -- a single budgeted core remains, so no
   inter-core interleaving decision can ever be needed again -- a vectorized
-  stretch executor takes over: a residency bitmap over the core's line
-  domain classifies whole blocks of future accesses as LLC hits, and
-  provably uninterrupted hit runs retire with numpy arithmetic.  Building
-  the bitmap costs one entry per domain line plus a scan of every LLC line,
-  so the executor is entered only when the core's remaining budget is at
-  least that many requests; shorter tails stay on the per-request loop.
+  stretch executor takes over.  It refills in blocks of
+  :data:`_FAST_BATCH` entries held as numpy arrays (trace files hand them
+  over through ``FileTraceGenerator.next_arrays``), and a residency bitmap
+  over the core's line domain classifies them: probes gallop from
+  :data:`_FIRST_PROBE` entries, doubling while every probed line is
+  LLC-resident, and the leading resident run -- provably all hits --
+  retires in one go.  A run whose gaps all reach the hit latency retires
+  with numpy arithmetic: one ``np.add.accumulate`` for its issue times and
+  one ``np.sort`` of ``(line, position, write)`` keys, from which each
+  distinct line is moved to its set's MRU end once, in last-access order,
+  and dirtied once if the run wrote it.  Per-entry lists are built only
+  when the per-request path first needs them in a block (a miss, or a run
+  shorter than 16 entries or holding a gap below the hit latency).
+  Building the bitmap costs one entry per domain line plus a scan of every
+  LLC line, so the executor is entered only when the core's remaining
+  budget is at least that many requests; shorter tails stay on the
+  per-request loop.
 
 Observation goes through the simulation's event bus (``self.events``, see
 :mod:`repro.sim.events.events`).  Only a subscriber to a per-request kind
@@ -53,7 +64,10 @@ timing path is performed by the same shared code in the same order; the
 stretch executor's ``gap / peak`` is precomputed elementwise by numpy, which
 is bit-identical to the scalar division for int64 gaps, and its bitmap only
 replaces the ``tag in cache_set`` membership *test* for runs it can prove
-are hits -- every state mutation is unchanged.
+are hits.  Within a hit run nothing leaves the cache, so each set's final
+LRU order depends only on the order of its lines' last accesses, and a
+dirty bit once set stays set: collapsing the run's updates to one per
+distinct line leaves every set exactly as the scalar engine does.
 
 The scalar :class:`~repro.sim.simulator.Simulator` remains the reference
 model; ``REPRO_SIM_ENGINE=scalar`` selects it globally and the parity suite
@@ -85,8 +99,15 @@ except ImportError:  # pragma: no cover - the CI image ships numpy
 #: do not get the vectorized stretch executor.
 _MAX_DOMAIN_LINES = 1 << 26
 
-#: Entries classified per vectorized hit-run probe of the stretch executor.
-_FAST_CHUNK = 2048
+#: Entries per refill once the stretch executor engages: one block is
+#: retired with a handful of numpy passes, so larger blocks amortise their
+#: fixed cost, while 16K entries keep the block's arrays (and the lists a
+#: miss builds) small next to the process.
+_FAST_BATCH = 16384
+
+#: First hit-run probe of the stretch executor after a miss; each probe that
+#: finds every entry resident doubles the next one, up to the block.
+_FIRST_PROBE = 64
 
 
 def _state_fingerprint(value, depth: int = 0):
@@ -193,9 +214,13 @@ class _CoreFeed:
     past their remaining request budget.
 
     Once the stretch executor engages for this core (:meth:`activate_fast`),
-    each block also carries numpy side arrays: ``lines_np`` for bitmap
-    lookups, ``gap_ns``/``gap_ns_np`` for the precomputed per-entry issue
-    deltas, ``gaps_np`` for bulk instruction sums and ``writes_np``.
+    blocks grow to :data:`_FAST_BATCH` entries and arrive as numpy arrays:
+    ``gaps_np``, ``addresses_np``, ``writes_np``, the precomputed issue
+    deltas ``gap_ns_np`` and ``offsets_np``, each entry's line relative to
+    the residency bitmap's domain.  The per-entry lists are then built only
+    when the per-request path first needs them (:meth:`materialise`); DRAM
+    coordinates are not predecoded, so misses decode through
+    ``controller.service``.
     """
 
     __slots__ = (
@@ -205,7 +230,7 @@ class _CoreFeed:
         "rows", "flat_banks", "rank_idx", "channels",
         "set_idx", "tags", "size", "idx",
         "dom_base", "dom_size", "fast_active", "peak",
-        "gaps_np", "gap_ns", "gap_ns_np", "lines_np", "writes_np",
+        "gaps_np", "addresses_np", "writes_np", "gap_ns_np", "offsets_np",
     )
 
     def __init__(self, core, mapper, config, batch: int):
@@ -227,8 +252,8 @@ class _CoreFeed:
         )
         self.fast_active = False
         self.peak = core.config.peak_instructions_per_ns
-        self.gaps_np = self.gap_ns = self.gap_ns_np = None
-        self.lines_np = self.writes_np = None
+        self.gaps_np = self.addresses_np = self.writes_np = None
+        self.gap_ns_np = self.offsets_np = None
 
     def refill(self) -> None:
         core = self.core
@@ -236,22 +261,17 @@ class _CoreFeed:
         budget = core.request_budget
         if budget is not None:
             count = min(count, budget - core.requests_issued)
+        if self.fast_active:
+            self._refill_arrays(count)
+            self.size = count
+            self.idx = 0
+            return
         gaps, addresses, writes = generator_batch(self.generator, count)
         self.gaps = gaps
         self.addresses = addresses
         self.writes = writes
         self.size = count
         self.idx = 0
-        if self.fast_active:
-            # Lean refill for the engaged stretch executor: skip the DRAM
-            # predecode (misses are rare and decode lazily through
-            # ``controller.service``, as in the pure-python refill) and
-            # derive set/tag lists from the one numpy line array.
-            self.rows = self.flat_banks = self.rank_idx = self.channels = None
-            lines = self._stretch_arrays()
-            self.set_idx = (lines % self.num_sets).tolist()
-            self.tags = (lines // self.num_sets).tolist()
-            return
         if self.bypasses_llc or _np is not None:
             ch, rk, _, _, rows, _, flat = self.mapper.decode_batch(addresses)
             if _np is not None:
@@ -281,26 +301,54 @@ class _CoreFeed:
                 self.set_idx = [line % num_sets for line in lines]
                 self.tags = [line // num_sets for line in lines]
 
-    def activate_fast(self) -> None:
-        """Switch to the stretch executor's refill, covering the current
-        block too."""
-        self.fast_active = True
-        if self.gaps is not None:
-            self._stretch_arrays()
+    def _refill_arrays(self, count: int) -> None:
+        """The stretch executor's refill: the block as numpy arrays, fetched
+        through the generator's ``next_arrays`` hook when it has one."""
+        self.rows = self.flat_banks = self.rank_idx = self.channels = None
+        self.set_idx = self.tags = None
+        hook = getattr(self.generator, "next_arrays", None)
+        if hook is None:
+            self.gaps, self.addresses, self.writes = generator_batch(
+                self.generator, count
+            )
+            self._arrays_from_lists()
+            return
+        self.gaps = self.addresses = self.writes = None
+        self._set_arrays(*hook(count))
 
-    def _stretch_arrays(self):
-        """Materialise the current block's numpy side arrays; returns the
-        block's LLC line numbers."""
-        self.gaps_np = _np.asarray(self.gaps, dtype=_np.int64)
+    def _arrays_from_lists(self) -> None:
+        self._set_arrays(
+            _np.asarray(self.gaps, dtype=_np.int64),
+            _np.asarray(self.addresses, dtype=_np.int64),
+            _np.asarray(self.writes, dtype=bool),
+        )
+
+    def _set_arrays(self, gaps, addresses, writes) -> None:
+        self.gaps_np = gaps
+        self.addresses_np = addresses
+        self.writes_np = writes
         # Elementwise int64 / float is bit-identical to the scalar
         # ``gap / peak`` (exact int->float conversion, one IEEE divide).
-        self.gap_ns_np = self.gaps_np / self.peak
-        self.gap_ns = self.gap_ns_np.tolist()
-        self.writes_np = _np.asarray(self.writes, dtype=bool)
-        self.lines_np = (
-            _np.asarray(self.addresses, dtype=_np.int64) // self.line_size
-        )
-        return self.lines_np
+        self.gap_ns_np = gaps / self.peak
+        self.offsets_np = addresses // self.line_size - self.dom_base
+
+    def materialise(self) -> None:
+        """Build the current block's per-entry lists from its arrays."""
+        if self.gaps is None:
+            self.gaps = self.gaps_np.tolist()
+            self.addresses = self.addresses_np.tolist()
+            self.writes = self.writes_np.tolist()
+        lines = self.offsets_np + self.dom_base
+        self.set_idx = (lines % self.num_sets).tolist()
+        self.tags = (lines // self.num_sets).tolist()
+
+    def activate_fast(self) -> None:
+        """Switch to the stretch executor's refill, covering the current
+        block too (whose lists stay)."""
+        self.fast_active = True
+        self.batch = _FAST_BATCH
+        if self.gaps is not None:
+            self._arrays_from_lists()
 
 
 class BatchedSimulator(Simulator):
@@ -534,6 +582,7 @@ class BatchedSimulator(Simulator):
         np = _np
         stretch_ok = route is None and np is not None and data_ways > 0
         build_cost = num_sets * data_ways
+        probe = _FIRST_PROBE
 
         while benign_pending and heap:
             _, _, core_id = heappop(heap)
@@ -555,6 +604,8 @@ class BatchedSimulator(Simulator):
                 dom_base = feed.dom_base
                 dom_end = dom_base + feed.dom_size
                 feed.activate_fast()
+                # Twice each position in a block, for a run's sort keys.
+                doubled = np.arange(0, 2 * _FAST_BATCH, 2, dtype=np.int64)
             # The core's hot scheduling state lives in locals while the core
             # is being drained (written back at every exit point below);
             # ``outstanding`` is the core's own heap, mutated in place.  The
@@ -599,65 +650,104 @@ class BatchedSimulator(Simulator):
                     addresses = feed.addresses
 
                 if fast:
-                    # Classify the next block: the leading run of resident
-                    # lines is provably all LLC hits, executed in a tight
-                    # loop with bulk statistics; the first non-resident
-                    # entry (a miss) falls through to the reference branch
-                    # below, which keeps the bitmap in sync.
-                    end = i + _FAST_CHUNK
-                    if end > size:
-                        end = size
-                    cap = budget - requests
-                    if end - i > cap:
-                        end = i + cap
-                    lines_np = feed.lines_np
-                    resident = fastmap[lines_np[i:end] - dom_base]
-                    run = int(resident.argmin())
-                    if resident[run]:
-                        run = end - i
+                    # Gallop over the block: probe _FIRST_PROBE entries,
+                    # doubling while every probed line is resident.  The
+                    # leading run of resident lines is provably all LLC
+                    # hits and retires in one go; the first non-resident
+                    # entry (a miss) then falls through to the reference
+                    # branch below, which keeps the bitmap in sync.  A
+                    # refill never fetches past the budget, so the block's
+                    # end bounds every probe.
+                    offsets = feed.offsets_np
+                    stop = i
+                    missed = False
+                    while stop < size:
+                        reach = stop + probe
+                        if reach > size:
+                            reach = size
+                        resident = fastmap[offsets[stop:reach]]
+                        k = int(resident.argmin())
+                        if not resident[k]:
+                            stop += k
+                            missed = True
+                            probe = _FIRST_PROBE
+                            break
+                        stop = reach
+                        if probe < _FAST_BATCH:
+                            probe += probe
+                    run = stop - i
+                    gap_ns_np = feed.gap_ns_np
+                    # Whole-run vector mode.  When (a) every inter-access
+                    # gap is at least the hit latency and (b) nothing in
+                    # the outstanding-miss heap completes after the first
+                    # issue, the MLP release clamp provably never binds:
+                    # every issue time is exactly ``previous + gap``.
+                    vector = (
+                        run >= 16
+                        and float(gap_ns_np[i:stop].min()) >= hit_latency
+                        and (
+                            not outstanding
+                            or max(outstanding) <= cpu_time + gap_ns_np[i]
+                        )
+                    )
+                    if tags_arr is None and (missed or (run and not vector)):
+                        feed.materialise()
+                        gaps = feed.gaps
+                        writes = feed.writes
+                        addresses = feed.addresses
+                        tags_arr = feed.tags
+                        set_arr = feed.set_idx
                     if run:
-                        stop = i + run
-                        gap_ns = feed.gap_ns
-                        gap_ns_np = feed.gap_ns_np
-                        # Whole-run vector mode.  When (a) every inter-access
-                        # gap is at least the hit latency and (b) nothing in
-                        # the outstanding-miss heap completes after the first
-                        # issue, the MLP release clamp provably never binds:
-                        # every issue time is exactly ``previous + gap``.
-                        # ``np.add.accumulate`` performs that identical chain
-                        # of IEEE additions, the per-set LRU state only
-                        # depends on each line's *last* access, and the heap's
-                        # final content is the tail of the sorted union of old
-                        # entries and in-run hit completions (pops always
-                        # remove the global minimum because completions arrive
-                        # in non-decreasing order).
-                        if (
-                            run >= 16
-                            and float(gap_ns_np[i:stop].min()) >= hit_latency
-                            and (
-                                not outstanding
-                                or max(outstanding) <= cpu_time + gap_ns[i]
-                            )
-                        ):
+                        if vector:
+                            # ``np.add.accumulate`` performs the identical
+                            # chain of IEEE additions.  The per-set LRU
+                            # state depends only on each line's *last*
+                            # access: one sort of ``(line, position, write)``
+                            # keys groups the run by line, each group's last
+                            # key is that line's last access and any odd key
+                            # in it marks a write, so every distinct line is
+                            # moved to its set's MRU end (and dirtied once)
+                            # in last-access order.  The heap's final content
+                            # is the tail of the sorted union of old entries
+                            # and in-run hit completions (pops always remove
+                            # the global minimum because completions arrive
+                            # in non-decreasing order).
                             seq = np.empty(run + 1)
                             seq[0] = cpu_time
                             seq[1:] = gap_ns_np[i:stop]
                             issues = np.add.accumulate(seq)
                             cpu_time = float(issues[run])
                             run_writes = feed.writes_np[i:stop]
-                            last_rev = np.unique(
-                                lines_np[i:stop][::-1], return_index=True
-                            )[1]
-                            for p in np.sort((run - 1) - last_rev).tolist():
-                                j = i + p
-                                sets[set_arr[j]].move_to_end(tags_arr[j])
-                            for p in np.nonzero(run_writes)[0].tolist():
-                                j = i + p
-                                sets[set_arr[j]][tags_arr[j]] = True
+                            run_lines = offsets[i:stop]
+                            # key = line | 2 * position | write; below
+                            # 2**42, as domain offsets stay below 2**26 and
+                            # runs within a block.
+                            shift = run.bit_length() + 1
+                            keys = (run_lines << shift) + doubled[:run]
+                            keys += run_writes
+                            keys.sort()
+                            edges = np.flatnonzero(np.diff(keys >> shift)) + 1
+                            firsts = np.concatenate(([0], edges))
+                            lasts = np.append(edges, run) - 1
+                            written = np.bitwise_or.reduceat(keys & 1, firsts)
+                            # 2 * last position + written, in access order
+                            order = np.sort(
+                                (keys[lasts] & ((1 << shift) - 2)) + written
+                            )
+                            touched = run_lines[order >> 1] + dom_base
+                            for set_index, tag, dirty in zip(
+                                (touched % num_sets).tolist(),
+                                (touched // num_sets).tolist(),
+                                (order & 1).tolist(),
+                            ):
+                                cache_set = sets[set_index]
+                                cache_set.move_to_end(tag)
+                                if dirty:
+                                    cache_set[tag] = True
                             # Only the heap's final content matters, and it
                             # is the largest ``mlp`` values of the union --
                             # materialise just that tail.
-                            read_pos = np.nonzero(~run_writes)[0]
+                            read_pos = np.flatnonzero(~run_writes)
                             n_reads = read_pos.shape[0]
                             if n_reads >= mlp:
                                 outstanding[:] = (
@@ -677,7 +767,7 @@ class BatchedSimulator(Simulator):
                         else:
                             j = i
                             while j < stop:
-                                issue_ns = cpu_time + gap_ns[j]
+                                issue_ns = cpu_time + gaps[j] / peak
                                 if len(outstanding) >= mlp:
                                     release = heappop(outstanding)
                                     if release > issue_ns:
@@ -708,6 +798,7 @@ class BatchedSimulator(Simulator):
                             core.note_progress()
                             benign_pending.discard(core_id)
                             break
+                    if not missed:
                         continue
 
                 is_write = writes[i]

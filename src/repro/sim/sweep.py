@@ -460,6 +460,39 @@ def _execute_spec_timed(
     return payload, time.perf_counter() - started, peak, os.getpid()
 
 
+def _init_worker() -> None:
+    """Pool worker set-up: Ctrl-C ends an idle worker quietly.
+
+    A terminal's Ctrl-C reaches every process of its group, and the parent
+    owns the interrupt: it cancels queued work and shuts the pool down.  A
+    ``KeyboardInterrupt`` in a worker blocked on its task queue would escape
+    the pool's worker loop as a traceback, so an idle worker exits instead
+    (a running simulation is interrupted, see :func:`_pool_task`).  SIGTERM
+    gets its default action back, since the pool terminates the workers it
+    cannot use with it and the parent may have routed it to a
+    ``KeyboardInterrupt`` too.  Workers are forked with SIGINT/SIGTERM
+    blocked (see :meth:`SweepRunner.pooled`) and unblock them here.
+    """
+    signal.signal(signal.SIGINT, _exit_quietly)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _INTERRUPTS)
+
+
+def _exit_quietly(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+def _pool_task(spec: ScenarioSpec, track_memory: bool):
+    """:func:`_execute_spec_timed` in a pool worker, where Ctrl-C interrupts
+    the running simulation as it would in-process: the pool hands the
+    ``KeyboardInterrupt`` back to the parent as the task's outcome."""
+    idle = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        return _execute_spec_timed(spec, track_memory)
+    finally:
+        signal.signal(signal.SIGINT, idle)
+
+
 class ResultCache:
     """Persistent memo of completed simulation results, in the warehouse.
 
@@ -614,10 +647,7 @@ class SweepRunner:
         workers = min(self.jobs, batch or self.jobs)
         self.pool_workers_used = max(self.pool_workers_used, workers)
         self._pool = ProcessPoolExecutor(
-            max_workers=workers,
-            # Workers drop the interrupt mask they inherit from the fork.
-            initializer=signal.pthread_sigmask,
-            initargs=(signal.SIG_UNBLOCK, _INTERRUPTS),
+            max_workers=workers, initializer=_init_worker
         )
         try:
             # Fork every worker now with SIGINT/SIGTERM held back: a signal
@@ -631,7 +661,17 @@ class SweepRunner:
             yield
         finally:
             pool, self._pool = self._pool, None
-            pool.shutdown(wait=True, cancel_futures=True)
+            # Hold interrupts back until the pool is down (its threads were
+            # started with them held back too): a second Ctrl-C inside
+            # ``shutdown`` would leave the manager thread racing the
+            # interpreter's exit, which closes the task queue before the
+            # workers get their stop sentinels and then waits on them for
+            # ever.  A held signal is delivered when the mask is restored.
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, _INTERRUPTS)
+            try:
+                pool.shutdown(wait=True, cancel_futures=True)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
     def _execute_pending(
         self,
@@ -680,7 +720,7 @@ class SweepRunner:
             with self.pooled(len(items)):
                 futures = {
                     self._pool.submit(
-                        _execute_spec_timed, spec, self.track_memory
+                        _pool_task, spec, self.track_memory
                     ): key
                     for key, spec in items
                 }

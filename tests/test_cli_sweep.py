@@ -4,8 +4,14 @@ the JSON report schema, cache behaviour across invocations, and exit codes."""
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
+import repro
 from repro.cli import main
 from repro.store import SqliteStore
 
@@ -202,3 +208,52 @@ class TestExitCodes:
         code, report = _sweep(tmp_path, "--trackers", "breakhammer:dapper-h")
         assert code == 0
         assert report["scenarios"][0]["tracker"] == "breakhammer:dapper-h"
+
+
+class TestCtrlC:
+    def test_pooled_sweep_exits_quietly(self, tmp_path):
+        # A terminal's Ctrl-C signals the whole process group, pool workers
+        # included: one line on stderr, exit 130, no traceback.
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (str(src), env.get("PYTHONPATH")) if part
+        )
+        warehouse = tmp_path / "cache.sqlite"
+        sweep = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "sweep",
+                "--trackers", "graphene,dapper-h", "--attacks", "refresh",
+                "--workloads", "429.mcf,470.lbm", "--requests", "30000",
+                "--jobs", "2", "--cache-dir", str(warehouse),
+                "-o", str(tmp_path / "report.json"),
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            # Interrupt once the pool has stored its first result.
+            deadline = time.monotonic() + 120
+            store = None
+            while time.monotonic() < deadline:
+                if store is None and warehouse.exists():
+                    store = SqliteStore(warehouse)
+                if store is not None and len(store):
+                    break
+                time.sleep(0.01)
+            if store is not None:
+                store.close()
+            os.killpg(sweep.pid, signal.SIGINT)
+            out, err = sweep.communicate(timeout=60)
+        finally:
+            if sweep.poll() is None:        # pragma: no cover - cleanup
+                os.killpg(sweep.pid, signal.SIGKILL)
+                sweep.communicate(timeout=30)
+        assert sweep.returncode == 130, (sweep.returncode, out, err)
+        assert "Traceback" not in err, err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "sweep interrupted" in lines[0], err
+        assert not (tmp_path / "report.json").exists()

@@ -957,3 +957,50 @@ class TestSigtermRelease:
         rows = store.lease_rows("chaos")
         assert rows and not [row for row in rows if row.state == "leased"]
         store.close()
+
+
+class TestCtrlC:
+    """A terminal's Ctrl-C signals the whole process group, pool workers
+    included.  The run ends with its one-line message and exit code 130,
+    prints no traceback from the parent or an idle worker, and leaves no
+    shard leased."""
+
+    def test_pooled_run_exits_quietly(self, tmp_path):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps(DIST_SUITE), encoding="utf-8")
+        db = tmp_path / "wh.sqlite"
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (str(src), env.get("PYTHONPATH")) if part
+        )
+        # One simulation per shard on two workers: one worker sits idle.
+        victim = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "campaign", "run",
+                str(suite), "--store", str(db), "--worker-id", "victim",
+                "--shard-size", "1", "--jobs", "2",
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            TestFaultInjection._wait_for_lease(
+                TestFaultInjection(), db, "victim"
+            )
+            os.killpg(victim.pid, signal.SIGINT)
+            out, err = victim.communicate(timeout=60)
+        finally:
+            if victim.poll() is None:       # pragma: no cover - cleanup
+                os.killpg(victim.pid, signal.SIGKILL)
+                victim.communicate(timeout=30)
+        assert victim.returncode == 130, (victim.returncode, out, err)
+        assert "Traceback" not in err, err
+        assert "interrupted" in err
+        store = SqliteStore(db)
+        rows = store.lease_rows("chaos")
+        assert rows and not [row for row in rows if row.state == "leased"]
+        store.close()

@@ -33,9 +33,9 @@ from repro.dram.address import AddressMapper
 from repro.obs import PipelineProfiler
 from repro.scenarios import family_by_name
 from repro.sim.batch import BatchedSimulator, engine_class
-from repro.sim.experiment import run_workload
+from repro.sim.experiment import build_core_specs_from_plan, run_workload
 from repro.sim.sweep import CoreAssignment, ScenarioSpec, SweepRunner
-from repro.trackers.registry import available_trackers
+from repro.trackers.registry import available_trackers, create_tracker
 
 
 REQUESTS = 400
@@ -179,6 +179,72 @@ def _write_hammer_trace(path, org):
                 )
             )
     write_trace(path, entries)
+
+
+def _write_shared_set_trace(path, num_sets):
+    """12 lines in each of 32 LLC sets, 25% writes, gaps far above the hit
+    latency: all 384 lines fit the LLC, so after warm-up every access hits,
+    and each set's LRU order records the order of its lines' last accesses."""
+    rng = random.Random(5)
+    lines = [
+        tag * num_sets + set_index
+        for set_index in rng.sample(range(num_sets), 32)
+        for tag in rng.sample(range(16), 12)
+    ]
+    write_trace(
+        path,
+        [
+            TraceEntry(
+                gap_instructions=rng.randint(2_500, 7_500),
+                address=64 * rng.choice(lines),
+                is_write=rng.random() < 0.25,
+            )
+            for _ in range(16_384)
+        ],
+    )
+
+
+def _write_block_edge_trace(path, num_sets):
+    """A 5,003-entry hot-set trace, so its period does not divide a block.
+
+    Two stretches of 200 entries cycle 20 lines of one set, which thrash its
+    16 ways, so nearly every access of theirs misses.  They split each
+    period into two long all-hit runs: the first holds two gaps below the
+    LLC hit latency, the second none.
+    """
+    rng = random.Random(3)
+    hot = [(1 << 14) + rng.randrange(1 << 10) for _ in range(256)]
+    thrash = [(1 << 14) + 5 + num_sets * k for k in range(20)]
+    entries = []
+    for position in range(5_003):
+        if 2_400 <= position < 2_600 or position >= 4_803:
+            line = thrash[position % len(thrash)]
+        else:
+            line = rng.choice(hot)
+        entries.append(
+            TraceEntry(
+                gap_instructions=(
+                    50 if position in (1_000, 1_500)
+                    else rng.randint(2_500, 7_500)
+                ),
+                address=64 * line,
+                is_write=rng.random() < 0.25,
+            )
+        )
+    write_trace(path, entries)
+
+
+def _simulate(plan, config, requests, engine):
+    """Run a core plan; returns the result and the final LLC state (every
+    set's tags in LRU order, with their dirty bits)."""
+    simulator = engine_class(engine)(
+        config,
+        create_tracker("graphene", config),
+        build_core_specs_from_plan(config, plan, requests, config.seed),
+        llc_warmup_accesses=LLC_WARMUP,
+    )
+    result = _canon(simulator.run())
+    return result, [list(cache_set.items()) for cache_set in simulator.llc._sets]
 
 
 def _built(domain_sizes):
@@ -384,6 +450,46 @@ class TestQuiescentFastPath:
         assert _run("graphene", "batched", **kwargs) == _run(
             "graphene", "scalar", **kwargs
         )
+        assert len(residency_builds) == (1 if batch_mod._np is not None else 0)
+
+    def test_all_hit_stretch_leaves_the_scalar_llc_state(
+        self, tmp_path, residency_builds
+    ):
+        # Every access hits, so the results alone cannot tell a wrong LRU
+        # order apart: the executor must leave each set's tag order and
+        # dirty bits exactly as the scalar engine's one move per access.
+        config = reduced_row_config(nrh=500)
+        path = tmp_path / "shared-sets.trace"
+        _write_shared_set_trace(path, config.llc.num_sets)
+        plan = (
+            CoreAssignment(role="trace", trace=str(path)),
+            CoreAssignment(role="idle"),
+        )
+        result, llc = _simulate(plan, config, 400_000, "batched")
+        reference, reference_llc = _simulate(plan, config, 400_000, "scalar")
+        assert result == reference
+        assert result["llc_stats"]["misses"] == 0
+        assert llc == reference_llc
+        assert sum(len(cache_set) > 1 for cache_set in llc) == 32
+        assert len(residency_builds) == (1 if batch_mod._np is not None else 0)
+
+    def test_block_edges_match(self, tmp_path, residency_builds):
+        # The trace wraps mid-block, low gaps force the per-entry lists
+        # inside long hit runs, the thrashed set sends the gallop back to
+        # its first probe, and the budget ends inside a thrashing stretch
+        # (at entry 4,903, after the 5,000-entry warm-up), so it cuts the
+        # last probe short.
+        config = _small_llc(64 * 1024)
+        path = tmp_path / "block-edges.trace"
+        _write_block_edge_trace(path, config.llc.num_sets)
+        plan = (
+            CoreAssignment(role="trace", trace=str(path)),
+            CoreAssignment(role="idle"),
+        )
+        requests = 12 * 5_003 - 97
+        result, llc = _simulate(plan, config, requests, "batched")
+        assert (result, llc) == _simulate(plan, config, requests, "scalar")
+        assert result["llc_stats"]["misses"] > 2_000
         assert len(residency_builds) == (1 if batch_mod._np is not None else 0)
 
     def test_short_quiescent_tail_skips_the_bitmap(self, residency_builds):

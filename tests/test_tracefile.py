@@ -1,7 +1,9 @@
 """Tests for trace-file reading, writing, recording and replay."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.cpu.tracefile as tracefile_mod
 from repro.config import baseline_config, reduced_row_config
 from repro.cpu.trace import TraceEntry, WorkloadTraceGenerator
 from repro.cpu.tracefile import (
@@ -111,6 +113,46 @@ class TestFileTraceGenerator:
     def test_llc_bypass_flag_is_configurable(self, sample_entries):
         assert FileTraceGenerator(sample_entries).bypasses_llc is False
         assert FileTraceGenerator(sample_entries, bypasses_llc=True).bypasses_llc
+
+
+@pytest.mark.skipif(tracefile_mod._np is None, reason="needs numpy")
+class TestArrayHook:
+    """``next_arrays`` is ``next_batch`` as numpy arrays over one cursor."""
+
+    @given(
+        length=st.integers(min_value=1, max_value=40),
+        counts=st.lists(st.integers(min_value=0, max_value=100), max_size=12),
+        loop=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_next_batch(self, length, counts, loop, seed):
+        np = tracefile_mod._np
+        rng = np.random.default_rng(seed)
+        entries = [
+            TraceEntry(int(gap), int(address), bool(write))
+            for gap, address, write in zip(
+                rng.integers(0, 10_000, length),
+                rng.integers(0, 1 << 34, length),
+                rng.random(length) < 0.3,
+            )
+        ]
+        lists = FileTraceGenerator(entries, loop=loop)
+        arrays = FileTraceGenerator(entries, loop=loop)
+        for count in counts:
+            try:
+                expected = lists.next_batch(count)
+            except StopIteration:
+                with pytest.raises(StopIteration):
+                    arrays.next_arrays(count)
+                assert arrays._cursor == lists._cursor
+                assert arrays.replays == lists.replays
+                return
+            got = arrays.next_arrays(count)
+            assert [a.dtype for a in got] == [np.int64, np.int64, np.bool_]
+            assert tuple(a.tolist() for a in got) == expected
+            assert arrays._cursor == lists._cursor
+            assert arrays.replays == lists.replays
 
 
 class TestRecording:

@@ -12,7 +12,8 @@ trajectory:
 ``serial``
     The same cold single-process execution on the default batched engine.
     The two serial modes must produce bit-identical results; the benchmark
-    asserts this on every run.
+    asserts this on every run.  Both are timed ``TIMED_RUNS`` times,
+    alternating, and report the median (every run's time is listed too).
 ``pool``
     Cold execution fanned out over ``--jobs`` worker processes, filling the
     SQLite warehouse as results land.
@@ -26,9 +27,11 @@ Usage::
 
 With ``--baseline committed.json`` the run additionally gates against a
 committed report: the run fails if the batched engine's serial-mode speedup
-over the scalar reference regressed by more than ``--max-regression``
-(default 25%).  The speedup ratio is used rather than raw seconds so the
-gate is insensitive to how fast the machine running the check happens to be.
+over the scalar reference, or the fast engine's speedup on the long-horizon
+case, regressed by more than ``--max-regression`` (default 25%).  The
+speedup ratio is used rather than raw seconds so the gate is insensitive to
+how fast the machine running the check happens to be, and it is a ratio of
+median times so that one slow run on a busy host cannot fail it.
 
 The reference suite is intentionally small enough for CI while still
 exercising baseline dedup, the process pool, and both attack and benign
@@ -40,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -48,10 +52,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.scenarios import family_by_name                    # noqa: E402
+from repro.sim.batch import _WARM_CACHE                       # noqa: E402
 from repro.sim.sweep import CODE_VERSION, SweepRunner         # noqa: E402
 from repro.store import SqliteStore                           # noqa: E402
 
 _ENGINE_ENV = "REPRO_SIM_ENGINE"
+
+#: Timed runs per engine in the gated comparisons.
+TIMED_RUNS = 3
 
 
 def reference_specs(requests_per_core: int):
@@ -93,6 +101,31 @@ def _run_mode(specs, runner: SweepRunner, engine: str | None = None) -> tuple[di
     }, outcomes
 
 
+def _engine_modes(specs, runs: int) -> tuple[dict, dict]:
+    """Cold serial runs of ``specs`` on the scalar and batched engines.
+
+    The engines alternate for ``runs`` rounds, each run on a fresh runner
+    and an empty LLC warm-up memo, as a first run in a process would be.
+    Returns each engine's mode report, whose ``elapsed_seconds`` is the
+    median over its runs (``elapsed_runs`` lists them), and each engine's
+    last outcomes.
+    """
+    times: dict[str, list[float]] = {"scalar": [], "batched": []}
+    modes: dict[str, dict] = {}
+    outcomes: dict[str, list] = {}
+    for _ in range(runs):
+        for engine in times:
+            _WARM_CACHE.clear()
+            modes[engine], outcomes[engine] = _run_mode(
+                specs, SweepRunner(jobs=1), engine=engine
+            )
+            times[engine].append(modes[engine]["elapsed_seconds"])
+    for engine, mode in modes.items():
+        mode["elapsed_seconds"] = statistics.median(times[engine])
+        mode["elapsed_runs"] = times[engine]
+    return modes, outcomes
+
+
 def _profile_stages(specs) -> dict[str, float]:
     """Per-stage wall time of one representative profiled simulation.
 
@@ -115,15 +148,16 @@ def _profile_stages(specs) -> dict[str, float]:
     }
 
 
-def _longhorizon_case(tmp: Path, requests: int) -> dict:
+def _longhorizon_case(tmp: Path, requests: int, runs: int) -> dict:
     """Idle-heavy long-horizon case: the fast engine vs the scalar reference.
 
     Replays a hot-set trace (256 distinct lines, inter-access gaps far above
     the LLC hit latency) for ``requests`` accesses on one core next to idle
     cores -- the shape the fast engine's quiescent stretch executor exists
     for.  Both engines run the same spec (the fast one under its ``event``
-    name, which the report's ``event_*`` fields keep); the case records
-    their wall-clock and asserts bit-identical results.
+    name, which the report's ``event_*`` fields keep), alternating for
+    ``runs`` rounds from an empty LLC warm-up memo; the case records their
+    median wall-clock (and every run's) and asserts bit-identical results.
     """
     import random
 
@@ -155,19 +189,31 @@ def _longhorizon_case(tmp: Path, requests: int) -> dict:
     )[0]
 
     def _one(engine: str):
+        _WARM_CACHE.clear()
         started = time.perf_counter()
         result = spec.run(engine=engine)
         return time.perf_counter() - started, result
 
-    scalar_seconds, scalar_result = _one("scalar")
-    event_seconds, event_result = _one("event")
+    scalar_runs: list[float] = []
+    event_runs: list[float] = []
+    parity = True
+    for _ in range(runs):
+        seconds, scalar_result = _one("scalar")
+        scalar_runs.append(seconds)
+        seconds, event_result = _one("event")
+        event_runs.append(seconds)
+        parity = parity and scalar_result.to_dict() == event_result.to_dict()
+    scalar_seconds = statistics.median(scalar_runs)
+    event_seconds = statistics.median(event_runs)
     return {
         "scenario": "trace-replay (hot-set, idle-heavy)",
         "trace_entries": len(entries),
         "requests_per_core": requests,
         "scalar_seconds": scalar_seconds,
         "event_seconds": event_seconds,
-        "parity": scalar_result.to_dict() == event_result.to_dict(),
+        "scalar_runs": scalar_runs,
+        "event_runs": event_runs,
+        "parity": parity,
         "speedup": (
             scalar_seconds / event_seconds if event_seconds > 0 else None
         ),
@@ -271,21 +317,18 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         store_path = Path(args.store) if args.store else Path(tmp) / "wh.sqlite"
 
-        scalar_serial, scalar_outcomes = _run_mode(
-            specs, SweepRunner(jobs=1), engine="scalar"
-        )
-        print(f"scalar serial: {scalar_serial['elapsed_seconds']:.1f}s "
-              f"({scalar_serial['cache_misses']} simulations)")
-
-        serial, batched_outcomes = _run_mode(
-            specs, SweepRunner(jobs=1), engine="batched"
-        )
-        print(f"serial: {serial['elapsed_seconds']:.1f}s "
-              f"({serial['cache_misses']} simulations)")
+        modes, outcomes = _engine_modes(specs, TIMED_RUNS)
+        scalar_serial, serial = modes["scalar"], modes["batched"]
+        for label, mode in (("scalar serial", scalar_serial), ("serial", serial)):
+            runs = ", ".join(f"{t:.1f}" for t in mode["elapsed_runs"])
+            print(f"{label}: median {mode['elapsed_seconds']:.1f}s of "
+                  f"{runs} ({mode['cache_misses']} simulations)")
 
         mismatched = [
             outcome.spec.tracker
-            for outcome, reference in zip(batched_outcomes, scalar_outcomes)
+            for outcome, reference in zip(
+                outcomes["batched"], outcomes["scalar"]
+            )
             if outcome.result.to_dict() != reference.result.to_dict()
         ]
         if mismatched:
@@ -317,7 +360,7 @@ def main(argv=None) -> int:
         ))
 
         longhorizon = _longhorizon_case(
-            Path(tmp), args.longhorizon_requests
+            Path(tmp), args.longhorizon_requests, TIMED_RUNS
         )
         if not longhorizon["parity"]:
             print(
@@ -327,8 +370,8 @@ def main(argv=None) -> int:
             )
             return 1
         print(
-            f"long horizon: scalar {longhorizon['scalar_seconds']:.1f}s, "
-            f"event {longhorizon['event_seconds']:.1f}s "
+            f"long horizon: median scalar {longhorizon['scalar_seconds']:.1f}s, "
+            f"event {longhorizon['event_seconds']:.2f}s "
             f"({longhorizon['speedup']:.1f}x)"
         )
 
