@@ -24,6 +24,15 @@ from repro.config import DRAMOrganization
 from repro.crypto.prng import XorShift64
 from repro.dram.address import AddressMapper
 
+try:  # numpy builds whole trace blocks; everything works without it.
+    import numpy as _np
+except ImportError:  # pragma: no cover - the CI image ships numpy
+    _np = None
+
+#: ``next_float``'s divisor, and its largest output.
+_TWO53 = float(1 << 53)
+_MAX_FLOAT = ((1 << 53) - 1) / _TWO53
+
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -176,9 +185,12 @@ class WorkloadTraceGenerator:
 
         Bit-identical to ``count`` calls of :meth:`next_entry` (same RNG
         consumption order, same addresses/gaps/write flags, same generator
-        state afterwards), but runs as one tight loop over a pregenerated RNG
-        block instead of per-entry method calls and object construction.
+        state afterwards).  With numpy it is :meth:`next_arrays` as lists;
+        without, one tight loop over a pregenerated RNG block.
         """
+        if _np is not None:
+            gaps, addresses, writes = self.next_arrays(count)
+            return gaps.tolist(), addresses.tolist(), writes.tolist()
         # Worst case per entry: reuse float + jump draw + run-length float +
         # write float + jitter draw.  Over-reserving is free: unconsumed
         # outputs stay buffered in the RNG for later calls.
@@ -186,7 +198,7 @@ class WorkloadTraceGenerator:
         locality = self.profile.row_locality
         worst = 3 + (1 if reuse else 0) + (1 if 0.0 < locality < 1.0 else 0)
         block, start = self._rng.reserve(count * worst)
-        segment = block[start:start + count * worst]
+        buf = block[start:start + count * worst]
         pos = 0
 
         line_size = self.org.line_size_bytes
@@ -200,18 +212,11 @@ class WorkloadTraceGenerator:
         hot = self._hot_lines
         write_fraction = self.profile.write_fraction
         mean_run = locality / (1.0 - locality) if 0.0 < locality < 1.0 else 0.0
-        two53 = float(1 << 53)
 
         # Each draw position is read either as a float or as a modulus, so
-        # the float view of the whole segment can be precomputed vectorized;
-        # it matches next_float bit-for-bit ((u >> 11) / 2**53 in both paths).
-        # Moduli stay scalar: their values are branch-dependent and cheap.
-        if isinstance(segment, list):
-            buf = segment
-            floats = [(value >> 11) / two53 for value in segment]
-        else:
-            buf = segment.tolist()
-            floats = ((segment >> 11) / two53).tolist()
+        # the float view of the whole block is precomputed; it matches
+        # next_float bit-for-bit ((u >> 11) / 2**53 in both paths).
+        floats = [(value >> 11) / _TWO53 for value in buf]
 
         cur = self._current_line
         run = self._run_remaining
@@ -255,6 +260,156 @@ class WorkloadTraceGenerator:
         self._run_remaining = run
         self._rng.consume(pos)
         return gaps, addresses, writes
+
+    def next_arrays(self, count: int):
+        """Next ``count`` entries as numpy arrays ``(gaps, addresses,
+        writes)`` of dtypes int64, int64 and bool.
+
+        Bit-identical to ``count`` calls of :meth:`next_entry`, the
+        generator's and the RNG's state afterwards included.  An entry
+        inside a sequential run draws two outputs (write float, gap jitter);
+        a jump first draws ``lead`` more: a reuse float when the profile has
+        a hot region, its target, and a run-length float when locality is
+        fractional.  So each jump's run length fixes where the next jump's
+        draws start.  One Python loop steps over the jumps only, through a
+        table of every draw position's successor (plain arithmetic when the
+        run length cannot vary); numpy then gathers each entry's line, write
+        flag and gap from the reserved draws.
+        """
+        np = _np
+        if count <= 0:
+            return (
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=bool),
+            )
+        reuse = self._reuse_fraction
+        locality = self.profile.row_locality
+        lines_per_row = self._lines_per_row
+        footprint = self._footprint_lines
+        base = self._base_line
+        drawn_run = 0.0 < locality < 1.0
+        lead = (1 if reuse else 0) + 1 + (1 if drawn_run else 0)
+        if locality >= 1.0:
+            shortest = longest = lines_per_row
+        elif locality <= 0.0:
+            shortest = longest = 0
+        else:
+            mean_run = locality / (1.0 - locality)
+            shortest = min(lines_per_row, 1)
+            longest = min(lines_per_row, 1 + int(_MAX_FLOAT * 2 * mean_run))
+
+        # The entries left in the current run come first; every later jump
+        # but the last is followed by at least ``shortest`` run entries,
+        # which bounds the draws the block can need.
+        head = min(self._run_remaining, count)
+        most_jumps = -(-(count - head) // (1 + shortest))
+        need = 2 * count + lead * most_jumps
+        block, start = self._rng.reserve(need)
+        draws = block[start:start + need]
+
+        # The jumps' first draw positions and run lengths.  Before jump k
+        # come 2 draws per entry and ``lead`` per earlier jump, so a jump
+        # drawing from position p is entry (p - lead * k) / 2.
+        if shortest == longest:
+            jumps = np.arange(most_jumps, dtype=np.int64)
+            jumps *= lead + 2 + 2 * shortest
+            jumps += 2 * head
+            last_run = shortest
+        else:
+            # runs[p]: run length of a jump drawing from position p, whose
+            # run-length float is draw p + lead - 1 (same IEEE operations
+            # as next_entry: (f * 2) * mean_run, truncated).
+            runs = (draws[lead - 1:] >> 11) / _TWO53 * 2 * mean_run
+            runs = np.minimum(runs.astype(np.int64) + 1, lines_per_row)
+            successor = memoryview(
+                runs * 2 + np.arange(lead + 2, lead + 2 + runs.shape[0])
+            )
+            positions = []
+            append = positions.append
+            p = 2 * head
+            bound = 2 * count
+            while p < bound:
+                append(p)
+                p = successor[p]
+                bound += lead
+            jumps = np.array(positions, dtype=np.int64)
+            last_run = int(runs[positions[-1]]) if positions else 0
+        at = (jumps - lead * np.arange(jumps.shape[0])) // 2
+
+        if reuse:
+            hot = (draws[jumps] >> 11) / _TWO53 < reuse
+            targets = draws[jumps + 1]
+            offsets = np.where(
+                hot,
+                targets % np.uint64(self._hot_lines),
+                targets % np.uint64(footprint),
+            )
+        else:
+            offsets = draws[jumps] % np.uint64(footprint)
+
+        # seen[i]: jumps at or before entry i, so entry i's write float is
+        # draw 2i + lead * seen[i] and its jitter the draw after.  A run
+        # walks on from its origin line, wrapping around the footprint.
+        index = np.arange(count, dtype=np.int64)
+        seen = np.zeros(count, dtype=np.int64)
+        seen[at] = 1
+        np.cumsum(seen, out=seen)
+        origin = np.empty(jumps.shape[0] + 1, dtype=np.int64)
+        origin[0] = self._current_line - base + 1
+        origin[1:] = offsets.astype(np.int64) - at
+        lines = (origin[seen] + index) % footprint + base
+        written = 2 * index + lead * seen
+        writes = (draws[written] >> 11) / _TWO53 < self.profile.write_fraction
+        mean_gap = self._mean_gap
+        jitter = draws[written + 1] % np.uint64(max(1, mean_gap // 2) * 2 + 1)
+        # mean_gap >= 1, so every gap is at least 1 without a clamp.
+        gaps = jitter.astype(np.int64) + (mean_gap - mean_gap // 2)
+
+        self._current_line = int(lines[-1])
+        if at.shape[0]:
+            self._run_remaining = last_run - (count - 1 - int(at[-1]))
+        else:
+            self._run_remaining -= count
+        self._rng.consume(int(written[-1]) + 2)
+        return gaps, lines * self.org.line_size_bytes, writes
+
+    def state_fingerprint(self) -> tuple:
+        """Compact state fingerprint for the warm-up memo (see
+        :func:`repro.sim.batch._state_fingerprint`): every value
+        :meth:`next_entry` and :meth:`next_arrays` read, instead of a
+        recursion through the profile, the DRAM organisation and the
+        address mapper."""
+        profile = self.profile
+        return (
+            "workload-trace",
+            profile.row_locality,
+            profile.write_fraction,
+            self.org.line_size_bytes,
+            self._footprint_lines,
+            self._base_line,
+            self._lines_per_row,
+            self._mean_gap,
+            self._reuse_fraction,
+            self._hot_lines,
+            self._current_line,
+            self._run_remaining,
+            self._rng.state_fingerprint(),
+        )
+
+    def state_snapshot(self) -> tuple:
+        """Mutable state only (see :func:`repro.sim.batch._generator_snapshot`):
+        the cursor and the RNG's state; everything else is fixed at
+        construction."""
+        return (
+            self._current_line,
+            self._run_remaining,
+            self._rng.state_snapshot(),
+        )
+
+    def state_restore(self, state: tuple) -> None:
+        self._current_line, self._run_remaining, rng_state = state
+        self._rng.state_restore(rng_state)
 
 
 class WorkloadProfileLike(Protocol):

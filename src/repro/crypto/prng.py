@@ -100,10 +100,12 @@ def _jump_tables():
 def _jump(lanes):
     """Advance every lane by ``_LANES`` xorshift64 steps."""
     tables = _jump_tables()
-    low_byte = _np.uint64(0xFF)
-    advanced = tables[0][lanes & low_byte]
+    # planes[b]: byte b of every lane, one contiguous row per byte.
+    octets = lanes.astype("<u8", copy=False).view(_np.uint8)
+    planes = octets.reshape(-1, 8).T.copy()
+    advanced = tables[0].take(planes[0])
     for byte in range(1, 8):
-        advanced ^= tables[byte][(lanes >> _np.uint64(8 * byte)) & low_byte]
+        advanced ^= tables[byte].take(planes[byte])
     return advanced
 
 
@@ -181,6 +183,8 @@ class XorShift64:
         """
         block = self._block
         pos = self._block_pos
+        if block is None and count <= 0:
+            return ([] if _np is None else _np.empty(0, dtype=_np.uint64)), 0
         remaining = (len(block) - pos) if block is not None else 0
         if remaining >= count:
             return block, pos
@@ -204,10 +208,38 @@ class XorShift64:
         self._block_pos += count
 
     def take(self, count: int):
-        """Return (and consume) the next ``count`` outputs as one block."""
+        """Return (and consume) the next ``count`` outputs as one block (a
+        view of the buffer, so never write into it)."""
         block, pos = self.reserve(count)
         self._block_pos = pos + count
         return block[pos:pos + count]
+
+    # -- warm-up memo protocol ----------------------------------------------
+
+    def state_fingerprint(self) -> tuple:
+        """Hashable fingerprint of the stream still to come: equal
+        fingerprints emit equal outputs from here on (the state plus the
+        buffered outputs not yet emitted; the lanes only change speed)."""
+        block = self._block
+        if block is None:
+            pending = ()
+        elif isinstance(block, list):
+            pending = tuple(block[self._block_pos:])
+        else:
+            pending = block[self._block_pos:].tobytes()
+        return ("rng", self._state, pending)
+
+    def state_snapshot(self) -> tuple:
+        """The generator's state, sharing its buffered block and lanes.
+
+        Sharing is safe because neither array is ever written in place:
+        :meth:`reserve` and the block generators build new arrays and
+        rebind them, and :meth:`consume` only moves the cursor.
+        """
+        return (self._state, self._block, self._block_pos, self._lanes)
+
+    def state_restore(self, state: tuple) -> None:
+        self._state, self._block, self._block_pos, self._lanes = state
 
     def _generate(self, count: int):
         """Generate the next ``count``-or-more outputs, advancing ``_state``."""

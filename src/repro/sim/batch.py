@@ -5,10 +5,13 @@
 :class:`~repro.sim.simulator.SimulationResult` objects while restructuring
 the per-request hot path around batches:
 
-* request generation is prefetched in blocks through
-  :func:`repro.cpu.trace.generator_batch` (workload traces run their
-  ``next_batch`` over a pregenerated RNG block; sequence-cycling and
-  streaming attacks have closed-form ``next_batch`` methods);
+* request generation is prefetched in blocks.  Workload traces and trace
+  files hand each block over as numpy arrays through their ``next_arrays``
+  hook (a workload trace builds it from a pregenerated RNG block), and one
+  array refill serves both the per-request loop and the stretch executor;
+  other generators go through :func:`repro.cpu.trace.generator_batch`
+  (sequence-cycling and streaming attacks have closed-form ``next_batch``
+  methods);
 * address decode runs vectorized over each prefetched block
   (:meth:`repro.dram.address.AddressMapper.decode_batch`), so the event loop
   works in predecoded flat coordinates and only reconstructs
@@ -26,8 +29,8 @@ the per-request hot path around batches:
 * once the heap goes *quiescent* -- a single budgeted core remains, so no
   inter-core interleaving decision can ever be needed again -- a vectorized
   stretch executor takes over.  It refills in blocks of
-  :data:`_FAST_BATCH` entries held as numpy arrays (trace files hand them
-  over through ``FileTraceGenerator.next_arrays``), and a residency bitmap
+  :data:`_FAST_BATCH` entries held as numpy arrays (from the generator's
+  ``next_arrays`` hook), and a residency bitmap
   over the core's line domain classifies them: probes gallop from
   :data:`_FIRST_PROBE` entries, doubling while every probed line is
   LLC-resident, and the leading resident run -- provably all hits --
@@ -85,7 +88,6 @@ from time import perf_counter
 
 from repro.cpu.trace import WorkloadTraceGenerator, generator_batch
 from repro.cpu.tracefile import FileTraceGenerator
-from repro.crypto.prng import XorShift64
 from repro.sim.events.events import BankActivate, RequestComplete
 from repro.sim.simulator import Simulator
 
@@ -119,20 +121,14 @@ def _state_fingerprint(value, depth: int = 0):
     repr merely misses the cache, it can never produce a wrong hit.
 
     Objects may opt out of attribute recursion by providing their own
-    ``state_fingerprint()`` (file-backed trace generators hash their entry
-    list once instead of reproducing it attribute by attribute).
+    ``state_fingerprint()``: workload traces list the values they read,
+    file-backed traces hash their entry list once instead of reproducing it
+    attribute by attribute, and :class:`~repro.crypto.prng.XorShift64`
+    covers the outputs it has buffered.
     """
     custom = getattr(value, "state_fingerprint", None)
     if custom is not None and callable(custom):
         return custom()
-    if isinstance(value, XorShift64):
-        block = value._block
-        return (
-            "rng",
-            value._state,
-            value._block_pos,
-            None if block is None else tuple(int(v) for v in block),
-        )
     if isinstance(value, (bool, int, float, str, bytes, type(None))):
         return value
     if isinstance(value, (list, tuple)):
@@ -161,8 +157,9 @@ def _generator_snapshot(generator):
 
     Generators may expose ``state_snapshot``/``state_restore`` to avoid the
     default deep copy of their whole ``__dict__`` -- trace replay carries
-    thousands of immutable entries but only a cursor's worth of mutable
-    state.
+    thousands of immutable entries, and a workload trace its profile, DRAM
+    organisation and address mapper, but each only a cursor's worth of
+    mutable state (plus, for a workload trace, its RNG's).
     """
     snapshot = getattr(generator, "state_snapshot", None)
     if snapshot is not None and callable(snapshot):
@@ -176,6 +173,14 @@ def _generator_snapshot(generator):
 #: depend on the tracker at all, so most scenarios replay a cached warm-up.
 _WARM_CACHE: dict = {}
 _WARM_CACHE_MAX = 8
+
+
+def _array_hook(generator):
+    """The generator's ``next_arrays`` block hook, or ``None`` when it has
+    none or numpy is unavailable."""
+    if _np is None:
+        return None
+    return getattr(generator, "next_arrays", None)
 
 
 def _line_domain(generator, line_size: int) -> tuple[int, int]:
@@ -213,18 +218,20 @@ class _CoreFeed:
     the next block from the core's generator.  Budgeted cores never prefetch
     past their remaining request budget.
 
-    Once the stretch executor engages for this core (:meth:`activate_fast`),
-    blocks grow to :data:`_FAST_BATCH` entries and arrive as numpy arrays:
-    ``gaps_np``, ``addresses_np``, ``writes_np``, the precomputed issue
-    deltas ``gap_ns_np`` and ``offsets_np``, each entry's line relative to
-    the residency bitmap's domain.  The per-entry lists are then built only
-    when the per-request path first needs them (:meth:`materialise`); DRAM
-    coordinates are not predecoded, so misses decode through
-    ``controller.service``.
+    A generator with a ``next_arrays`` hook (workload traces and trace
+    files, with numpy) hands every block over as numpy arrays: ``gaps_np``,
+    ``addresses_np``, ``writes_np``, the precomputed issue deltas
+    ``gap_ns_np`` and ``offsets_np``, each entry's line relative to the
+    residency bitmap's domain.  The per-request loop reads the lists built
+    from them; the stretch executor needs the hook, and once it engages for
+    this core (:meth:`activate_fast`) blocks grow to :data:`_FAST_BATCH`
+    entries whose lists are built only when the per-request path first
+    needs them (:meth:`materialise`).  DRAM coordinates are then not
+    predecoded, so misses decode through ``controller.service``.
     """
 
     __slots__ = (
-        "core", "generator", "bypasses_llc", "mapper",
+        "core", "generator", "next_arrays", "bypasses_llc", "mapper",
         "ranks_per_channel", "line_size", "num_sets", "batch",
         "gaps", "addresses", "writes",
         "rows", "flat_banks", "rank_idx", "channels",
@@ -236,6 +243,7 @@ class _CoreFeed:
     def __init__(self, core, mapper, config, batch: int):
         self.core = core
         self.generator = core.generator
+        self.next_arrays = _array_hook(core.generator)
         self.bypasses_llc = core.generator.bypasses_llc
         self.mapper = mapper
         self.ranks_per_channel = config.dram.ranks_per_channel
@@ -247,8 +255,10 @@ class _CoreFeed:
         self.set_idx = self.tags = None
         self.size = 0
         self.idx = 0
-        self.dom_base, self.dom_size = _line_domain(
-            core.generator, self.line_size
+        self.dom_base, self.dom_size = (
+            _line_domain(core.generator, self.line_size)
+            if self.next_arrays is not None
+            else (0, 0)
         )
         self.fast_active = False
         self.peak = core.config.peak_instructions_per_ns
@@ -261,30 +271,25 @@ class _CoreFeed:
         budget = core.request_budget
         if budget is not None:
             count = min(count, budget - core.requests_issued)
-        if self.fast_active:
-            self._refill_arrays(count)
-            self.size = count
-            self.idx = 0
+        self.size = count
+        self.idx = 0
+        if self.next_arrays is None:
+            self._refill_lists(count)
             return
+        self._set_arrays(*self.next_arrays(count))
+        if not self.fast_active:
+            self.materialise()
+            self._decode(self.addresses_np)
+
+    def _refill_lists(self, count: int) -> None:
+        """Refill from a generator without the array hook, or without
+        numpy: the block arrives as lists."""
         gaps, addresses, writes = generator_batch(self.generator, count)
         self.gaps = gaps
         self.addresses = addresses
         self.writes = writes
-        self.size = count
-        self.idx = 0
         if self.bypasses_llc or _np is not None:
-            ch, rk, _, _, rows, _, flat = self.mapper.decode_batch(addresses)
-            if _np is not None:
-                self.channels = ch.tolist()
-                self.rank_idx = (ch * self.ranks_per_channel + rk).tolist()
-                self.rows = rows.tolist()
-                self.flat_banks = flat.tolist()
-            else:
-                rpc = self.ranks_per_channel
-                self.channels = ch
-                self.rank_idx = [c * rpc + r for c, r in zip(ch, rk)]
-                self.rows = rows
-                self.flat_banks = flat
+            self._decode(addresses)
         else:
             # Without numpy, predecoding every entry of a hit-dominated core
             # costs more than it saves; misses decode lazily via service().
@@ -301,29 +306,26 @@ class _CoreFeed:
                 self.set_idx = [line % num_sets for line in lines]
                 self.tags = [line // num_sets for line in lines]
 
-    def _refill_arrays(self, count: int) -> None:
-        """The stretch executor's refill: the block as numpy arrays, fetched
-        through the generator's ``next_arrays`` hook when it has one."""
-        self.rows = self.flat_banks = self.rank_idx = self.channels = None
-        self.set_idx = self.tags = None
-        hook = getattr(self.generator, "next_arrays", None)
-        if hook is None:
-            self.gaps, self.addresses, self.writes = generator_batch(
-                self.generator, count
-            )
-            self._arrays_from_lists()
-            return
-        self.gaps = self.addresses = self.writes = None
-        self._set_arrays(*hook(count))
-
-    def _arrays_from_lists(self) -> None:
-        self._set_arrays(
-            _np.asarray(self.gaps, dtype=_np.int64),
-            _np.asarray(self.addresses, dtype=_np.int64),
-            _np.asarray(self.writes, dtype=bool),
-        )
+    def _decode(self, addresses) -> None:
+        """Predecode the block's DRAM coordinates into lists."""
+        ch, rk, _, _, rows, _, flat = self.mapper.decode_batch(addresses)
+        if _np is not None:
+            self.channels = ch.tolist()
+            self.rank_idx = (ch * self.ranks_per_channel + rk).tolist()
+            self.rows = rows.tolist()
+            self.flat_banks = flat.tolist()
+        else:
+            rpc = self.ranks_per_channel
+            self.channels = ch
+            self.rank_idx = [c * rpc + r for c, r in zip(ch, rk)]
+            self.rows = rows
+            self.flat_banks = flat
 
     def _set_arrays(self, gaps, addresses, writes) -> None:
+        """Take a block from the array hook; its lists are built later."""
+        self.gaps = self.addresses = self.writes = None
+        self.rows = self.flat_banks = self.rank_idx = self.channels = None
+        self.set_idx = self.tags = None
         self.gaps_np = gaps
         self.addresses_np = addresses
         self.writes_np = writes
@@ -334,21 +336,18 @@ class _CoreFeed:
 
     def materialise(self) -> None:
         """Build the current block's per-entry lists from its arrays."""
-        if self.gaps is None:
-            self.gaps = self.gaps_np.tolist()
-            self.addresses = self.addresses_np.tolist()
-            self.writes = self.writes_np.tolist()
+        self.gaps = self.gaps_np.tolist()
+        self.addresses = self.addresses_np.tolist()
+        self.writes = self.writes_np.tolist()
         lines = self.offsets_np + self.dom_base
         self.set_idx = (lines % self.num_sets).tolist()
         self.tags = (lines // self.num_sets).tolist()
 
     def activate_fast(self) -> None:
-        """Switch to the stretch executor's refill, covering the current
-        block too (whose lists stay)."""
+        """Switch to the stretch executor's refill; the current block came
+        from the array hook too, so its arrays and lists both stay."""
         self.fast_active = True
         self.batch = _FAST_BATCH
-        if self.gaps is not None:
-            self._arrays_from_lists()
 
 
 class BatchedSimulator(Simulator):
@@ -367,9 +366,10 @@ class BatchedSimulator(Simulator):
         The scalar warm-up plays entries round-robin through
         :meth:`SharedLLC.access` and then throws the statistics away; only
         the final tag/LRU/dirty state survives into measurement.  This
-        version batch-generates each core's entries and replays the same
-        round-robin interleaving against the set dictionaries directly,
-        skipping all statistics bookkeeping.
+        version batch-generates each core's entries (as arrays from the
+        ``next_arrays`` hook when the generator has one) and replays the
+        same round-robin interleaving against the set dictionaries
+        directly, skipping all statistics bookkeeping.
         """
         if self.llc_warmup_accesses <= 0:
             return
@@ -390,6 +390,9 @@ class BatchedSimulator(Simulator):
         cache_key = None
         if all(hasattr(core.generator, "__dict__") for core in warm_cores):
             cache_key = (
+                # Stored RNG buffers are numpy arrays when numpy is in use,
+                # which the pure-Python paths must not be handed.
+                _np is not None,
                 self.llc_warmup_accesses,
                 num_sets,
                 data_ways,
@@ -422,7 +425,11 @@ class BatchedSimulator(Simulator):
             remaining -= count
             batches = []
             for core in warm_cores:
-                _, addresses, writes = generator_batch(core.generator, count)
+                hook = _array_hook(core.generator)
+                if hook is not None:
+                    _, addresses, writes = hook(count)
+                else:
+                    _, addresses, writes = generator_batch(core.generator, count)
                 if not data_ways:
                     continue  # bypass LLC: generate (to advance the
                     # stream) but nothing to replay into an empty cache
@@ -430,6 +437,7 @@ class BatchedSimulator(Simulator):
                     lines = _np.asarray(addresses, dtype=_np.int64) // line_size
                     set_idx = lines % num_sets
                     tags = lines // num_sets
+                    writes = _np.asarray(writes, dtype=bool)
                 else:
                     set_idx = tags = None
                     lines = [address // line_size for address in addresses]
@@ -444,6 +452,9 @@ class BatchedSimulator(Simulator):
                 seq_tag = _np.stack(
                     [b[1] for b in batches], axis=1
                 ).ravel().tolist()
+                seq_write = _np.stack(
+                    [b[3] for b in batches], axis=1
+                ).ravel().tolist()
             else:
                 seq_set = [
                     line % num_sets
@@ -455,11 +466,11 @@ class BatchedSimulator(Simulator):
                     for group in zip(*(b[2] for b in batches))
                     for line in group
                 ]
-            seq_write = [
-                write
-                for group in zip(*(b[3] for b in batches))
-                for write in group
-            ]
+                seq_write = [
+                    write
+                    for group in zip(*(b[3] for b in batches))
+                    for write in group
+                ]
             for set_index, tag, write in zip(seq_set, seq_tag, seq_write):
                 cache_set = sets[set_index]
                 if tag in cache_set:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import repro
 from repro.config import baseline_config, reduced_row_config
 from repro.dram.address import AddressMapper
 
@@ -30,6 +33,34 @@ def mapper(config):
 @pytest.fixture
 def small_mapper(small_config):
     return AddressMapper(small_config.dram)
+
+
+def _numpy_modules() -> list:
+    """Every ``repro`` module that binds numpy as ``_np``.
+
+    Modules import numpy optionally as ``_np`` and fall back to pure Python
+    when it is ``None``; walking the package finds each one, including
+    modules that gain such a fallback later.
+    """
+    modules = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        if "_np" in vars(module):
+            modules.append(module)
+    return modules
+
+
+@pytest.fixture
+def no_numpy(monkeypatch):
+    """Run the test as if numpy were not installed: ``_np`` is ``None`` in
+    every ``repro`` module that has the optional import."""
+    modules = _numpy_modules()
+    assert modules, "no repro module binds _np"
+    for module in modules:
+        monkeypatch.setattr(module, "_np", None)
+    return modules
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
 """Tests for workload profiles, trace generation and the core model."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.cpu.trace as trace_mod
 from repro.config import CoreConfig, DRAMOrganization
 from repro.cpu.core import CoreModel
 from repro.cpu.trace import TraceEntry, WorkloadTraceGenerator
@@ -114,12 +117,119 @@ class TestTraceGenerator:
         assert sequential > 1000
 
     def test_zero_apki_rejected(self):
-        import dataclasses
-
         org = DRAMOrganization()
         broken = dataclasses.replace(get_workload("429.mcf"), apki=0.0)
         with pytest.raises(ValueError):
             WorkloadTraceGenerator(broken, org, AddressMapper(org), 0, 1)
+
+
+_LBM = get_workload("470.lbm")
+
+#: Every catalogued profile plus the edges of the run logic: no sequential
+#: runs, runs always a whole row, no hot region, and a footprint shorter
+#: than one DRAM row (128 lines), so a run wraps around it more than once.
+_PARITY_PROFILES = ALL_WORKLOADS + (
+    dataclasses.replace(_LBM, name="no-locality", row_locality=0.0),
+    dataclasses.replace(_LBM, name="full-locality", row_locality=1.0),
+    dataclasses.replace(_LBM, name="no-reuse", reuse_fraction=0.0),
+    dataclasses.replace(
+        _LBM, name="sub-row-footprint", row_locality=1.0,
+        footprint_bytes=40 * 64, hot_bytes=8 * 64,
+    ),
+    dataclasses.replace(
+        _LBM, name="sub-row-varied-runs", row_locality=0.97,
+        footprint_bytes=40 * 64,
+    ),
+)
+
+#: Block sizes in call order: one entry, a whole engine block, and small
+#: odd counts that end blocks inside sequential runs.
+_PARITY_COUNTS = (1, 4096, 3, 7, 2, 11, 1, 250, 5, 4096, 13)
+
+
+class TestBlockGeneration:
+    """``next_batch`` and ``next_arrays`` are ``count`` calls of
+    ``next_entry``: same entries, same generator and RNG state after."""
+
+    @staticmethod
+    def _generator(profile, core_id=1, seed=0xDA99E2):
+        org = DRAMOrganization()
+        return WorkloadTraceGenerator(
+            profile, org, AddressMapper(org), core_id, seed
+        )
+
+    @pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "no-numpy"])
+    @pytest.mark.parametrize(
+        "profile", _PARITY_PROFILES, ids=lambda profile: profile.name
+    )
+    def test_blocks_match_next_entry(self, profile, use_numpy, request):
+        if not use_numpy:
+            request.getfixturevalue("no_numpy")
+        elif trace_mod._np is None:
+            pytest.skip("numpy is not installed")
+        reference = self._generator(profile)
+        batched = self._generator(profile)
+        arrayed = self._generator(profile) if use_numpy else None
+        stopped_mid_run = False
+        for count in _PARITY_COUNTS:
+            expected = [reference.next_entry() for _ in range(count)]
+            columns = (
+                [e.gap_instructions for e in expected],
+                [e.address for e in expected],
+                [e.is_write for e in expected],
+            )
+            assert batched.next_batch(count) == columns
+            if arrayed is not None:
+                arrays = arrayed.next_arrays(count)
+                assert [a.dtype.name for a in arrays] == ["int64", "int64", "bool"]
+                assert tuple(a.tolist() for a in arrays) == columns
+            stopped_mid_run |= reference._run_remaining > 0
+            # The next entry reads the cursor and the RNG left behind.
+            follow = reference.next_entry()
+            assert batched.next_entry() == follow
+            if arrayed is not None:
+                assert arrayed.next_entry() == follow
+        assert stopped_mid_run == (profile.row_locality > 0.0)
+
+    @pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "no-numpy"])
+    def test_zero_count_leaves_a_fresh_generator_alone(self, use_numpy, request):
+        if not use_numpy:
+            request.getfixturevalue("no_numpy")
+        elif trace_mod._np is None:
+            pytest.skip("numpy is not installed")
+        profile = get_workload("429.mcf")
+        generator = self._generator(profile)
+        before = generator.state_fingerprint()
+        assert generator.next_batch(0) == ([], [], [])
+        if use_numpy:
+            arrays = generator.next_arrays(0)
+            assert [a.dtype.name for a in arrays] == ["int64", "int64", "bool"]
+            assert [a.shape for a in arrays] == [(0,)] * 3
+        assert generator.state_fingerprint() == before
+        twin = self._generator(profile)
+        assert [generator.next_entry() for _ in range(20)] == [
+            twin.next_entry() for _ in range(20)
+        ]
+
+    def test_batch_and_snapshot_replay_identically(self):
+        generator = self._generator(get_workload("hadoop-sort"))
+        one_by_one = self._generator(get_workload("hadoop-sort"))
+        first = [one_by_one.next_entry() for _ in range(450)]
+        gaps, addresses, writes = generator.next_batch(450)
+        assert [e.gap_instructions for e in first] == gaps
+        assert [e.address for e in first] == addresses
+        assert [e.is_write for e in first] == writes
+        # A snapshot taken mid-stream restores the exact stream position,
+        # also after the generator has run on from it.
+        state = generator.state_snapshot()
+        tail = generator.next_batch(100)
+        generator.next_batch(5_000)
+        generator.state_restore(state)
+        assert generator.next_batch(100) == tail
+        generator.state_restore(state)
+        assert [generator.next_entry() for _ in range(100)] == [
+            one_by_one.next_entry() for _ in range(100)
+        ]
 
 
 class TestCoreModel:

@@ -229,6 +229,23 @@ class TestPRNG:
         assert min(buckets) > 800
 
     @pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "pure-python"])
+    def test_empty_block_leaves_a_fresh_generator_alone(self, use_numpy, request):
+        if not use_numpy:
+            request.getfixturevalue("no_numpy")
+        elif prng._np is None:
+            pytest.skip("numpy is not installed")
+        rng = XorShift64(3)
+        before = rng.state_fingerprint()
+        block, pos = rng.reserve(0)
+        kind = prng._np.ndarray if use_numpy else list
+        assert isinstance(block, kind) and len(block) == pos == 0
+        taken = rng.take(0)
+        assert isinstance(taken, kind) and len(taken) == 0
+        rng.consume(0)
+        assert rng.state_fingerprint() == before
+        assert [rng.next_u64() for _ in range(3)] == _xorshift64_star(3, 3)
+
+    @pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "pure-python"])
     def test_block_and_scalar_calls_emit_one_stream(self, use_numpy, monkeypatch):
         if not use_numpy:
             monkeypatch.setattr(prng, "_np", None)

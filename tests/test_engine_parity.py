@@ -16,19 +16,17 @@ import random
 
 import pytest
 
-import repro.crypto.llbc as llbc_mod
-import repro.dram.address as address_mod
 import repro.sim.batch as batch_mod
 import repro.sim.events.events as events_mod
 from repro.config import CacheConfig, reduced_row_config
-from repro.cpu.trace import TraceEntry
+from repro.cpu.trace import TraceEntry, WorkloadTraceGenerator
 from repro.cpu.tracefile import (
     FileTraceGenerator,
     read_trace,
     record_workload_trace,
     write_trace,
 )
-from repro.cpu.workloads import WorkloadProfile
+from repro.cpu.workloads import WorkloadProfile, get_workload
 from repro.dram.address import AddressMapper
 from repro.obs import PipelineProfiler
 from repro.scenarios import family_by_name
@@ -578,15 +576,131 @@ class TestExecutionModeParity:
             assert _canon(a.result) == _canon(b.result) == _canon(c.result)
 
 
+class TestWarmUpMemo:
+    """The LLC warm-up memo (``batch_mod._WARM_CACHE``) replays a stored
+    warm-up only when every warmed generator's fingerprint matches, and a
+    replay leaves the run exactly where a fresh warm-up does."""
+
+    def _plan(self, tmp_path):
+        """Two workload cores (the fingerprint/snapshot protocol), a
+        trace-file core and an attack core that goes through the LLC (the
+        deep-copy fallback)."""
+        path = tmp_path / "povray.trace"
+        write_trace(
+            path,
+            record_workload_trace(
+                "453.povray", 2_000, config=reduced_row_config(nrh=500)
+            ),
+        )
+        return (
+            CoreAssignment(role="workload", name="429.mcf"),
+            CoreAssignment(role="workload", name="453.povray"),
+            CoreAssignment(role="trace", trace=str(path)),
+            CoreAssignment(role="attack", name="cache-thrashing"),
+        )
+
+    def _run_and_state(self, plan):
+        config = reduced_row_config(nrh=500)
+        simulator = BatchedSimulator(
+            config,
+            create_tracker("graphene", config),
+            build_core_specs_from_plan(config, plan, REQUESTS, config.seed),
+            llc_warmup_accesses=LLC_WARMUP,
+        )
+        result = _canon(simulator.run())
+        llc = [list(cache_set.items()) for cache_set in simulator.llc._sets]
+        generators = [core.generator for core in simulator.cores]
+        return (
+            result,
+            llc,
+            [batch_mod._state_fingerprint(g) for g in generators],
+            [[g.next_entry() for _ in range(50)] for g in generators],
+        )
+
+    def test_memo_hit_ends_where_a_fresh_warm_up_does(
+        self, tmp_path, monkeypatch
+    ):
+        plan = self._plan(tmp_path)
+        stored = []
+        snapshot = batch_mod._generator_snapshot
+
+        def spy(generator):
+            stored.append(generator)
+            return snapshot(generator)
+
+        monkeypatch.setattr(batch_mod, "_generator_snapshot", spy)
+        batch_mod._WARM_CACHE.clear()
+        fresh = self._run_and_state(plan)
+        assert len(stored) == len(plan)  # a miss stores every generator
+        hit = self._run_and_state(plan)
+        assert len(stored) == len(plan)  # ... and a hit stores none
+        assert hit == fresh
+        # A stored snapshot shares the RNG's buffers; running on from a
+        # restored state must leave them intact for the next hit.
+        assert self._run_and_state(plan) == fresh
+        batch_mod._WARM_CACHE.clear()
+
+    def _generator(self, profile=None, core_id=1, seed=7):
+        org = reduced_row_config(nrh=500).dram
+        return WorkloadTraceGenerator(
+            profile or get_workload("429.mcf"),
+            org,
+            AddressMapper(org),
+            core_id,
+            seed,
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("apki", 34.0),
+            ("row_locality", 0.5),
+            ("footprint_bytes", 64 << 20),
+            ("write_fraction", 0.3),
+            ("reuse_fraction", 0.25),
+            ("hot_bytes", 256 << 10),
+        ],
+    )
+    def test_fingerprint_covers_each_profile_field(self, field, value):
+        base = get_workload("429.mcf")
+        assert getattr(base, field) != value
+        changed = dataclasses.replace(base, **{field: value})
+        fingerprint = batch_mod._state_fingerprint
+        assert fingerprint(self._generator()) == fingerprint(self._generator())
+        assert fingerprint(self._generator(changed)) != fingerprint(
+            self._generator()
+        )
+
+    def test_fingerprint_covers_seed_core_and_cursor(self):
+        fingerprint = batch_mod._state_fingerprint
+        reference = fingerprint(self._generator())
+        assert fingerprint(self._generator(seed=8)) != reference
+        assert fingerprint(self._generator(core_id=2)) != reference
+        moved = self._generator()
+        moved._current_line += 1
+        assert fingerprint(moved) != reference
+        running = self._generator()
+        running._run_remaining = 1
+        assert fingerprint(running) != reference
+        stepped = self._generator()
+        stepped.next_entry()
+        assert fingerprint(stepped) != reference
+
+
+_FALLBACK_TRACKERS = ("dapper-h", "dapper-s")
+
+
+@pytest.fixture(scope="class")
+def numpy_results():
+    """Each fallback tracker's batched result with numpy; class-scoped, so
+    it is computed before ``no_numpy`` patches numpy away."""
+    return {tracker: _run(tracker, "batched") for tracker in _FALLBACK_TRACKERS}
+
+
 class TestPurePythonFallbackParity:
-    @pytest.mark.parametrize("tracker", ["dapper-h", "dapper-s"])
-    def test_dapper_without_numpy_matches(self, tracker, monkeypatch):
-        reference = _run(tracker, "batched")
-        monkeypatch.setattr(batch_mod, "_np", None)
-        monkeypatch.setattr(llbc_mod, "_np", None)
-        # The address mapper too: with numpy it decodes to int64 arrays, so
-        # the engine's list path would hand numpy rows to the tracker.
-        monkeypatch.setattr(address_mod, "_np", None)
+    @pytest.mark.parametrize("tracker", _FALLBACK_TRACKERS)
+    def test_dapper_without_numpy_matches(self, tracker, numpy_results, no_numpy):
+        reference = numpy_results[tracker]
         assert _run(tracker, "scalar") == reference
         assert _run(tracker, "batched") == reference
 
