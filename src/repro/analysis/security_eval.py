@@ -121,8 +121,17 @@ def security_sweep(
     activations: int = 20_000,
     seed: int = 7,
 ) -> list[SecurityScenario]:
-    """Evaluate every (tracker, attack) combination and return one row each."""
+    """Evaluate every (tracker, attack) combination and return one row each.
+
+    Every name is checked before the first evaluation, so an unknown one
+    raises ``ValueError`` at once.
+    """
     config = config or baseline_config()
+    mapper = AddressMapper(config.dram)
+    for tracker_name in trackers:
+        create_tracker(tracker_name, config)
+    for attack_name in attacks:
+        attack_by_name(attack_name, config.dram, mapper)
     return [
         evaluate_tracker_security(
             tracker_name,

@@ -55,6 +55,16 @@ without writing Python:
 Global ``-v`` / ``-q`` flags raise or lower log verbosity (progress and
 diagnostics go to stderr through :mod:`logging`; results stay on stdout).
 
+Naming scenarios
+----------------
+
+Every verb that names a scenario expands a family of the scenario catalog
+(:mod:`repro.scenarios`), the only code that turns names into specs:
+``run``, ``obs trace`` and ``security`` the ``single`` family, and ``sweep``
+``cross-product``.  An unset ``--requests`` takes the family default of
+4,000 requests per core.  An unknown tracker, attack or workload name, or a
+bad value such as ``--requests 0``, exits 2 before anything is simulated.
+
 Running sweeps
 --------------
 
@@ -65,17 +75,17 @@ out over ``--jobs`` worker processes, and memoizes every completed result in
 the experiment warehouse (``--cache-dir``, a SQLite file, default
 ``.sweep-cache.sqlite``) keyed by a stable hash of the scenario and the full
 system configuration.  Re-running the same
-sweep -- or any other sweep, figure or benchmark that overlaps with it -- is
-served from the cache; the summary reports the hit rate.  Use ``none`` in
-``--attacks`` for benign (attack-free) scenarios.  A JSON report with one
-entry per scenario plus the cache/parallelism summary is written to
+sweep -- or any other sweep, suite, figure or benchmark that overlaps with
+it -- is served from the cache; the summary reports the hit rate.  Use
+``none`` in ``--attacks`` for benign (attack-free) scenarios.  A JSON report
+with one entry per scenario plus the cache/parallelism summary is written to
 ``--output`` (default ``sweep-report.json``)::
 
     python -m repro.cli sweep --trackers graphene,dapper-h --attacks refresh \
         --workloads 429.mcf --jobs 2
 
-Exit codes: 0 on success, 2 for unknown tracker/attack/workload names
-(``run`` checks its names the same way).
+``sweep`` and ``scenarios run`` share one batch path; Ctrl-C ends either with
+one line on stderr and exit code 130.
 """
 
 from __future__ import annotations
@@ -99,13 +109,18 @@ from repro.analysis.security_eval import (
     security_sweep,
 )
 from repro.analysis.storage import storage_comparison_table
-from repro.config import baseline_config, reduced_row_config
+from repro.config import baseline_config
 from repro.cpu.tracefile import record_workload_trace, write_trace
 from repro.cpu.workloads import ALL_WORKLOADS, SUITES
 from repro.eval import figures as figure_definitions
 from repro.eval import tables as table_definitions
 from repro.eval.report import format_table, print_figure
-from repro.sim.experiment import run_workload
+from repro.scenarios import (
+    DEFAULT_TREFW_SCALE,
+    available_families,
+    family_by_name,
+    load_suite,
+)
 from repro.sim.metrics import slowdown_percent
 from repro.sim.sweep import ScenarioSpec, SweepRunner
 from repro.trackers.registry import available_trackers
@@ -115,35 +130,71 @@ FIGURE_IDS = (1, 2, 3, 4, 5, 9, 10, 11, 12, 13, 14, 15, 16, 17)
 #: Table numbers that have a regeneration function in :mod:`repro.eval.tables`.
 TABLE_IDS = (1, 2, 3, 4)
 
-
-def _horizon_flags() -> argparse.ArgumentParser:
-    """Shared ``--nrh``/``--trefw-scale`` declarations.
-
-    Passed via ``parents=`` to every subcommand that builds a
-    :class:`SystemConfig` horizon, so the flags (and their defaults) are
-    declared exactly once.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--nrh", type=int, default=500)
-    parent.add_argument(
-        "--trefw-scale",
+#: Every flag that names part of a scenario, declared once.  A verb takes the
+#: ones it uses through :func:`_scenario_flags`.  Each flag's destination is
+#: the catalog parameter it sets (``--engine`` sets none), and an unset flag
+#: (``None``) leaves the family's default; :func:`_flag_specs` relies on both.
+_SCENARIO_FLAGS = {
+    "--tracker": dict(default="dapper-h", help="tracker name (see list-trackers)"),
+    "--workload": dict(default="429.mcf", help="workload name (see list-workloads)"),
+    "--attack": dict(default=None, help="attack name ('none' = benign, the default)"),
+    "--nrh": dict(type=int, default=500),
+    "--trefw-scale": dict(
         type=float,
-        default=1.0 / 16.0,
+        default=DEFAULT_TREFW_SCALE,
         help="refresh-window scale used for short simulation windows",
-    )
-    return parent
-
-
-def _engine_flag() -> argparse.ArgumentParser:
-    """Shared ``--engine`` declaration (scalar / batched, event = batched)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--engine",
+    ),
+    "--requests": dict(
+        type=int,
+        default=None,
+        dest="requests_per_core",
+        metavar="N",
+        help="per-core request budget (default 4000, the catalog's; with "
+        "obs trace --suite, overrides the suite's own budget)",
+    ),
+    "--seed": dict(type=int, default=None),
+    "--attack-matched-baseline": dict(
+        action="store_true",
+        help="normalise against baselines that also run the attacker",
+    ),
+    "--engine": dict(
         choices=("scalar", "batched", "event"),
         default=None,
         help="simulation engine (default: REPRO_SIM_ENGINE or batched): "
         "scalar is the reference, batched the fast engine (event is another "
         "name for it); both are bit-identical",
+    ),
+}
+
+
+def _scenario_flags(*flags: str) -> argparse.ArgumentParser:
+    """A parent parser holding the named :data:`_SCENARIO_FLAGS`."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        parent.add_argument(flag, **_SCENARIO_FLAGS[flag])
+    return parent
+
+
+def _batch_flags(output: str) -> argparse.ArgumentParser:
+    """The flags of a verb that runs a batch through :func:`_run_batch`."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes to fan simulations out over",
+    )
+    parent.add_argument(
+        "--cache-dir",
+        default=".sweep-cache.sqlite",
+        help="result warehouse file ('' disables caching; 'store import' "
+        "upgrades a legacy JSON cache directory)",
+    )
+    parent.add_argument(
+        "-o",
+        "--output",
+        default=output,
+        help="path of the JSON report ('-' prints it to stdout)",
     )
     return parent
 
@@ -153,8 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="DAPPER (HPCA 2025) reproduction command-line interface",
     )
-    horizon = _horizon_flags()
-    engine = _engine_flag()
     parser.add_argument(
         "-v",
         "--verbose",
@@ -176,33 +225,35 @@ def _build_parser() -> argparse.ArgumentParser:
     list_workloads = sub.add_parser("list-workloads", help="list workload profiles")
     list_workloads.add_argument("--suite", choices=SUITES, default=None)
 
-    run = sub.add_parser(
+    sub.add_parser(
         "run",
-        help="run one simulation scenario",
-        parents=[horizon, engine],
-    )
-    run.add_argument("--tracker", default="dapper-h", choices=available_trackers())
-    run.add_argument("--workload", default="429.mcf")
-    run.add_argument("--attack", default=None)
-    run.add_argument("--requests", type=int, default=8_000)
-    run.add_argument(
-        "--attack-matched-baseline",
-        action="store_true",
-        help="normalise against a baseline that also runs the attacker",
+        help="run one simulation scenario (the catalog's single family)",
+        parents=[
+            _scenario_flags(
+                "--tracker",
+                "--workload",
+                "--attack",
+                "--nrh",
+                "--trefw-scale",
+                "--requests",
+                "--attack-matched-baseline",
+                "--engine",
+            )
+        ],
     )
 
     sub.add_parser("storage", help="regenerate the Table III storage comparison")
 
-    security = sub.add_parser(
-        "security", help="RowHammer security audit under a double-sided attack"
+    sub.add_parser(
+        "security",
+        help="RowHammer security audit under a double-sided attack",
+        parents=[_scenario_flags("--tracker", "--nrh", "--requests")],
     )
-    security.add_argument("--tracker", default="dapper-h", choices=available_trackers())
-    security.add_argument("--nrh", type=int, default=500)
-    security.add_argument("--requests", type=int, default=3_000)
 
     sweep = sub.add_parser(
         "security-sweep",
         help="audit several trackers against several hammering patterns",
+        parents=[_scenario_flags("--nrh")],
     )
     sweep.add_argument(
         "--trackers",
@@ -214,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(DEFAULT_SECURITY_ATTACKS),
         help="comma-separated attack names",
     )
-    sweep.add_argument("--nrh", type=int, default=500)
     sweep.add_argument("--activations", type=int, default=20_000)
 
     figure = sub.add_parser("figure", help="regenerate one figure of the paper")
@@ -232,8 +282,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_batch = sub.add_parser(
         "sweep",
         help="run a tracker x attack x workload cross-product with caching "
-        "and parallel fan-out",
-        parents=[horizon, engine],
+        "and parallel fan-out (the catalog's cross-product family)",
+        parents=[
+            _scenario_flags(
+                "--nrh",
+                "--trefw-scale",
+                "--requests",
+                "--seed",
+                "--attack-matched-baseline",
+                "--engine",
+            ),
+            _batch_flags("sweep-report.json"),
+        ],
     )
     sweep_batch.add_argument(
         "--trackers",
@@ -250,31 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="429.mcf",
         help="comma-separated workload names",
     )
-    sweep_batch.add_argument("--requests", type=int, default=4_000)
-    sweep_batch.add_argument("--seed", type=int, default=None)
-    sweep_batch.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes to fan simulations out over",
-    )
-    sweep_batch.add_argument(
-        "--cache-dir",
-        default=".sweep-cache.sqlite",
-        help="result warehouse file ('' disables caching; 'store import' "
-        "upgrades a legacy JSON cache directory)",
-    )
-    sweep_batch.add_argument(
-        "-o",
-        "--output",
-        default="sweep-report.json",
-        help="path of the JSON report ('-' prints it to stdout)",
-    )
-    sweep_batch.add_argument(
-        "--attack-matched-baseline",
-        action="store_true",
-        help="normalise against baselines that also run the attacker",
-    )
 
     scenarios = sub.add_parser(
         "scenarios",
@@ -287,27 +322,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scenarios_show.add_argument("family", help="scenario family name")
     scenarios_run = scenarios_sub.add_parser(
-        "run", help="compile and execute a YAML/JSON suite file"
+        "run",
+        help="compile and execute a YAML/JSON suite file",
+        parents=[_batch_flags("scenario-report.json")],
     )
     scenarios_run.add_argument("suite", help="path of the suite file")
-    scenarios_run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes to fan simulations out over",
-    )
-    scenarios_run.add_argument(
-        "--cache-dir",
-        default=".sweep-cache.sqlite",
-        help="result warehouse file ('' disables caching; 'store import' "
-        "upgrades a legacy JSON cache directory)",
-    )
-    scenarios_run.add_argument(
-        "-o",
-        "--output",
-        default="scenario-report.json",
-        help="path of the JSON report ('-' prints it to stdout)",
-    )
     scenarios_run.add_argument(
         "--dry-run",
         action="store_true",
@@ -561,21 +580,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run one fully instrumented scenario and write a "
         "Chrome/Perfetto trace",
-        parents=[horizon, engine],
+        parents=[
+            _scenario_flags(
+                "--tracker",
+                "--workload",
+                "--attack",
+                "--nrh",
+                "--trefw-scale",
+                "--requests",
+                "--seed",
+                "--engine",
+            )
+        ],
     )
-    obs_trace.add_argument(
-        "--tracker", default="dapper-h", choices=available_trackers()
-    )
-    obs_trace.add_argument("--workload", default="429.mcf")
-    obs_trace.add_argument("--attack", default=None)
-    obs_trace.add_argument(
-        "--requests",
-        type=int,
-        default=None,
-        help="per-core request budget (default 4000; with --suite, "
-        "overrides the suite's own budget)",
-    )
-    obs_trace.add_argument("--seed", type=int, default=None)
     obs_trace.add_argument(
         "--suite",
         default=None,
@@ -649,30 +666,47 @@ def _cmd_list_workloads(suite: str | None) -> int:
     return 0
 
 
+def _refuse(verb: str, error) -> int:
+    """Report a refused command line in one stderr line; exit code 2."""
+    print(f"{verb}: {error}", file=sys.stderr)
+    return 2
+
+
+def _split_names(raw: str) -> list[str]:
+    return [name.strip() for name in raw.split(",") if name.strip()]
+
+
+def _flag_specs(
+    args: argparse.Namespace, family: str = "single", **fixed
+) -> list[ScenarioSpec]:
+    """Expand a catalog family from a verb's scenario flags.
+
+    This is the only place a command line becomes specs.  Every flag set on
+    ``args`` whose destination the family declares as a parameter is passed
+    on (an unset ``--requests`` leaves the family's default budget), and
+    ``fixed`` adds the parameters the verb sets itself.  Raises
+    ``ValueError`` for an unknown name or a bad value, before anything is
+    simulated.
+    """
+    recipe = family_by_name(family)
+    params = {
+        name: value
+        for name, value in vars(args).items()
+        if name in recipe.parameter_names() and value is not None
+    }
+    return recipe.expand({**params, **fixed})
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = baseline_config(nrh=args.nrh).with_refresh_window_scale(args.trefw_scale)
-    # 'none' means benign, as in ``sweep --attacks``.
-    attack = None if args.attack == "none" else args.attack
-    error = _validate_sweep_names(
-        [args.tracker], [attack or "none"], [args.workload], config
-    )
-    if error is not None:
-        print(f"run: {error}", file=sys.stderr)
-        return 2
-    run = SweepRunner().run_one(
-        ScenarioSpec(
-            tracker=args.tracker,
-            workload=args.workload,
-            attack=attack,
-            requests_per_core=args.requests,
-            attack_matched_baseline=args.attack_matched_baseline,
-            config=config,
-        )
-    )
+    try:
+        (spec,) = _flag_specs(args)
+    except ValueError as error:
+        return _refuse("run", error)
+    run = SweepRunner().run_one(spec)
     result = run.result
-    print(f"tracker             : {args.tracker}")
-    print(f"workload            : {args.workload}")
-    print(f"attack              : {attack or 'none'}")
+    print(f"tracker             : {spec.tracker}")
+    print(f"workload            : {spec.workload}")
+    print(f"attack              : {spec.attack or 'none'}")
     print(f"RowHammer threshold : {args.nrh}")
     print(f"normalized perf     : {run.normalized:.4f} "
           f"({slowdown_percent(run.normalized):.2f}% slowdown)")
@@ -705,15 +739,22 @@ def _cmd_storage() -> int:
 
 
 def _cmd_security(args: argparse.Namespace) -> int:
-    config = reduced_row_config(nrh=args.nrh, rows_per_bank=4096)
-    result = run_workload(
-        config=config,
-        tracker=args.tracker,
-        workload="403.gcc",
-        attack="rowhammer",
-        requests_per_core=args.requests,
-        enable_auditor=True,
-    )
+    # The audit's fixed scenario: a double-sided hammer next to 403.gcc on
+    # the reduced row space, over the full refresh window.  The auditor
+    # counts every activation from the first, so the tracker is not warmed.
+    try:
+        (spec,) = _flag_specs(
+            args,
+            workload="403.gcc",
+            attack="rowhammer",
+            geometry="reduced",
+            trefw_scale=1.0,
+        )
+    except ValueError as error:
+        return _refuse("security", error)
+    result = dataclasses.replace(
+        spec, enable_auditor=True, attack_warmup_activations=0
+    ).run()
     report = result.security
     print(f"tracker                  : {args.tracker}")
     print(f"RowHammer threshold      : {report.nrh}")
@@ -724,158 +765,39 @@ def _cmd_security(args: argparse.Namespace) -> int:
 
 
 def _cmd_security_sweep(args: argparse.Namespace) -> int:
-    trackers = tuple(name for name in args.trackers.split(",") if name)
-    attacks = tuple(name for name in args.attacks.split(",") if name)
-    scenarios = security_sweep(
-        trackers=trackers,
-        attacks=attacks,
-        config=baseline_config(nrh=args.nrh),
-        activations=args.activations,
-    )
+    try:
+        scenarios = security_sweep(
+            trackers=tuple(_split_names(args.trackers)),
+            attacks=tuple(_split_names(args.attacks)),
+            config=baseline_config(nrh=args.nrh),
+            activations=args.activations,
+        )
+    except ValueError as error:
+        return _refuse("security-sweep", error)
     print(format_security_table(scenarios))
     insecure = [s for s in scenarios if not s.is_secure and s.tracker != "none"]
     return 1 if insecure else 0
 
 
-def _split_names(raw: str) -> list[str]:
-    return [name.strip() for name in raw.split(",") if name.strip()]
-
-
-def _validate_sweep_names(
-    trackers: list[str], attacks: list[str], workloads: list[str], config
-) -> str | None:
-    """Return an error message for the first unknown name, or ``None``."""
-    from repro.attacks import available_attacks
-    from repro.cpu.workloads import get_workload
-    from repro.trackers.registry import create_tracker
-
-    for tracker in trackers:
-        # The registry is the single source of truth for tracker names
-        # (including recursive breakhammer: composition).
-        try:
-            create_tracker(tracker, config)
-        except ValueError as error:
-            return str(error)
-    known_attacks = available_attacks()
-    for attack in attacks:
-        if attack != "none" and attack not in known_attacks:
-            return (
-                f"unknown attack {attack!r}; "
-                f"available: none, {', '.join(known_attacks)}"
-            )
-    for workload in workloads:
-        try:
-            get_workload(workload)
-        except KeyError:
-            return f"unknown workload {workload!r} (see list-workloads)"
-    return None
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    trackers = _split_names(args.trackers)
-    attacks = _split_names(args.attacks)
-    workloads = _split_names(args.workloads)
-    if not (trackers and attacks and workloads):
-        print("sweep: empty tracker/attack/workload list", file=sys.stderr)
-        return 2
-    config = baseline_config(nrh=args.nrh).with_refresh_window_scale(
-        args.trefw_scale
-    )
-    error = _validate_sweep_names(trackers, attacks, workloads, config)
-    if error is not None:
-        print(f"sweep: {error}", file=sys.stderr)
-        return 2
-    specs = [
-        ScenarioSpec(
-            tracker=tracker,
-            workload=workload,
-            attack=None if attack == "none" else attack,
-            seed=args.seed,
-            requests_per_core=args.requests,
-            attack_matched_baseline=args.attack_matched_baseline,
-            config=config,
-        )
-        for tracker in trackers
-        for attack in attacks
-        for workload in workloads
-    ]
-
-    runner = SweepRunner(store=args.cache_dir or None, jobs=args.jobs)
-    started = time.monotonic()
     try:
-        outcomes = runner.run(specs)
-    except KeyboardInterrupt:
-        return _interrupted("sweep", args.cache_dir)
-    elapsed = time.monotonic() - started
-
-    report = {
-        "config": {
-            "nrh": args.nrh,
-            "requests_per_core": args.requests,
-            "trefw_scale": args.trefw_scale,
-            "seed": args.seed if args.seed is not None else config.seed,
-            "attack_matched_baseline": args.attack_matched_baseline,
-        },
-        "scenarios": _outcome_rows(outcomes),
-        "summary": _run_summary(runner.stats, args, elapsed),
+        specs = _flag_specs(
+            args,
+            "cross-product",
+            trackers=_split_names(args.trackers),
+            attacks=_split_names(args.attacks),
+            workloads=_split_names(args.workloads),
+        )
+    except ValueError as error:
+        return _refuse("sweep", error)
+    config = {
+        "nrh": args.nrh,
+        "requests_per_core": specs[0].requests_per_core,
+        "trefw_scale": args.trefw_scale,
+        "seed": specs[0].resolved_seed(),
+        "attack_matched_baseline": args.attack_matched_baseline,
     }
-    _write_report(report, args.output, len(outcomes))
-    _print_outcomes(outcomes, runner.stats, elapsed, args.jobs)
-    return 0
-
-
-def _interrupted(command: str, store: str | None) -> int:
-    """Report a Ctrl-C'd batch in one line; 130 is the shell's code for a
-    SIGINT exit."""
-    resume = (
-        " -- completed simulations are stored; rerun the same command to "
-        "resume"
-        if store
-        else ""
-    )
-    print(f"\n{command} interrupted{resume}", file=sys.stderr)
-    return 130
-
-
-def _outcome_rows(outcomes) -> list[dict]:
-    """One JSON-report row per sweep outcome."""
-    return [
-        {
-            **outcome.spec.describe(),
-            "cache_key": outcome.spec.cache_key(),
-            "normalized_performance": outcome.normalized,
-            "slowdown_percent": slowdown_percent(outcome.normalized),
-            "from_cache": outcome.from_cache,
-            "baseline_from_cache": outcome.baseline_from_cache,
-            "mitigations_issued": outcome.result.tracker_stats.mitigations_issued,
-            "dram_activations": outcome.result.dram_stats.activations,
-        }
-        for outcome in outcomes
-    ]
-
-
-def _run_summary(stats, args: argparse.Namespace, elapsed: float) -> dict:
-    return {
-        "scenarios": stats.scenarios,
-        "simulations": stats.simulations,
-        "cache_hits": stats.cache_hits,
-        "cache_misses": stats.cache_misses,
-        "cache_hit_rate": stats.hit_rate,
-        "baselines_shared": stats.baselines_shared,
-        "jobs": args.jobs,
-        "cache_dir": args.cache_dir or None,
-        "elapsed_seconds": elapsed,
-    }
-
-
-def _write_report(report: dict, output: str, count: int) -> None:
-    serialized = json.dumps(report, indent=2)
-    if output == "-":
-        print(serialized)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(serialized + "\n")
-        print(f"wrote {output} ({count} scenarios)")
+    return _run_batch("sweep", specs, args, config=config)
 
 
 def _scenario_line_label(spec) -> str:
@@ -886,7 +808,63 @@ def _scenario_line_label(spec) -> str:
     return spec.attack or "none"
 
 
-def _print_outcomes(outcomes, stats, elapsed: float, jobs: int) -> None:
+def _run_batch(verb: str, specs, args: argparse.Namespace, **header) -> int:
+    """Run a batch through the sweep engine: ``sweep`` and ``scenarios run``.
+
+    Writes the JSON report (``header``, then one row per scenario, then the
+    cache/parallelism summary) and prints one line per scenario plus a
+    summary line.  Ctrl-C ends the batch with one line on stderr and exit
+    code 130, the shell's code for a SIGINT exit.
+    """
+    runner = SweepRunner(store=args.cache_dir or None, jobs=args.jobs)
+    started = time.monotonic()
+    try:
+        outcomes = runner.run(specs)
+    except KeyboardInterrupt:
+        resume = (
+            " -- completed simulations are stored; rerun the same command to "
+            "resume"
+            if args.cache_dir
+            else ""
+        )
+        print(f"\n{verb} interrupted{resume}", file=sys.stderr)
+        return 130
+    elapsed = time.monotonic() - started
+    stats = runner.stats
+    report = {
+        **header,
+        "scenarios": [
+            {
+                **outcome.spec.describe(),
+                "cache_key": outcome.spec.cache_key(),
+                "normalized_performance": outcome.normalized,
+                "slowdown_percent": slowdown_percent(outcome.normalized),
+                "from_cache": outcome.from_cache,
+                "baseline_from_cache": outcome.baseline_from_cache,
+                "mitigations_issued": outcome.result.tracker_stats.mitigations_issued,
+                "dram_activations": outcome.result.dram_stats.activations,
+            }
+            for outcome in outcomes
+        ],
+        "summary": {
+            "scenarios": stats.scenarios,
+            "simulations": stats.simulations,
+            "cache_hits": stats.cache_hits,
+            "cache_misses": stats.cache_misses,
+            "cache_hit_rate": stats.hit_rate,
+            "baselines_shared": stats.baselines_shared,
+            "jobs": args.jobs,
+            "cache_dir": args.cache_dir or None,
+            "elapsed_seconds": elapsed,
+        },
+    }
+    serialized = json.dumps(report, indent=2)
+    if args.output == "-":
+        print(serialized)
+    else:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(serialized + "\n")
+        print(f"wrote {args.output} ({len(outcomes)} scenarios)")
     for outcome in outcomes:
         spec = outcome.spec
         origin = "cache" if outcome.from_cache else "run"
@@ -899,12 +877,12 @@ def _print_outcomes(outcomes, stats, elapsed: float, jobs: int) -> None:
         f"simulations: {stats.simulations}  cache hits: {stats.cache_hits} "
         f"({stats.hit_rate * 100.0:.0f}%)  misses: {stats.cache_misses}  "
         f"baselines shared: {stats.baselines_shared}  "
-        f"elapsed: {elapsed:.1f}s  jobs: {jobs}"
+        f"elapsed: {elapsed:.1f}s  jobs: {args.jobs}"
     )
+    return 0
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
-    from repro.scenarios import available_families, family_by_name, load_suite
     from repro.scenarios.catalog import REQUIRED
 
     if args.scenarios_command == "list":
@@ -917,8 +895,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         try:
             family = family_by_name(args.family)
         except ValueError as error:
-            print(f"scenarios: {error}", file=sys.stderr)
-            return 2
+            return _refuse("scenarios", error)
         print(f"family      : {family.name}")
         print(f"description : {family.description}")
         print("parameters  :")
@@ -937,33 +914,19 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             suite = load_suite(args.suite)
             specs = suite.compile()
         except ValueError as error:
-            print(f"scenarios: {error}", file=sys.stderr)
-            return 2
+            return _refuse("scenarios", error)
         if args.dry_run:
             print(f"suite {suite.name!r}: {len(specs)} scenario(s)")
             for spec in specs:
                 print(f"  {json.dumps(spec.describe())}")
             return 0
-        runner = SweepRunner(store=args.cache_dir or None, jobs=args.jobs)
-        started = time.monotonic()
-        try:
-            outcomes = runner.run(specs)
-        except KeyboardInterrupt:
-            return _interrupted("scenarios run", args.cache_dir)
-        elapsed = time.monotonic() - started
-        report = {
-            "suite": {
-                "name": suite.name,
-                "description": suite.description,
-                "path": args.suite,
-                "families": [entry.family for entry in suite.entries],
-            },
-            "scenarios": _outcome_rows(outcomes),
-            "summary": _run_summary(runner.stats, args, elapsed),
+        suite_header = {
+            "name": suite.name,
+            "description": suite.description,
+            "path": args.suite,
+            "families": [entry.family for entry in suite.entries],
         }
-        _write_report(report, args.output, len(outcomes))
-        _print_outcomes(outcomes, runner.stats, elapsed, args.jobs)
-        return 0
+        return _run_batch("scenarios run", specs, args, suite=suite_header)
 
     raise AssertionError(
         f"unhandled scenarios command {args.scenarios_command}"
@@ -1013,7 +976,6 @@ def _sigterm_as_interrupt():
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.scenarios import load_suite
     from repro.store import (
         CampaignWorker,
         campaign_report,
@@ -1040,8 +1002,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 track_memory=args.track_memory,
             )
         except ValueError as error:
-            print(f"campaign: {error}", file=sys.stderr)
-            return 2
+            return _refuse("campaign", error)
         try:
             # SIGTERM (a supervisor's shutdown) takes the same path as
             # Ctrl-C: the held lease is released promptly, not by expiry.
@@ -1051,8 +1012,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             with _sigterm_as_interrupt():
                 summary = worker.run()
         except ValueError as error:
-            print(f"campaign: {error}", file=sys.stderr)
-            return 2
+            return _refuse("campaign", error)
         except KeyboardInterrupt:
             print(
                 f"\ncampaign {worker.name!r} interrupted -- the held shard "
@@ -1088,8 +1048,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
             load_manifest(store, args.name)   # unknown campaign -> exit 2
         except ValueError as error:
-            print(f"campaign: {error}", file=sys.stderr)
-            return 2
+            return _refuse("campaign", error)
         rows = store.lease_rows(args.name)
         if args.as_json:
             from repro.store import lease_document
@@ -1133,8 +1092,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         try:
             status = campaign_status(_open_store(args.store), args.name)
         except ValueError as error:
-            print(f"campaign: {error}", file=sys.stderr)
-            return 2
+            return _refuse("campaign", error)
         if args.as_json:
             from repro.store import status_document
 
@@ -1172,8 +1130,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         try:
             store = _open_store(args.store)
         except ValueError as error:
-            print(f"campaign: {error}", file=sys.stderr)
-            return 2
+            return _refuse("campaign", error)
         for name in store.campaign_names():
             status = campaign_status(store, name)
             print(
@@ -1186,8 +1143,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         try:
             report = campaign_report(_open_store(args.store), args.name)
         except ValueError as error:
-            print(f"campaign: {error}", file=sys.stderr)
-            return 2
+            return _refuse("campaign", error)
         if args.as_json:
             from repro.store import report_document
 
@@ -1214,8 +1170,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             )
             diff = diff_campaigns(store_a, args.name_a, store_b, args.name_b)
         except ValueError as error:
-            print(f"campaign: {error}", file=sys.stderr)
-            return 2
+            return _refuse("campaign", error)
         if args.output != "-":
             with open(args.output, "w", encoding="utf-8") as handle:
                 json.dump(diff, handle, indent=2)
@@ -1256,8 +1211,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     try:
         store = _open_store(args.store)
     except ValueError as error:
-        print(f"store: {error}", file=sys.stderr)
-        return 2
+        return _refuse("store", error)
 
     if args.store_command in ("query", "export"):
         rows = query_rows(
@@ -1281,8 +1235,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
                     rows, [name.strip() for name in args.group_by.split(",")]
                 )
             except ValueError as error:
-                print(f"store: {error}", file=sys.stderr)
-                return 2
+                return _refuse("store", error)
         print(format_table(rows))
         return 0
 
@@ -1293,8 +1246,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 print(key)
             return 0
         if not args.key:
-            print("store: metrics needs --key (or --list)", file=sys.stderr)
-            return 2
+            return _refuse("store", "metrics needs --key (or --list)")
         matches = [key for key in keys if key.startswith(args.key)]
         if len(matches) != 1:
             problem = (
@@ -1302,12 +1254,11 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 if matches
                 else "no stored metrics match"
             )
-            print(
-                f"store: {problem} key prefix {args.key!r} "
+            return _refuse(
+                "store",
+                f"{problem} key prefix {args.key!r} "
                 "(store metrics --list shows the keys)",
-                file=sys.stderr,
             )
-            return 2
         series = store.get_metrics(matches[0], metric=args.metric)
         rows = [
             {"metric": name, "t_ns": t_ns, "value": value}
@@ -1329,19 +1280,16 @@ def _cmd_store(args: argparse.Namespace) -> int:
         # silently create a fresh empty warehouse there.
         source = Path(args.source) if args.source else None
         if source is None or not source.exists():
-            print(
-                f"store: import source {args.source!r} does not exist",
-                file=sys.stderr,
+            return _refuse(
+                "store", f"import source {args.source!r} does not exist"
             )
-            return 2
         if not source.is_dir():
             # A directory is a legacy JSON cache; anything else must open
             # as another warehouse.
             try:
                 source = _open_store(args.source)
             except ValueError as error:
-                print(f"store: {error}", file=sys.stderr)
-                return 2
+                return _refuse("store", error)
         counts = import_store(store, source, overwrite=args.overwrite)
         print(
             f"imported {counts.runs} record(s), {counts.metrics} metric "
@@ -1362,32 +1310,21 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _obs_spec(args: argparse.Namespace) -> ScenarioSpec:
-    """The scenario ``obs trace`` instruments: suite entry or ad-hoc flags."""
-    if args.suite is not None:
-        from repro.scenarios import load_suite
-
-        suite = load_suite(args.suite)
-        specs = suite.compile()
-        if not 0 <= args.index < len(specs):
-            raise ValueError(
-                f"--index {args.index} out of range: suite {suite.name!r} "
-                f"has {len(specs)} scenario(s)"
-            )
-        spec = specs[args.index]
-        if args.requests is not None:
-            spec = dataclasses.replace(spec, requests_per_core=args.requests)
+    """The scenario ``obs trace`` instruments: suite entry or flags."""
+    if args.suite is None:
+        (spec,) = _flag_specs(args)
         return spec
-    config = baseline_config(nrh=args.nrh).with_refresh_window_scale(
-        args.trefw_scale
-    )
-    return ScenarioSpec(
-        tracker=args.tracker,
-        workload=args.workload,
-        attack=args.attack,
-        seed=args.seed,
-        requests_per_core=args.requests if args.requests is not None else 4_000,
-        config=config,
-    )
+    suite = load_suite(args.suite)
+    specs = suite.compile()
+    if not 0 <= args.index < len(specs):
+        raise ValueError(
+            f"--index {args.index} out of range: suite {suite.name!r} "
+            f"has {len(specs)} scenario(s)"
+        )
+    spec = specs[args.index]
+    if args.requests_per_core is not None:
+        spec = dataclasses.replace(spec, requests_per_core=args.requests_per_core)
+    return spec
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
@@ -1403,8 +1340,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         # Opened before simulating, so an unusable warehouse fails fast.
         store = _open_store(args.store) if args.store else None
     except ValueError as error:
-        print(f"obs: {error}", file=sys.stderr)
-        return 2
+        return _refuse("obs", error)
     result = spec.run(
         engine=args.engine, observers=(trace, metrics), profiler=profiler
     )
@@ -1527,9 +1463,9 @@ def _configure_logging(verbose: int, quiet: int) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     _configure_logging(args.verbose, args.quiet)
-    # One engine selector for every simulating subcommand: the flag (from
-    # the shared _engine_flag parent) overrides REPRO_SIM_ENGINE, which the
-    # engine_class resolver reads wherever a simulator is constructed.
+    # One engine selector for every simulating subcommand: the --engine
+    # scenario flag overrides REPRO_SIM_ENGINE, which the engine_class
+    # resolver reads wherever a simulator is constructed.
     if getattr(args, "engine", None):
         os.environ["REPRO_SIM_ENGINE"] = args.engine
     if args.command == "list-trackers":

@@ -72,6 +72,8 @@ class DRAMTimings:
         that periodic structure resets and re-keying events still occur a
         meaningful number of times inside the simulated interval.
         """
+        if not scale > 0:  # also refuses NaN
+            raise ValueError(f"refresh-window scale must be > 0, got {scale}")
         return dataclasses.replace(self, trefw_ns=self.trefw_ns * scale)
 
 

@@ -3,7 +3,9 @@
 Three groups:
 
 * **Generic shapes** -- ``single`` and ``cross-product`` cover the classic
-  tracker x attack x workload layout the CLI ``sweep`` command exposes.
+  tracker x attack x workload layout.  The CLI's scenario verbs expand them:
+  ``run``, ``obs trace`` and ``security`` expand ``single`` from their flags,
+  and ``sweep`` expands ``cross-product``.
 * **Heterogeneous shapes** -- ``workload-blend``, ``multi-attacker``,
   ``attacker-count-sweep``, ``hammer-rate-sweep`` and ``fuzz`` compile down
   to per-core plans (:class:`~repro.sim.sweep.CoreAssignment`), expressing
@@ -118,6 +120,11 @@ def _check_attack(name: str) -> str:
             f"available: {', '.join(available_attacks())}"
         )
     return name
+
+
+def _check_optional_attack(name: str | None) -> str | None:
+    """An attack name, or ``None`` for benign (``None`` or ``'none'``)."""
+    return None if name in (None, "none") else _check_attack(name)
 
 
 def _check_workload(name: str) -> str:
@@ -260,13 +267,11 @@ def _build_single(
     config = _scenario_config(nrh, trefw_scale, geometry)
     _check_tracker(tracker, config)
     _check_workload(workload)
-    if attack is not None:
-        _check_attack(attack)
     return [
         ScenarioSpec(
             tracker=tracker,
             workload=workload,
-            attack=attack,
+            attack=_check_optional_attack(attack),
             seed=seed,
             requests_per_core=int(requests_per_core),
             attack_matched_baseline=bool(attack_matched_baseline),
@@ -284,7 +289,7 @@ register_family(
         parameters=(
             Parameter("tracker", doc="tracker name (see list-trackers)"),
             Parameter("workload", doc="workload name (see list-workloads)"),
-            Parameter("attack", None, "attack name, or None for benign"),
+            Parameter("attack", None, "attack name ('none' or None = benign)"),
             Parameter(
                 "attack_matched_baseline",
                 False,
@@ -309,10 +314,7 @@ def _build_cross_product(
 ):
     config = _scenario_config(nrh, trefw_scale, geometry)
     trackers = [_check_tracker(t, config) for t in _as_list(trackers, "trackers")]
-    attacks = [
-        None if a in (None, "none") else _check_attack(a)
-        for a in _as_list(attacks, "attacks")
-    ]
+    attacks = [_check_optional_attack(a) for a in _as_list(attacks, "attacks")]
     workloads = [_check_workload(w) for w in _as_list(workloads, "workloads")]
     return [
         ScenarioSpec(
@@ -968,7 +970,7 @@ def _build_multi_refresh_window(
     for name in trackers:
         _check_tracker(name, config)
     profile = get_workload(_check_workload(workload))
-    attack = None if attack in (None, "none") else _check_attack(attack)
+    attack = _check_optional_attack(attack)
     windows = int(windows)
     if windows < 1:
         raise ValueError(f"windows must be >= 1, got {windows}")
@@ -1036,11 +1038,8 @@ def _build_trace_replay(
 
     config = _scenario_config(nrh, trefw_scale, geometry)
     _check_tracker(tracker, config)
-    attackers = (
-        []
-        if attack in (None, "none")
-        else [CoreAssignment(role="attack", name=_check_attack(attack))]
-    )
+    attack = _check_optional_attack(attack)
+    attackers = [] if attack is None else [CoreAssignment(role="attack", name=attack)]
     cores = int(cores)
     if cores < 1:
         raise ValueError(f"cores must be >= 1, got {cores}")

@@ -59,6 +59,12 @@ class CoreSpec:
     #: overrides the per-core outstanding-miss limit for such cores.
     max_outstanding_override: int | None = None
 
+    def __post_init__(self):
+        if self.request_budget is not None and self.request_budget < 1:
+            raise ValueError(
+                f"request budget must be >= 1, got {self.request_budget}"
+            )
+
     @property
     def is_idle(self) -> bool:
         return self.generator is None

@@ -209,6 +209,10 @@ class ScenarioSpec:
     core_plan: tuple[CoreAssignment, ...] | None = None
 
     def __post_init__(self):
+        if self.requests_per_core < 1:
+            raise ValueError(
+                f"requests_per_core must be >= 1, got {self.requests_per_core}"
+            )
         if self.core_plan is not None:
             if self.attack is not None:
                 raise ValueError(

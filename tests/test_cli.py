@@ -66,9 +66,9 @@ class TestRunCommand:
         assert code == 0
         assert "refresh" in capsys.readouterr().out
 
-    def test_unknown_tracker_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--tracker", "definitely-not-a-tracker"])
+    def test_unknown_tracker_rejected(self, capsys):
+        assert main(["run", "--tracker", "definitely-not-a-tracker"]) == 2
+        assert "unknown tracker" in capsys.readouterr().err
 
     def test_unknown_workload_exits_2(self, capsys):
         # Rejected up front with the message ``sweep`` prints, before any

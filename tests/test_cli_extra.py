@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.analysis.security_eval as security_eval
 from repro.cli import FIGURE_IDS, TABLE_IDS, main
 from repro.cpu.tracefile import read_trace
 
@@ -95,6 +96,37 @@ class TestSecuritySweep:
         assert code == 0
         # ...but the table must flag it as insecure.
         assert "NO" in capsys.readouterr().out
+
+
+    def test_names_are_stripped(self, capsys):
+        code = main(
+            [
+                "security-sweep",
+                "--trackers", "graphene, hydra",
+                "--attacks", " rowhammer",
+                "--activations", "1000",
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "graphene" in output and "hydra" in output
+
+    @pytest.mark.parametrize(
+        "flag, names, message",
+        [
+            ("--trackers", "dapper-h,nope", "unknown tracker 'nope'"),
+            ("--attacks", "rowhammer,nope", "unknown attack 'nope'"),
+        ],
+    )
+    def test_unknown_name_exits_2_before_any_evaluation(
+        self, flag, names, message, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated before every name was checked")
+
+        monkeypatch.setattr(security_eval, "evaluate_tracker_security", never)
+        assert main(["security-sweep", flag, names]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestTraceRecord:

@@ -64,6 +64,11 @@ class TestTimings:
         # Other parameters are untouched.
         assert t.trc_ns == 48.0
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_refresh_window_scale_must_be_positive(self, scale):
+        with pytest.raises(ValueError, match="refresh-window scale must be > 0"):
+            DRAMTimings().scaled_refresh_window(scale)
+
     def test_timings_are_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             DRAMTimings().trc_ns = 1.0

@@ -100,6 +100,11 @@ class TestEngineParity:
     def test_event_is_an_alias_of_batched(self):
         assert engine_class("event") is engine_class("batched")
 
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_request_budget_below_one_is_refused(self, engine):
+        with pytest.raises(ValueError, match="request budget must be >= 1"):
+            _run("none", engine, attack=None, requests=0)
+
 
 def _small_llc(size_bytes: int, line_size_bytes: int = 64):
     """The reduced-row system with a smaller LLC of the given geometry."""

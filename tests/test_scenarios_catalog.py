@@ -132,6 +132,19 @@ class TestSuiteRoundTrip:
         assert len(specs) == 1
         assert specs[0].requests_per_core == 600
 
+    def test_single_takes_none_as_benign(self):
+        # As cross-product's attack lists and the CLI's --attack do.
+        suite = parse_suite_text(
+            "scenarios: [{family: single, params: "
+            "{tracker: dapper-h, workload: 429.mcf, attack: none}}]"
+        )
+        benign = family_by_name("single").expand(
+            {"tracker": "dapper-h", "workload": "429.mcf"}
+        )
+        specs = suite.compile()
+        assert [spec.attack for spec in specs] == [None]
+        assert _keys(specs) == _keys(benign)
+
     def test_multi_attacker_plan_shape(self):
         spec = parse_suite_text(YAML_SUITE).compile()[0]
         assert spec.core_plan is not None
@@ -191,6 +204,10 @@ class TestErrorPaths:
             family_by_name("single").expand(
                 {"tracker": "no-such-tracker", "workload": "429.mcf"}
             )
+
+    def test_request_budget_below_one(self):
+        with pytest.raises(ValueError, match="requests_per_core must be >= 1"):
+            ScenarioSpec(tracker="none", workload="429.mcf", requests_per_core=0)
 
     def test_too_many_attackers(self):
         with pytest.raises(ValueError, match="no benign core"):
