@@ -1422,6 +1422,13 @@ def _cmd_list_attacks() -> int:
 
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
+    if args.workload not in {profile.name for profile in ALL_WORKLOADS}:
+        return _refuse(
+            "trace-record",
+            f"unknown workload {args.workload!r} (see `repro.cli list-workloads`)",
+        )
+    if args.entries < 1:
+        return _refuse("trace-record", f"--entries must be >= 1, got {args.entries}")
     entries = record_workload_trace(
         args.workload, args.entries, config=baseline_config(), seed=args.seed
     )

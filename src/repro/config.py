@@ -130,10 +130,6 @@ class DRAMOrganization:
         return self.bytes_per_channel * self.channels
 
     @property
-    def row_bits(self) -> int:
-        return (self.rows_per_bank - 1).bit_length()
-
-    @property
     def rank_row_bits(self) -> int:
         """Bits needed to index a row inside one rank (the DAPPER hash width)."""
         return (self.rows_per_rank - 1).bit_length()
@@ -175,6 +171,10 @@ class RowHammerConfig:
     nrh: int = 500
     blast_radius: int = 1
     mitigation_command: MitigationCommand = MitigationCommand.VRR
+
+    def __post_init__(self):
+        if self.nrh < 1:
+            raise ValueError(f"RowHammer threshold must be >= 1, got {self.nrh}")
 
     @property
     def mitigation_threshold(self) -> int:
@@ -225,9 +225,6 @@ class SystemConfig:
         return dataclasses.replace(
             self, llc=dataclasses.replace(self.llc, size_bytes=size_bytes)
         )
-
-    def with_seed(self, seed: int) -> "SystemConfig":
-        return dataclasses.replace(self, seed=seed)
 
 
 def baseline_config(nrh: int = 500, seed: int = 0xDA99E2) -> SystemConfig:

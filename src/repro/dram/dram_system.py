@@ -63,23 +63,6 @@ class DRAMStats:
     blackout_time_ns: float = 0.0
     blackout_time_by_reason: dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self) -> dict[str, float]:
-        data = {
-            "reads": self.reads,
-            "writes": self.writes,
-            "activations": self.activations,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "row_conflicts": self.row_conflicts,
-            "counter_reads": self.counter_reads,
-            "counter_writes": self.counter_writes,
-            "victim_refreshes": self.victim_refreshes,
-            "victim_rows_refreshed": self.victim_rows_refreshed,
-            "blackouts": self.blackouts,
-            "blackout_time_ns": self.blackout_time_ns,
-        }
-        return data
-
 
 @dataclass(slots=True)
 class _RankState:

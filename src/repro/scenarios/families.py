@@ -6,12 +6,13 @@ Three groups:
   tracker x attack x workload layout.  The CLI's scenario verbs expand them:
   ``run``, ``obs trace`` and ``security`` expand ``single`` from their flags,
   and ``sweep`` expands ``cross-product``.
-* **Heterogeneous shapes** -- ``workload-blend``, ``multi-attacker``,
-  ``attacker-count-sweep``, ``hammer-rate-sweep`` and ``fuzz`` compile down
+* **Heterogeneous shapes** -- ``multi-attacker`` and ``fuzz`` compile down
   to per-core plans (:class:`~repro.sim.sweep.CoreAssignment`), expressing
   scenarios the paper's fixed four-core layout cannot: several heterogeneous
-  attacker cores, mixed benign blends with per-core intensity, and seeded
-  random exploration.
+  attacker cores (or none: a benign blend), mixed benign blends with
+  per-core intensity, and seeded random exploration.  A sweep over attacker
+  counts or hammer rates is a list of ``multi-attacker`` entries, one per
+  point.
 * **Paper scenarios** -- :func:`paper_batch` expands the batch behind every
   simulated figure and table from a series table.  ``paper-figure3/4/11/12``
   and ``paper-table4`` register the batches a suite file can reference, so
@@ -137,11 +138,11 @@ def _check_workload(name: str) -> str:
     return name
 
 
-def _as_list(value, what: str) -> list:
+def _as_list(value, what: str, allow_empty: bool = False) -> list:
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
         raise ValueError(f"{what} must be a list, got {value!r}")
     items = list(value)
-    if not items:
+    if not items and not allow_empty:
         raise ValueError(f"{what} must not be empty")
     return items
 
@@ -358,49 +359,6 @@ register_family(
 # --------------------------------------------------------------------------- #
 
 
-def _build_workload_blend(
-    tracker,
-    workloads,
-    nrh,
-    requests_per_core,
-    seed,
-    trefw_scale,
-    geometry,
-):
-    config = _scenario_config(nrh, trefw_scale, geometry)
-    _check_tracker(tracker, config)
-    benign = _benign_assignments(_as_list(workloads, "workloads"))
-    plan = _fill_plan([], benign, config.cores.num_cores)
-    return [
-        ScenarioSpec(
-            tracker=tracker,
-            workload=_plan_label(plan),
-            seed=seed,
-            requests_per_core=int(requests_per_core),
-            config=config,
-            core_plan=plan,
-        )
-    ]
-
-
-register_family(
-    ScenarioFamily(
-        name="workload-blend",
-        description="Mixed benign workloads with per-core intensity, no "
-        "attacker (cycled over all cores).",
-        builder=_build_workload_blend,
-        parameters=(
-            Parameter("tracker", "none", "tracker name"),
-            Parameter(
-                "workloads",
-                doc="blend entries: name or {workload, intensity, cores}",
-            ),
-        )
-        + _COMMON,
-    )
-)
-
-
 def _build_multi_attacker(
     tracker,
     attackers,
@@ -414,7 +372,9 @@ def _build_multi_attacker(
 ):
     config = _scenario_config(nrh, trefw_scale, geometry)
     _check_tracker(tracker, config)
-    attacker_cores = _attacker_assignments(_as_list(attackers, "attackers"))
+    attacker_cores = _attacker_assignments(
+        _as_list(attackers, "attackers", allow_empty=True)
+    )
     benign = _benign_assignments(_as_list(workloads, "workloads"))
     plan = _fill_plan(attacker_cores, benign, config.cores.num_cores)
     return [
@@ -433,14 +393,16 @@ def _build_multi_attacker(
 register_family(
     ScenarioFamily(
         name="multi-attacker",
-        description="Several heterogeneous attacker cores (each with its own "
-        "hammer rate) against a benign workload blend.",
+        description="Heterogeneous attacker cores (each with its own hammer "
+        "rate, none = benign) against a benign workload blend.",
         builder=_build_multi_attacker,
         parameters=(
             Parameter("tracker", doc="tracker name"),
             Parameter(
                 "attackers",
-                doc="attacker entries: name or {attack, hammer_rate, cores}",
+                [],
+                "attacker entries: name or {attack, hammer_rate, cores} "
+                "(empty = a benign blend)",
             ),
             Parameter(
                 "workloads",
@@ -451,118 +413,6 @@ register_family(
                 False,
                 "normalise against a baseline that keeps the attackers running",
             ),
-        )
-        + _COMMON,
-    )
-)
-
-
-def _build_attacker_count_sweep(
-    tracker,
-    attack,
-    counts,
-    hammer_rate,
-    workloads,
-    nrh,
-    requests_per_core,
-    seed,
-    trefw_scale,
-    geometry,
-):
-    config = _scenario_config(nrh, trefw_scale, geometry)
-    _check_tracker(tracker, config)
-    _check_attack(attack)
-    benign = _benign_assignments(_as_list(workloads, "workloads"))
-    specs = []
-    for count in _as_list(counts, "counts"):
-        count = int(count)
-        if count < 0:
-            raise ValueError(f"attacker count must be >= 0, got {count}")
-        attacker_cores = [
-            CoreAssignment(role="attack", name=attack, hammer_rate=float(hammer_rate))
-        ] * count
-        plan = _fill_plan(attacker_cores, benign, config.cores.num_cores)
-        specs.append(
-            ScenarioSpec(
-                tracker=tracker,
-                workload=_plan_label(plan),
-                seed=seed,
-                requests_per_core=int(requests_per_core),
-                config=config,
-                core_plan=plan,
-            )
-        )
-    return specs
-
-
-register_family(
-    ScenarioFamily(
-        name="attacker-count-sweep",
-        description="One scenario per attacker count (0 = pure benign blend), "
-        "same attack kernel on every attacker core.",
-        builder=_build_attacker_count_sweep,
-        parameters=(
-            Parameter("tracker", doc="tracker name"),
-            Parameter("attack", doc="attack kernel every attacker core runs"),
-            Parameter("counts", [0, 1, 2], "attacker-core counts to sweep"),
-            Parameter("hammer_rate", 1.0, "hammer rate shared by all attackers"),
-            Parameter("workloads", doc="benign blend for the remaining cores"),
-        )
-        + _COMMON,
-    )
-)
-
-
-def _build_hammer_rate_sweep(
-    tracker,
-    attack,
-    rates,
-    attackers,
-    workloads,
-    nrh,
-    requests_per_core,
-    seed,
-    trefw_scale,
-    geometry,
-):
-    config = _scenario_config(nrh, trefw_scale, geometry)
-    _check_tracker(tracker, config)
-    _check_attack(attack)
-    benign = _benign_assignments(_as_list(workloads, "workloads"))
-    attackers = int(attackers)
-    if attackers < 1:
-        raise ValueError(f"attackers must be >= 1, got {attackers}")
-    specs = []
-    for rate in _as_list(rates, "rates"):
-        attacker_cores = [
-            CoreAssignment(role="attack", name=attack, hammer_rate=float(rate))
-        ] * attackers
-        plan = _fill_plan(attacker_cores, benign, config.cores.num_cores)
-        specs.append(
-            ScenarioSpec(
-                tracker=tracker,
-                workload=_plan_label(plan),
-                seed=seed,
-                requests_per_core=int(requests_per_core),
-                config=config,
-                core_plan=plan,
-            )
-        )
-    return specs
-
-
-register_family(
-    ScenarioFamily(
-        name="hammer-rate-sweep",
-        description="One scenario per attacker hammer rate, fixed attack "
-        "kernel and benign blend.",
-        builder=_build_hammer_rate_sweep,
-        parameters=(
-            Parameter("tracker", doc="tracker name"),
-            Parameter("attack", doc="attack kernel"),
-            Parameter("rates", [1.0, 0.5, 0.25], "hammer rates to sweep"),
-            Parameter("attackers", 1, "number of attacker cores"),
-            Parameter("workloads", doc="benign blend for the remaining cores"),
         )
         + _COMMON,
     )
@@ -1050,7 +900,12 @@ def _build_trace_replay(
             f"{num_cores}-core system"
         )
     trace_path = str(trace)
-    info = load_trace_info(trace_path)  # validates the file up front
+    try:
+        info = load_trace_info(trace_path)  # validates the file up front
+    except OSError as error:
+        raise ValueError(
+            f"cannot read trace file {trace_path!r}: {error.strerror or error}"
+        ) from None
     plan = tuple(
         attackers
         + [CoreAssignment(role="trace", trace=trace_path)] * cores

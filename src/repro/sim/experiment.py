@@ -7,18 +7,18 @@ over worker processes -- belongs to :class:`repro.sim.sweep.SweepRunner`,
 which calls :func:`run_workload` for each :class:`~repro.sim.sweep.ScenarioSpec`
 it has to simulate.
 
-The evaluation methodology follows the paper (Section IV): four cores run
-homogeneous copies of a workload; in attack configurations core 0 runs the
-attack kernel instead and the performance of the remaining three benign copies
-is reported, normalised to the insecure baseline (no mitigation, no attacker)
-running the same benign copies.
-
-Beyond the paper's fixed layout, :func:`build_core_specs_from_plan` realises
-heterogeneous *core plans* (see :class:`repro.sim.sweep.CoreAssignment`):
-several attacker cores running different kernels at individual hammer rates,
-mixed benign workload blends with per-core intensity, and idle cores.  The
-scenario catalog (:mod:`repro.scenarios`) compiles its families down to these
-plans.
+Below the spec there is one layout: the *core plan*, one
+:class:`~repro.sim.sweep.CoreAssignment` per core.
+:func:`build_core_specs_from_plan` turns a plan into generators and
+:func:`warm_up_tracker_from_plan` warms the tracker with its attackers.  The
+paper's methodology (Section IV) is one such plan: core 0 runs the attack
+kernel and the other cores run benign copies of one workload, whose
+performance is reported, normalised to the insecure baseline running the
+same benign copies.  :func:`run_workload` lowers a classic ``(workload,
+attack)`` scenario to exactly that plan.  Other plans put several attackers
+at individual hammer rates, mixed benign blends with per-core intensity,
+trace replays or idle cores on the machine; the scenario catalog
+(:mod:`repro.scenarios`) compiles its families down to them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.attacks import attack_by_name
 from repro.config import SystemConfig, baseline_config
 from repro.cpu.trace import TraceEntry, WorkloadTraceGenerator, generator_batch
 from repro.cpu.tracefile import FileTraceGenerator
-from repro.cpu.workloads import WorkloadProfile, get_workload
+from repro.cpu.workloads import WorkloadProfile
 from repro.dram.address import AddressMapper, RowAddress
 from repro.sim.batch import engine_class
 from repro.sim.simulator import CoreSpec, SimulationResult
@@ -53,8 +53,9 @@ class ThrottledGenerator:
 
     A hammer rate of ``r`` in ``(0, 1]`` multiplies every instruction gap by
     ``1/r``, so a throttled attacker issues requests proportionally more
-    slowly when compute-bound (its memory-level parallelism is reduced in
-    :func:`build_core_specs_from_plan` for the DRAM-bound regime).  Because
+    slowly when compute-bound (for the DRAM-bound regime,
+    :func:`build_core_specs_from_plan` also scales its memory-level
+    parallelism by ``r``).  A full-rate attacker is never wrapped.  Because
     attack kernels emit single-instruction gaps, the fractional part of the
     stretch is carried across entries instead of rounded away -- the *mean*
     gap is exactly ``gap / r`` for every rate.
@@ -82,66 +83,9 @@ class ThrottledGenerator:
         )
 
 
-def _resolve_workload(workload: str | WorkloadProfile) -> WorkloadProfile:
-    if isinstance(workload, WorkloadProfile):
-        return workload
-    return get_workload(workload)
-
-
 def _attacker_seed(seed: int, core_id: int) -> int:
-    """Per-core attack-kernel seed (core 0 matches the classic layout)."""
+    """Per-core attack-kernel seed (core 0's is ``seed ^ _ATTACK_SEED_SALT``)."""
     return seed ^ _ATTACK_SEED_SALT ^ (core_id * 0x9E3779B1)
-
-
-def build_core_specs(
-    config: SystemConfig,
-    workload: WorkloadProfile,
-    attack: str | None,
-    requests_per_core: int,
-    seed: int,
-) -> list[CoreSpec]:
-    """Build the per-core generators for one scenario.
-
-    Without an attack every core runs a copy of the workload; with an attack,
-    core 0 runs the attack kernel (no budget) and the other cores run benign
-    copies.
-    """
-    mapper = AddressMapper(config.dram)
-    org = config.dram
-    num_cores = config.cores.num_cores
-    mean_gap = 1000.0 / workload.apki
-
-    specs: list[CoreSpec] = []
-    for core_id in range(num_cores):
-        if attack is not None and core_id == 0:
-            generator = attack_by_name(
-                attack, org, mapper, seed=seed ^ _ATTACK_SEED_SALT
-            )
-            specs.append(
-                CoreSpec(
-                    generator=generator,
-                    request_budget=None,
-                    mean_gap_instructions=1.0,
-                    is_attacker=True,
-                    max_outstanding_override=ATTACKER_MLP,
-                )
-            )
-            continue
-        generator = WorkloadTraceGenerator(
-            profile=workload,
-            org=org,
-            mapper=mapper,
-            core_id=core_id,
-            seed=seed,
-        )
-        specs.append(
-            CoreSpec(
-                generator=generator,
-                request_budget=requests_per_core,
-                mean_gap_instructions=mean_gap,
-            )
-        )
-    return specs
 
 
 def build_core_specs_from_plan(
@@ -150,14 +94,14 @@ def build_core_specs_from_plan(
     requests_per_core: int,
     seed: int,
 ) -> list[CoreSpec]:
-    """Build the per-core generators for a heterogeneous core plan.
+    """Build the per-core generators for a core plan.
 
     One :class:`~repro.sim.sweep.CoreAssignment` per core: benign cores run
-    their (intensity-scaled) profile with the usual request budget, attacker
-    cores run their kernel unbudgeted at ``hammer_rate`` aggressiveness, and
-    idle cores issue nothing.  A plan of ``[attack, workload x 3]`` at full
-    hammer rate reproduces the classic single-attacker layout exactly (same
-    generators, same seeds).
+    their (intensity-scaled) profile with the usual request budget, trace
+    cores loop their file under the same budget, attacker cores run their
+    kernel unbudgeted at ``hammer_rate`` aggressiveness, and idle cores
+    issue nothing.  A full-rate attacker keeps the kernel's own gaps and an
+    MLP of :data:`ATTACKER_MLP`.
     """
     if len(plan) > config.cores.num_cores:
         raise ValueError(
@@ -223,41 +167,6 @@ def build_core_specs_from_plan(
     return specs
 
 
-def warm_up_tracker(
-    tracker: RowHammerTracker,
-    attack: str,
-    config: SystemConfig,
-    activations: int,
-    seed: int,
-) -> int:
-    """Pre-condition a tracker with attack activations before measurement.
-
-    The paper measures hundreds of milliseconds of steady-state execution, in
-    which the attack has long since pushed the tracker into its exploited
-    regime (Hydra groups in per-row mode, CoMeT's sketch saturated, ABACUS's
-    spillover counter climbing, START's counter region populated).  Short
-    simulation windows would otherwise spend most of their time in the benign
-    warm-up phase, so the experiment helpers replay the attack's activation
-    stream directly into the tracker first.  Only the tracker state is warmed:
-    no DRAM time, energy or security accounting is charged.
-
-    The warm-up stops as soon as the tracker produces its first *active*
-    response (a mitigation, group mitigation or structure-reset blackout),
-    i.e. right at the edge of the attack's exploitation cycle, so that the
-    measured window starts in the exploited regime rather than immediately
-    after an (unobserved) reset.  ``activations`` caps the warm-up length for
-    trackers the attack never provokes.  Returns the number of warm-up
-    activations performed.
-    """
-    if activations <= 0:
-        return 0
-    mapper = AddressMapper(config.dram)
-    generator = attack_by_name(
-        attack, config.dram, mapper, seed=seed ^ _ATTACK_SEED_SALT
-    )
-    return _replay_warmup(tracker, [generator], mapper, config, activations)
-
-
 def warm_up_tracker_from_plan(
     tracker: RowHammerTracker,
     plan: tuple[CoreAssignment, ...],
@@ -265,13 +174,28 @@ def warm_up_tracker_from_plan(
     activations: int,
     seed: int,
 ) -> int:
-    """Plan-aware variant of :func:`warm_up_tracker`.
+    """Pre-condition a tracker with the plan's attack activations.
 
-    The activation streams of every attacker core in the plan are interleaved
-    in proportion to their hammer rates (weighted round-robin), approximating
-    how the kernels share DRAM bandwidth during the (untimed) warm-up phase.
-    With a single full-rate attacker on core 0 this replays exactly the
-    classic warm-up stream.
+    The paper measures hundreds of milliseconds of steady-state execution, in
+    which the attack has long since pushed the tracker into its exploited
+    regime (Hydra groups in per-row mode, CoMeT's sketch saturated, ABACUS's
+    spillover counter climbing, START's counter region populated).  Short
+    simulation windows would otherwise spend most of their time in the benign
+    warm-up phase, so :func:`run_workload` replays the attackers' activation
+    streams directly into the tracker first.  Only the tracker state is
+    warmed: no DRAM time, energy or security accounting is charged.
+
+    The streams of every attacker core are interleaved in proportion to
+    their hammer rates (weighted round-robin), approximating how the kernels
+    share DRAM bandwidth during the (untimed) warm-up phase; each kernel is
+    seeded as its core is in :func:`build_core_specs_from_plan`.  The warm-up
+    stops as soon as the tracker produces its first *active* response (a
+    mitigation, group mitigation or structure-reset blackout), i.e. right at
+    the edge of the attack's exploitation cycle, so that the measured window
+    starts in the exploited regime rather than immediately after an
+    (unobserved) reset.  ``activations`` caps the warm-up length for
+    trackers the attack never provokes.  A plan without attackers warms
+    nothing.  Returns the number of warm-up activations performed.
     """
     attacker_cores = [
         (core_id, assignment)
@@ -294,19 +218,30 @@ def warm_up_tracker_from_plan(
     return _replay_warmup(tracker, generators, mapper, config, activations, rates)
 
 
+def warm_up_tracker(
+    tracker: RowHammerTracker,
+    attack: str,
+    config: SystemConfig,
+    activations: int,
+    seed: int,
+) -> int:
+    """:func:`warm_up_tracker_from_plan` for one full-rate ``attack`` on core 0."""
+    plan = (CoreAssignment(role="attack", name=attack),)
+    return warm_up_tracker_from_plan(tracker, plan, config, activations, seed)
+
+
 def _replay_warmup(
     tracker: RowHammerTracker,
     generators: list,
     mapper: AddressMapper,
     config: SystemConfig,
     activations: int,
-    rates: list[float] | None = None,
+    rates: list[float],
 ) -> int:
     # Deterministic weighted round-robin: each generator accrues credit at
     # its rate and the highest-credit generator (lowest index on ties)
     # supplies the next activation, so a rate-0.25 attacker contributes a
     # quarter as many warm-up activations as a full-rate one.
-    rates = [1.0] * len(generators) if rates is None else rates
     num = len(generators)
     if type(tracker) is NoMitigation:
         # The no-op tracker only counts activations and can never produce the
@@ -384,9 +319,13 @@ def run_workload(
 ) -> SimulationResult:
     """Run one scenario and return its :class:`SimulationResult`.
 
-    ``core_plan`` replaces the classic homogeneous-workload-plus-optional-
-    attacker layout with an explicit per-core layout (``attack`` must then be
-    ``None``; ``workload`` is ignored).
+    Every scenario runs as a core plan.  Without ``core_plan`` the classic
+    ``(workload, attack)`` pair is lowered to the plan it means: ``attack``
+    at full rate on core 0 (when set) and ``workload`` on every other core.
+    With ``core_plan``, ``attack`` must be ``None`` and ``workload`` is
+    ignored.  Either way the cores come from
+    :func:`build_core_specs_from_plan` and the tracker is warmed by
+    :func:`warm_up_tracker_from_plan` (``attack_warmup_activations`` caps it).
 
     ``engine`` selects the simulation engine (``"batched"`` -- the default --
     or the reference ``"scalar"``); both produce bit-identical results, so
@@ -401,27 +340,27 @@ def run_workload(
     """
     config = config or baseline_config()
     seed = config.seed if seed is None else seed
-    if core_plan is not None:
-        if attack is not None:
-            raise ValueError("core_plan and attack are mutually exclusive")
-        specs = build_core_specs_from_plan(
-            config, core_plan, requests_per_core, seed
+    if core_plan is None:
+        benign = (
+            CoreAssignment(role="workload", profile=workload)
+            if isinstance(workload, WorkloadProfile)
+            else CoreAssignment(role="workload", name=workload)
         )
-    else:
-        profile = _resolve_workload(workload)
-        specs = build_core_specs(config, profile, attack, requests_per_core, seed)
+        attackers = (
+            () if attack is None else (CoreAssignment(role="attack", name=attack),)
+        )
+        core_plan = attackers + (benign,) * (config.cores.num_cores - len(attackers))
+    elif attack is not None:
+        raise ValueError("core_plan and attack are mutually exclusive")
+    specs = build_core_specs_from_plan(config, core_plan, requests_per_core, seed)
     tracker_obj = create_tracker(tracker, config) if isinstance(tracker, str) else tracker
     warmup_stage = (
         profiler.stage("tracker-warmup") if profiler is not None else nullcontext()
     )
     with warmup_stage:
-        if core_plan is not None and attack_warmup_activations > 0:
+        if attack_warmup_activations > 0:
             warm_up_tracker_from_plan(
                 tracker_obj, core_plan, config, attack_warmup_activations, seed
-            )
-        elif attack is not None and attack_warmup_activations > 0:
-            warm_up_tracker(
-                tracker_obj, attack, config, attack_warmup_activations, seed
             )
     simulator = engine_class(engine)(
         config,

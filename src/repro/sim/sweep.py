@@ -764,18 +764,6 @@ class SweepRunner:
 
     # ------------------------------------------------------------------ #
 
-    def simulate(self, spec: ScenarioSpec) -> SimulationResult:
-        """Run (or replay) one scenario without baseline normalisation."""
-        key = spec.cache_key()
-        self.stats.simulations += 1
-        found = self._lookup(key)
-        if found is not None:
-            self.stats.cache_hits += 1
-            return found
-        self.stats.cache_misses += 1
-        self._execute_pending({key: spec})
-        return self._memory[key]
-
     def ensure(
         self,
         specs: Sequence[ScenarioSpec],
@@ -783,13 +771,12 @@ class SweepRunner:
     ) -> int:
         """Execute (or replay) a batch of scenarios without normalisation.
 
-        Like :meth:`simulate` for many specs at once: missing simulations
-        fan out over the worker pool together, already-stored ones are
-        cheap membership checks.  Returns how many simulations actually
-        executed; ``progress`` is called after each one is stored.  This is
-        the campaign drain's shard primitive -- campaigns pre-expand
-        baselines into their work plan, so no baseline resolution happens
-        here.
+        Missing simulations fan out over the worker pool together;
+        already-stored ones are cheap membership checks.  Returns how many
+        simulations actually executed; ``progress`` is called after each one
+        is stored.  This is the campaign drain's shard primitive -- campaigns
+        pre-expand baselines into their work plan, so no baseline resolution
+        happens here.
         """
         pending: dict[str, ScenarioSpec] = {}
         seen: set[str] = set()

@@ -75,13 +75,6 @@ class RunRecord:
     peak_memory_bytes: int | None = None
     created_at: str | None = None
 
-    def scenario_field(self, name: str):
-        """One identifying scenario field (``None`` when absent)."""
-        value = self.scenario.get(name)
-        # Core-plan scenarios have no single attack; classic benign runs
-        # store an explicit null.  Both surface as None.
-        return value
-
 
 @dataclass(frozen=True)
 class LeaseRow:
@@ -434,11 +427,11 @@ class SqliteStore:
                     record.code_version,
                     json.dumps(record.scenario, default=str),
                     json.dumps(record.result),
-                    record.scenario_field("tracker"),
-                    record.scenario_field("workload"),
-                    record.scenario_field("attack"),
-                    record.scenario_field("nrh"),
-                    record.scenario_field("seed"),
+                    record.scenario.get("tracker"),
+                    record.scenario.get("workload"),
+                    record.scenario.get("attack"),
+                    record.scenario.get("nrh"),
+                    record.scenario.get("seed"),
                     record.elapsed_seconds,
                     record.peak_memory_bytes,
                     record.created_at or utc_now(),

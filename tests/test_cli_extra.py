@@ -144,13 +144,26 @@ class TestTraceRecord:
         assert "wrote 200 entries" in capsys.readouterr().out
         assert len(read_trace(output)) == 200
 
-    def test_unknown_workload_is_rejected(self, tmp_path):
-        with pytest.raises(KeyError):
-            main(
-                [
-                    "trace-record",
-                    "--workload", "not-a-workload",
-                    "--entries", "10",
-                    "-o", str(tmp_path / "x.trace"),
-                ]
-            )
+    def test_unknown_workload_is_rejected(self, tmp_path, capsys):
+        output = tmp_path / "x.trace"
+        code = main(
+            [
+                "trace-record",
+                "--workload", "not-a-workload",
+                "--entries", "10",
+                "-o", str(output),
+            ]
+        )
+        assert code == 2
+        assert (
+            "trace-record: unknown workload 'not-a-workload'"
+            in capsys.readouterr().err
+        )
+        assert not output.exists()
+
+    @pytest.mark.parametrize("entries", ["0", "-5"])
+    def test_entries_below_one_are_rejected(self, entries, tmp_path, capsys):
+        output = tmp_path / "x.trace"
+        assert main(["trace-record", "--entries", entries, "-o", str(output)]) == 2
+        assert "trace-record: --entries must be >= 1" in capsys.readouterr().err
+        assert not output.exists()

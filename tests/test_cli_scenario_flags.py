@@ -283,6 +283,26 @@ class TestRequestBudget:
         assert main(["scenarios", "run", str(suite), "--cache-dir", ""]) == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "verb",
+        [["run"], ["obs", "trace"], ["security"], ["sweep"], ["security-sweep"]],
+    )
+    def test_threshold_below_one_exits_2(self, verb, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*verb, "--nrh", "0"]) == 2
+        assert "RowHammer threshold must be >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_suite_threshold_below_one_exits_2(self, tmp_path, capsys):
+        suite = tmp_path / "nrh0.json"
+        suite.write_text(
+            '{"defaults": {"nrh": 0}, "scenarios": [{"family": "single", '
+            '"params": {"tracker": "none", "workload": "429.mcf"}}]}',
+            encoding="utf-8",
+        )
+        assert main(["scenarios", "run", str(suite), "--cache-dir", ""]) == 2
+        assert "RowHammer threshold must be >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scale", ["0", "-1"])
     def test_refresh_window_scale_must_be_positive(self, scale, capsys):
         assert main(["run", "--trefw-scale", scale, "--requests", "200"]) == 2

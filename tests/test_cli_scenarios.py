@@ -53,7 +53,7 @@ class TestBrowsing:
     def test_list_names_builtin_families(self, capsys):
         assert main(["scenarios", "list"]) == 0
         out = capsys.readouterr().out
-        for name in ("multi-attacker", "workload-blend", "fuzz", "paper-figure3"):
+        for name in ("multi-attacker", "fuzz", "paper-figure3"):
             assert name in out
 
     def test_show_prints_parameters(self, capsys):
@@ -145,3 +145,40 @@ class TestRun:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["scenarios", "run", str(tmp_path / "absent.yaml")]) == 2
         assert "cannot read suite file" in capsys.readouterr().err
+
+
+class TestTraceReplayInput:
+    """A ``trace-replay`` entry whose file cannot be read is a refused suite
+    (exit 2, the path named on stderr) on every verb that compiles suites."""
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["scenarios", "run"],
+            ["campaign", "run"],
+            ["obs", "trace", "--suite"],
+        ],
+        ids=["scenarios-run", "campaign-run", "obs-trace"],
+    )
+    def test_unreadable_trace_exits_2(
+        self, verb, target, tmp_path, monkeypatch, capsys
+    ):
+        trace = tmp_path / "absent.trace"
+        if target == "directory":
+            trace = tmp_path / "traces"
+            trace.mkdir()
+        suite = tmp_path / "suite.json"
+        entry = {"family": "trace-replay", "params": {"trace": str(trace)}}
+        suite.write_text(json.dumps({"scenarios": [entry]}), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        extra = {
+            "scenarios": ["--cache-dir", ""],
+            "campaign": ["--store", str(tmp_path / "w.sqlite")],
+            "obs": ["-o", str(tmp_path / "trace.json")],
+        }[verb[0]]
+        assert main([*verb, str(suite), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "family 'trace-replay'" in err
+        assert f"cannot read trace file {str(trace)!r}" in err
+        assert not (tmp_path / "trace.json").exists()

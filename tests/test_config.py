@@ -82,6 +82,13 @@ class TestRowHammerConfig:
     def test_default_command_is_vrr(self):
         assert RowHammerConfig().mitigation_command is MitigationCommand.VRR
 
+    @pytest.mark.parametrize("nrh", [0, -1])
+    def test_threshold_below_one_is_refused(self, nrh):
+        with pytest.raises(ValueError, match="RowHammer threshold must be >= 1"):
+            RowHammerConfig(nrh=nrh)
+        with pytest.raises(ValueError, match="RowHammer threshold must be >= 1"):
+            baseline_config().with_nrh(nrh)
+
 
 class TestSystemConfig:
     def test_with_nrh_returns_new_config(self):

@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.config import reduced_row_config
-from repro.cpu.workloads import get_workload
 from repro.obs import (
     MetricsSampler,
     PipelineProfiler,
@@ -26,7 +25,8 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.sim.batch import engine_class
-from repro.sim.experiment import build_core_specs, run_workload
+from repro.sim.experiment import build_core_specs_from_plan, run_workload
+from repro.sim.sweep import CoreAssignment
 from repro.trackers.registry import create_tracker
 
 REQUESTS = 300
@@ -67,8 +67,14 @@ class TestZeroOverhead:
         simulator = engine_class(engine)(
             config,
             create_tracker("graphene", config),
-            build_core_specs(
-                config, get_workload("453.povray"), "refresh", REQUESTS, config.seed
+            build_core_specs_from_plan(
+                config,
+                (
+                    CoreAssignment(role="attack", name="refresh"),
+                    *[CoreAssignment(role="workload", name="453.povray")] * 3,
+                ),
+                REQUESTS,
+                config.seed,
             ),
             llc_warmup_accesses=LLC_WARMUP,
             profiler=PipelineProfiler(),

@@ -10,6 +10,7 @@ offending entry rather than a traceback from deep inside the simulator.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,11 +45,14 @@ scenarios:
       workloads:
         - { workload: 429.mcf, intensity: 1.5 }
         - 470.lbm
-  - family: attacker-count-sweep
+  - family: multi-attacker
     params:
       tracker: dapper-h
-      attack: refresh
-      counts: [0, 2]
+      workloads: [433.milc]
+  - family: multi-attacker
+    params:
+      tracker: dapper-h
+      attackers: [{ attack: refresh, cores: 2 }]
       workloads: [433.milc]
   - family: fuzz
     params: { count: 3, seed: 11 }
@@ -75,17 +79,26 @@ JSON_SUITE = json.dumps(
                 },
             },
             {
-                "family": "attacker-count-sweep",
+                "family": "multi-attacker",
+                "params": {"tracker": "dapper-h", "workloads": ["433.milc"]},
+            },
+            {
+                "family": "multi-attacker",
                 "params": {
                     "tracker": "dapper-h",
-                    "attack": "refresh",
-                    "counts": [0, 2],
+                    "attackers": [{"attack": "refresh", "cores": 2}],
                     "workloads": ["433.milc"],
                 },
             },
             {"family": "fuzz", "params": {"count": 3, "seed": 11}},
         ],
     }
+)
+
+
+#: Every suite file shipped under examples/suites/.
+EXAMPLE_SUITES = sorted(
+    (Path(__file__).resolve().parent.parent / "examples" / "suites").glob("*")
 )
 
 
@@ -96,7 +109,8 @@ def _keys(specs: list[ScenarioSpec]) -> list[str]:
 class TestSuiteRoundTrip:
     def test_yaml_suite_compiles(self):
         specs = parse_suite_text(YAML_SUITE).compile()
-        # 1 multi-attacker + 2 counts + 3 fuzz scenarios.
+        # A two-attacker plan, a count sweep over 0 and 2 attackers, and 3
+        # fuzz scenarios.
         assert len(specs) == 6
         assert all(isinstance(spec, ScenarioSpec) for spec in specs)
 
@@ -152,6 +166,22 @@ class TestSuiteRoundTrip:
         assert roles == ["attack", "attack", "workload", "workload"]
         assert spec.core_plan[1].hammer_rate == 0.5
         assert spec.core_plan[2].intensity == 1.5
+
+    def test_multi_attacker_without_attackers_is_a_benign_blend(self):
+        family = family_by_name("multi-attacker")
+        params = {"tracker": "none", "workloads": ["429.mcf", "470.lbm"]}
+        (omitted,) = family.expand(params)
+        (empty,) = family.expand({**params, "attackers": []})
+        assert omitted.cache_key() == empty.cache_key()
+        assert not omitted.has_attacker
+        labels = [assignment.label() for assignment in omitted.core_plan]
+        assert labels == ["429.mcf", "470.lbm", "429.mcf", "470.lbm"]
+
+
+@pytest.mark.parametrize("path", EXAMPLE_SUITES, ids=lambda path: path.name)
+def test_example_suite_compiles(path):
+    # A suite naming a removed family or parameter fails here, not in a run.
+    assert load_suite(path).compile()
 
 
 class TestFuzzDeterminism:
@@ -354,8 +384,9 @@ def plan_specs():
               tracker: dapper-h
               attackers: [blind-random-rows, {attack: refresh, hammer_rate: 0.5}]
               workloads: [{workload: 429.mcf, intensity: 0.5}, 470.lbm]
-          - family: workload-blend
+          - family: multi-attacker
             params:
+              tracker: none
               workloads: [429.mcf, {workload: 470.lbm, cores: 2}]
         """
     ).compile()

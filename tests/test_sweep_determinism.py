@@ -159,7 +159,7 @@ class TestResultSerialization:
             enable_auditor=True,
             config=sweep_config,
         )
-        result = SweepRunner().simulate(spec)
+        result = spec.run()
         replayed = SimulationResult.from_dict(
             json.loads(json.dumps(result.to_dict()))
         )
