@@ -167,6 +167,16 @@ _SCENARIO_FLAGS = {
 }
 
 
+def _output_path(value: str) -> str:
+    """The ``type=`` of every ``-o/--output``: refuses a path into a missing
+    directory (``-`` passes), so the command exits 2 while parsing, before
+    it simulates or opens a store, and creates nothing."""
+    directory = os.path.dirname(value)
+    if value != "-" and directory and not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"no directory {directory!r}")
+    return value
+
+
 def _scenario_flags(*flags: str) -> argparse.ArgumentParser:
     """A parent parser holding the named :data:`_SCENARIO_FLAGS`."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -193,6 +203,7 @@ def _batch_flags(output: str) -> argparse.ArgumentParser:
     parent.add_argument(
         "-o",
         "--output",
+        type=_output_path,
         default=output,
         help="path of the JSON report ('-' prints it to stdout)",
     )
@@ -431,6 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_report_p.add_argument(
         "-o",
         "--output",
+        type=_output_path,
         default="-",
         help="output path ('-' prints an aligned table)",
     )
@@ -462,6 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_diff.add_argument(
         "-o",
         "--output",
+        type=_output_path,
         default="-",
         help="JSON diff output path ('-' prints a summary table)",
     )
@@ -506,7 +519,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _store_argument(store_export)
     _filter_arguments(store_export)
-    store_export.add_argument("-o", "--output", required=True)
+    store_export.add_argument(
+        "-o", "--output", type=_output_path, required=True
+    )
     store_export.add_argument(
         "--format",
         choices=("csv", "json"),
@@ -560,6 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
     store_metrics.add_argument(
         "-o",
         "--output",
+        type=_output_path,
         default="-",
         help="output path ('-' prints an aligned table)",
     )
@@ -608,6 +624,7 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_trace.add_argument(
         "-o",
         "--output",
+        type=_output_path,
         default="trace.json",
         help="Chrome-trace output path (load it in Perfetto or "
         "chrome://tracing)",
@@ -639,7 +656,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--workload", default="429.mcf")
     trace.add_argument("--entries", type=int, default=10_000)
     trace.add_argument("--seed", type=int, default=None)
-    trace.add_argument("-o", "--output", required=True)
+    trace.add_argument("-o", "--output", type=_output_path, required=True)
     return parser
 
 
@@ -987,10 +1004,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.campaign_command == "run":
         try:
             suite = load_suite(args.suite)
+            # Compiled before the store is opened: a refused suite leaves
+            # no new warehouse file behind.
+            specs = suite.compile()
             store = _open_store(args.store)
             worker = CampaignWorker(
                 args.name or suite.name,
-                suite.compile(),
+                specs,
                 store,
                 worker_id=args.worker_id,
                 jobs=args.jobs,

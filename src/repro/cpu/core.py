@@ -93,14 +93,7 @@ class CoreModel:
 
     def begin_request(self, entry: TraceEntry) -> float:
         """Account for the compute gap before ``entry`` and return its issue time."""
-        return self.begin_request_values(entry.gap_instructions)
-
-    def begin_request_values(self, gap_instructions: int) -> float:
-        """:meth:`begin_request` on a raw instruction gap.
-
-        The batched engine keeps trace entries as parallel arrays; this
-        entry point avoids materialising a :class:`TraceEntry` per request.
-        """
+        gap_instructions = entry.gap_instructions
         peak = self.config.peak_instructions_per_ns
         gap_ns = gap_instructions / peak
         issue = self.cpu_time_ns + gap_ns

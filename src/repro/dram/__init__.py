@@ -9,11 +9,10 @@ behaviour the paper's evaluation depends on.
 """
 
 from repro.dram.address import AddressMapper, BankAddress, DecodedAddress, RowAddress
-from repro.dram.bank import Bank, BankState
+from repro.dram.bank import Bank
 from repro.dram.commands import CommandKind, MitigationScope
-from repro.dram.dram_system import DRAMAccessResult, DRAMSystem
+from repro.dram.dram_system import DRAMSystem
 from repro.dram.energy import EnergyModel, EnergyParameters, EnergyReport
-from repro.dram.refresh import RefreshScheduler
 
 __all__ = [
     "AddressMapper",
@@ -21,13 +20,10 @@ __all__ = [
     "DecodedAddress",
     "RowAddress",
     "Bank",
-    "BankState",
     "CommandKind",
     "MitigationScope",
     "DRAMSystem",
-    "DRAMAccessResult",
     "EnergyModel",
     "EnergyParameters",
     "EnergyReport",
-    "RefreshScheduler",
 ]

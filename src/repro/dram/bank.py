@@ -3,14 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-
-
-class BankState(str, Enum):
-    """Row-buffer state of a bank."""
-
-    IDLE = "idle"          # no row open
-    ACTIVE = "active"      # a row is open in the row buffer
 
 
 @dataclass(slots=True)
@@ -31,14 +23,6 @@ class Bank:
     row_hits: int = field(default=0)
     row_misses: int = field(default=0)
     row_conflicts: int = field(default=0)
-
-    @property
-    def state(self) -> BankState:
-        return BankState.IDLE if self.open_row is None else BankState.ACTIVE
-
-    def earliest_start(self, now_ns: float) -> float:
-        """Earliest time the bank could begin servicing a request issued now."""
-        return max(now_ns, self.ready_ns, self.blocked_until_ns)
 
     def block_until(self, until_ns: float) -> None:
         """Extend the bank's blackout window (mitigative refresh, reset, ...)."""

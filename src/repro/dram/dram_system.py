@@ -26,23 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import MitigationCommand, SystemConfig
-from repro.dram.address import BankAddress, DecodedAddress, RowAddress
+from repro.dram.address import BankAddress, RowAddress
 from repro.dram.bank import Bank
 from repro.dram.commands import Blackout, CommandKind, MitigationScope
 from repro.dram.energy import EnergyModel
-from repro.dram.refresh import RefreshScheduler
-
-
-@dataclass(frozen=True)
-class DRAMAccessResult:
-    """Outcome of servicing one memory request (or counter access)."""
-
-    start_ns: float
-    completion_ns: float
-    activated: bool
-    row_hit: bool
-    bank: BankAddress
-    row: int
 
 
 @dataclass
@@ -88,7 +75,6 @@ class DRAMSystem:
         self.config = config
         self.org = config.dram
         self.timings = config.timings
-        self.refresh = RefreshScheduler(config.timings)
         self.energy = energy or EnergyModel(
             num_ranks=self.org.channels * self.org.ranks_per_channel
         )
@@ -133,37 +119,6 @@ class DRAMSystem:
     # Main access path
     # ------------------------------------------------------------------ #
 
-    def access(
-        self,
-        decoded: DecodedAddress,
-        is_write: bool,
-        earliest_ns: float,
-        extra_act_delay_ns: float = 0.0,
-    ) -> DRAMAccessResult:
-        """Service one request and return its timing.
-
-        ``extra_act_delay_ns`` lengthens the activation (used by PRAC, whose
-        per-row counter update extends the row cycle).
-        """
-        bank_addr = decoded.bank_address
-        start, completion, activated, row_hit = self.access_flat(
-            self._bank_index(bank_addr),
-            self._rank_index(decoded.channel, decoded.rank),
-            decoded.channel,
-            decoded.row,
-            is_write,
-            earliest_ns,
-            extra_act_delay_ns,
-        )
-        return DRAMAccessResult(
-            start_ns=start,
-            completion_ns=completion,
-            activated=activated,
-            row_hit=row_hit,
-            bank=bank_addr,
-            row=decoded.row,
-        )
-
     def access_flat(
         self,
         bank_index: int,
@@ -174,23 +129,28 @@ class DRAMSystem:
         earliest_ns: float,
         extra_act_delay_ns: float = 0.0,
     ) -> tuple[float, float, bool, bool]:
-        """Timing core of :meth:`access`, keyed by flat indices.
+        """Service one request and return its timing, keyed by flat indices.
 
         Returns ``(start_ns, completion_ns, activated, row_hit)``.  This is
-        the single source of truth for request timing: :meth:`access` wraps it
-        with address-object decode/packaging, and the batched engine calls it
-        directly with predecoded coordinates.
+        the single source of truth for request timing: the controller calls
+        it with decoded coordinates, and the batched engine with predecoded
+        ones.  ``extra_act_delay_ns`` lengthens the activation (used by
+        PRAC, whose per-row counter update extends the row cycle).
+
+        Auto-refresh: every rank receives a REF once per tREFI and is
+        unavailable for tRFC while it runs, so a request start or an ACT
+        that lands in ``[k * tREFI, k * tREFI + tRFC)`` is pushed to the end
+        of that REF.  Which rows a REF touches is not modelled.
         """
         # Hot path: ``max`` chains are unrolled into comparisons and the
-        # refresh/energy helpers are inlined (all value-identical -- the
-        # operands are non-negative, so tie-breaking cannot differ).
+        # energy helper is inlined (all value-identical -- the operands are
+        # non-negative, so tie-breaking cannot differ).
         stats = self.stats
         bank = self._banks[bank_index]
         rank = self._ranks[rank_index]
         channel = self._channels[channel_index]
         trefi = self._trefi
         trfc = self._trfc
-        stagger = self.refresh.stagger_per_rank_ns
         energy_counts = self.energy._counts
 
         start = earliest_ns
@@ -202,7 +162,7 @@ class DRAMSystem:
             start = rank.blocked_until_ns
         if channel.blocked_until_ns > start:
             start = channel.blocked_until_ns
-        phase = (start - rank_index * stagger) % trefi
+        phase = start % trefi
         if phase < trfc:
             start = start + (trfc - phase)
 
@@ -227,7 +187,7 @@ class DRAMSystem:
                 act_start = bank.next_act_ns
             if rank.next_act_ns > act_start:
                 act_start = rank.next_act_ns
-            phase = (act_start - rank_index * stagger) % trefi
+            phase = act_start % trefi
             if phase < trfc:
                 act_start = act_start + (trfc - phase)
             activated = True
@@ -413,7 +373,7 @@ class DRAMSystem:
 
     def energy_report(self, elapsed_ns: float):
         """Forward to the energy model, including auto-refresh energy."""
-        refreshes = self.refresh.refreshes_elapsed(elapsed_ns)
+        refreshes = int(elapsed_ns // self._trefi)  # REF commands per rank
         num_ranks = self.org.channels * self.org.ranks_per_channel
         self.energy.record(CommandKind.REF, refreshes * num_ranks)
         return self.energy.report(elapsed_ns)

@@ -101,6 +101,15 @@ class MemoryController:
             tracker_cls.activation_extension_ns
             is not RowHammerTracker.activation_extension_ns
         )
+        #: No per-request tracker hook and no auditor: :meth:`service_row`
+        #: then reduces to stats, the refresh-window guard, the DRAM access
+        #: and ``on_activation``, which the batched engine inlines.
+        self.hookless = auditor is None and not (
+            self._tracker_notes_source
+            or self._tracker_throttles
+            or self._tracker_delays_completion
+            or self._tracker_extends_act
+        )
 
     # ------------------------------------------------------------------ #
     # Request path

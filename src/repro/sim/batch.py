@@ -23,9 +23,12 @@ the per-request hot path around batches:
 * the measured loop inlines the LLC hit path and keeps draining the *same*
   core while its next event is strictly earlier than the scheduler heap's
   head, so runs of non-interacting accesses (LLC hits, same-row streaks) stay
-  out of the heap entirely.  Requests that miss fall through to
-  :meth:`~repro.mc.controller.MemoryController.service_row`, the same single
-  source of truth the scalar engine uses;
+  out of the heap entirely.  LLC misses and the requests of LLC-bypassing
+  attack kernels share one DRAM tail: it inlines
+  :meth:`~repro.mc.controller.MemoryController.service_row` when the
+  controller is ``hookless`` (no per-request tracker hook, no auditor) and
+  calls it otherwise -- the same single source of truth the scalar engine
+  uses -- and charges an LLC miss's write-back and hit latency after it;
 * once the heap goes *quiescent* -- a single budgeted core remains, so no
   inter-core interleaving decision can ever be needed again -- a vectorized
   stretch executor takes over.  It refills in blocks of
@@ -550,18 +553,10 @@ class BatchedSimulator(Simulator):
         row_from_flat = self.mapper.row_address_from_flat
         row_cache = self.mapper._row_addr_cache
         rows_per_bank = self.config.dram.rows_per_bank
-        # Hookless fast path: when the tracker overrides none of the
-        # per-request hooks and no auditor is attached, service_row reduces
-        # to stats + refresh-window guard + DRAM access + on_activation.
-        # Inlining that tail here skips a call and four dead hook branches
-        # per request; trackers with any hook fall back to service_row.
-        fast_service = (
-            controller.auditor is None
-            and not controller._tracker_notes_source
-            and not controller._tracker_throttles
-            and not controller._tracker_delays_completion
-            and not controller._tracker_extends_act
-        )
+        # The DRAM tail below inlines service_row for a hookless controller:
+        # a call saved per request, and attack kernels take that tail on
+        # every access.  Any hook falls back to service_row.
+        hookless = controller.hookless
         cstats = controller.stats
         access_flat = controller.dram.access_flat
         on_activation = controller.tracker.on_activation
@@ -620,8 +615,8 @@ class BatchedSimulator(Simulator):
             # The core's hot scheduling state lives in locals while the core
             # is being drained (written back at every exit point below);
             # ``outstanding`` is the core's own heap, mutated in place.  The
-            # inlined blocks mirror CoreModel.begin_request_values /
-            # complete_read / next_event_time exactly.
+            # inlined blocks mirror CoreModel.begin_request / complete_read /
+            # next_event_time exactly.
             outstanding = core._outstanding
             mlp = core.effective_mlp
             peak = core.config.peak_instructions_per_ns
@@ -827,54 +822,23 @@ class BatchedSimulator(Simulator):
                     completion_ns = route(
                         core, addresses[i], is_write, issue_ns
                     )
-                elif bypasses:
-                    row = rows[i]
-                    flat = flat_banks[i]
-                    row_addr = row_cache.get(flat * rows_per_bank + row)
-                    if row_addr is None:
-                        row_addr = row_from_flat(flat, row)
-                    if fast_service:
-                        cstats.requests += 1
-                        if is_write:
-                            cstats.write_requests += 1
-                        else:
-                            cstats.read_requests += 1
-                        if issue_ns >= controller._next_window_ns:
-                            controller._check_refresh_window(issue_ns)
-                        _s, completion_ns, activated, _h = access_flat(
-                            flat, rank_idx[i], channels[i], row,
-                            is_write, issue_ns, 0.0,
-                        )
-                        if activated:
-                            response = on_activation(row_addr, completion_ns)
-                            if not response.is_empty:
-                                apply_response(
-                                    response, row_addr, completion_ns
-                                )
-                    else:
-                        completion_ns = service_row(
-                            row_addr, flat, rank_idx[i],
-                            channels[i], row, is_write, issue_ns, core_id,
-                        )
+                elif not bypasses and (tag := tags_arr[i]) in (
+                    cache_set := sets[set_arr[i]]
+                ):
+                    # Inlined SharedLLC.access hit path.
+                    cache_set.move_to_end(tag)
+                    if is_write:
+                        cache_set[tag] = True
+                    stats.hits += 1
+                    per_core_hits[core_id] = per_core_hits.get(core_id, 0) + 1
+                    completion_ns = issue_ns + hit_latency
                 else:
-                    tag = tags_arr[i]
-                    cache_set = sets[set_arr[i]]
-                    if tag in cache_set:
-                        # Inlined SharedLLC.access hit path.
-                        cache_set.move_to_end(tag)
-                        if is_write:
-                            cache_set[tag] = True
-                        stats.hits += 1
-                        per_core_hits[core_id] = (
-                            per_core_hits.get(core_id, 0) + 1
-                        )
-                        completion_ns = issue_ns + hit_latency
-                    else:
+                    writeback_line = None
+                    if not bypasses:
                         stats.misses += 1
                         per_core_misses[core_id] = (
                             per_core_misses.get(core_id, 0) + 1
                         )
-                        writeback_line = None
                         if data_ways:
                             if len(cache_set) >= data_ways:
                                 evicted_tag, dirty = cache_set.popitem(
@@ -894,44 +858,47 @@ class BatchedSimulator(Simulator):
                                 line = tag * num_sets + set_arr[i]
                                 if dom_base <= line < dom_end:
                                     fastmap[line - dom_base] = True
-                        if flat_banks is not None:
-                            row = rows[i]
-                            flat = flat_banks[i]
-                            row_addr = row_cache.get(
-                                flat * rows_per_bank + row
-                            )
-                            if row_addr is None:
-                                row_addr = row_from_flat(flat, row)
-                            if fast_service:
-                                cstats.requests += 1
-                                if is_write:
-                                    cstats.write_requests += 1
-                                else:
-                                    cstats.read_requests += 1
-                                if issue_ns >= controller._next_window_ns:
-                                    controller._check_refresh_window(issue_ns)
-                                _s, completion_ns, activated, _h = access_flat(
-                                    flat, rank_idx[i], channels[i], row,
-                                    is_write, issue_ns, 0.0,
-                                )
-                                if activated:
-                                    response = on_activation(
-                                        row_addr, completion_ns
-                                    )
-                                    if not response.is_empty:
-                                        apply_response(
-                                            response, row_addr, completion_ns
-                                        )
+                    # The one DRAM tail, for LLC bypasses and misses alike.
+                    # Blocks that are not predecoded (stretch blocks, and
+                    # LLC cores without numpy) have no ``flat_banks``; their
+                    # misses decode through ``service``.
+                    if flat_banks is None:
+                        completion_ns = service(
+                            addresses[i], is_write, issue_ns, core_id
+                        )
+                    else:
+                        row = rows[i]
+                        flat = flat_banks[i]
+                        row_addr = row_cache.get(flat * rows_per_bank + row)
+                        if row_addr is None:
+                            row_addr = row_from_flat(flat, row)
+                        if hookless:
+                            # Inlined service_row for a hookless controller.
+                            cstats.requests += 1
+                            if is_write:
+                                cstats.write_requests += 1
                             else:
-                                completion_ns = service_row(
-                                    row_addr, flat,
-                                    rank_idx[i], channels[i], row,
-                                    is_write, issue_ns, core_id,
-                                )
-                        else:
-                            completion_ns = service(
-                                addresses[i], is_write, issue_ns, core_id
+                                cstats.read_requests += 1
+                            if issue_ns >= controller._next_window_ns:
+                                controller._check_refresh_window(issue_ns)
+                            _s, completion_ns, activated, _h = access_flat(
+                                flat, rank_idx[i], channels[i], row,
+                                is_write, issue_ns, 0.0,
                             )
+                            if activated:
+                                response = on_activation(
+                                    row_addr, completion_ns
+                                )
+                                if not response.is_empty:
+                                    apply_response(
+                                        response, row_addr, completion_ns
+                                    )
+                        else:
+                            completion_ns = service_row(
+                                row_addr, flat, rank_idx[i], channels[i],
+                                row, is_write, issue_ns, core_id,
+                            )
+                    if not bypasses:
                         if writeback_line is not None:
                             service(
                                 writeback_line * line_size, True,

@@ -323,7 +323,9 @@ class Simulator:
 
             entry = core.generator.next_entry()
             issue_ns = core.begin_request(entry)
-            completion_ns = self._service(core, entry, issue_ns)
+            completion_ns = self._service_addr(
+                core, entry.address, entry.is_write, issue_ns
+            )
             if not entry.is_write:
                 core.complete_read(completion_ns)
             core.note_progress()
@@ -336,14 +338,11 @@ class Simulator:
 
     # ------------------------------------------------------------------ #
 
-    def _service(self, core: CoreModel, entry, issue_ns: float) -> float:
-        """Send one request through the LLC and (on a miss) the DRAM."""
-        return self._service_addr(core, entry.address, entry.is_write, issue_ns)
-
     def _service_addr(
         self, core: CoreModel, address: int, is_write: bool, issue_ns: float
     ) -> float:
-        """Service one request by address; the shared scalar reference path.
+        """Send one request through the LLC and (on a miss or an LLC bypass)
+        the DRAM; the shared scalar reference path.
 
         The batched engine routes through this too whenever the bus wants a
         per-request kind, so the emission sites cover both engines."""

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -93,3 +95,65 @@ class TestSecurityCommand:
         code = main(["security", "--tracker", "none", "--requests", "1200"])
         assert code == 0        # "none" is allowed to be vulnerable
         assert "VULNERABLE" in capsys.readouterr().out
+
+
+class TestOutputDirectory:
+    """An ``-o`` path into a missing directory is refused while parsing:
+    exit 2, nothing simulated, no store opened, no file created."""
+
+    #: Every verb with ``-o/--output``, given a store path and a suite file.
+    VERBS = {
+        "sweep": lambda store, suite: [
+            "sweep", "--trackers", "none", "--workloads", "453.povray",
+            "--requests", "200", "--cache-dir", store,
+        ],
+        "scenarios-run": lambda store, suite: [
+            "scenarios", "run", suite, "--cache-dir", store,
+        ],
+        "obs-trace": lambda store, suite: [
+            "obs", "trace", "--tracker", "none", "--workload", "453.povray",
+            "--requests", "200", "--store", store,
+        ],
+        "trace-record": lambda store, suite: ["trace-record", "--entries", "10"],
+        "campaign-report": lambda store, suite: [
+            "campaign", "report", "any", "--store", store,
+        ],
+        "campaign-diff": lambda store, suite: [
+            "campaign", "diff", "a", "b", "--store", store,
+        ],
+        "store-export": lambda store, suite: ["store", "export", "--store", store],
+        "store-metrics": lambda store, suite: [
+            "store", "metrics", "--list", "--store", store,
+        ],
+    }
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_missing_directory_exits_2_and_writes_nothing(
+        self, verb, tmp_path, monkeypatch, capsys
+    ):
+        suite = tmp_path / "suite.json"
+        suite.write_text(
+            json.dumps(
+                {
+                    "suite": "one",
+                    "scenarios": [
+                        {
+                            "family": "single",
+                            "params": {
+                                "tracker": "none",
+                                "workload": "453.povray",
+                                "requests_per_core": 200,
+                            },
+                        }
+                    ],
+                }
+            )
+        )
+        monkeypatch.chdir(tmp_path)
+        argv = self.VERBS[verb](str(tmp_path / "w.sqlite"), str(suite))
+        output = tmp_path / "nodir" / "out.json"
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "-o", str(output)])
+        assert exited.value.code == 2
+        assert "no directory" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["suite.json"]

@@ -137,6 +137,25 @@ class TestCampaignVerbs:
         assert main(["campaign", "run", str(bad_suite), *store_arg]) == 2
         assert "unknown scenario family" in capsys.readouterr().err
 
+    def test_refused_suite_leaves_no_store_file(self, tmp_path, capsys):
+        # The suite is compiled before the warehouse is opened, so a suite
+        # entry that lacks its tracker creates no file at --store.
+        bad_suite = tmp_path / "bad.json"
+        bad_suite.write_text(
+            json.dumps(
+                {
+                    "suite": "no-tracker",
+                    "scenarios": [
+                        {"family": "single", "params": {"workload": "453.povray"}}
+                    ],
+                }
+            )
+        )
+        store = tmp_path / "new.sqlite"
+        assert main(["campaign", "run", str(bad_suite), "--store", str(store)]) == 2
+        assert "requires parameter 'tracker'" in capsys.readouterr().err
+        assert not store.exists()
+
 
 class TestStoreVerbs:
     def _seed_record(self, key="k1", code_version=CODE_VERSION) -> RunRecord:

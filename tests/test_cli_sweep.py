@@ -20,6 +20,7 @@ FAST_ARGS = ["--requests", "300", "--nrh", "500"]
 
 
 def _sweep(tmp_path, *extra: str) -> tuple[int, dict]:
+    tmp_path.mkdir(exist_ok=True)  # -o refuses a missing directory
     report_path = tmp_path / "report.json"
     code = main(
         [

@@ -1,61 +1,33 @@
-"""Tests for the smaller DRAM substrates: bank state, refresh, energy."""
+"""Tests for the smaller DRAM substrates: bank state and energy."""
 
 import pytest
 
-from repro.config import DRAMTimings
-from repro.dram.bank import Bank, BankState
+from repro.dram.bank import Bank
 from repro.dram.commands import CommandKind
 from repro.dram.energy import EnergyModel, EnergyParameters
-from repro.dram.refresh import RefreshScheduler
 
 
 class TestBank:
     def test_initial_state_is_idle(self):
         bank = Bank()
-        assert bank.state is BankState.IDLE
-        assert bank.earliest_start(5.0) == 5.0
+        assert bank.open_row is None
+        assert bank.ready_ns == 0.0
+        assert bank.blocked_until_ns == 0.0
 
-    def test_open_row_makes_bank_active(self):
+    def test_precharge_closes_the_open_row(self):
         bank = Bank()
         bank.open_row = 7
-        assert bank.state is BankState.ACTIVE
         bank.precharge()
-        assert bank.state is BankState.IDLE
+        assert bank.open_row is None
 
     def test_block_until_extends_availability(self):
         bank = Bank()
         bank.block_until(100.0)
-        assert bank.earliest_start(0.0) == 100.0
+        assert bank.blocked_until_ns == 100.0
+        assert bank.ready_ns == 100.0
         bank.block_until(50.0)       # shorter blackout does not shrink it
         assert bank.blocked_until_ns == 100.0
-
-
-class TestRefreshScheduler:
-    def test_start_inside_blackout_is_pushed_out(self):
-        sched = RefreshScheduler(DRAMTimings())
-        assert sched.adjust_for_refresh(10.0, 0) == pytest.approx(295.0)
-
-    def test_start_outside_blackout_unchanged(self):
-        sched = RefreshScheduler(DRAMTimings())
-        assert sched.adjust_for_refresh(1000.0, 0) == 1000.0
-
-    def test_second_refresh_interval(self):
-        sched = RefreshScheduler(DRAMTimings())
-        inside_second = 3900.0 + 10.0
-        assert sched.adjust_for_refresh(inside_second, 0) == pytest.approx(3900.0 + 295.0)
-
-    def test_window_index(self):
-        sched = RefreshScheduler(DRAMTimings())
-        assert sched.refresh_window_index(1.0) == 0
-        assert sched.refresh_window_index(32_000_001.0) == 1
-
-    def test_refresh_overhead_fraction(self):
-        sched = RefreshScheduler(DRAMTimings())
-        assert sched.refresh_overhead_fraction() == pytest.approx(295.0 / 3900.0)
-
-    def test_refreshes_elapsed(self):
-        sched = RefreshScheduler(DRAMTimings())
-        assert sched.refreshes_elapsed(3900.0 * 10 + 1) == 10
+        assert bank.ready_ns == 100.0
 
 
 class TestEnergyModel:

@@ -692,7 +692,7 @@ class TestWarmUpMemo:
         assert fingerprint(stepped) != reference
 
 
-_FALLBACK_TRACKERS = ("dapper-h", "dapper-s")
+_FALLBACK_TRACKERS = ("dapper-h", "dapper-s", "prac", "blockhammer")
 
 
 @pytest.fixture(scope="class")

@@ -40,6 +40,18 @@ def _small_config(nrh=200):
     return reduced_row_config(nrh=nrh, rows_per_bank=512)
 
 
+def _access(dram, decoded, is_write, earliest_ns):
+    """``(start_ns, completion_ns, activated, row_hit)`` of ``decoded``."""
+    return dram.access_flat(
+        decoded.bank_address.flat(dram.org),
+        decoded.channel * dram.org.ranks_per_channel + decoded.rank,
+        decoded.channel,
+        decoded.row,
+        is_write,
+        earliest_ns,
+    )
+
+
 # --------------------------------------------------------------------------- #
 # Strategies
 # --------------------------------------------------------------------------- #
@@ -89,9 +101,11 @@ class TestDRAMTimingProperties:
         for channel, rank, bank_group, bank, row, is_write, gap in requests:
             now += gap
             address = mapper.encode(channel, rank, bank_group, bank, row)
-            result = dram.access(mapper.decode(address), is_write, now)
-            assert result.start_ns >= now
-            assert result.completion_ns >= result.start_ns
+            start, completion, _, _ = _access(
+                dram, mapper.decode(address), is_write, now
+            )
+            assert start >= now
+            assert completion >= start
             reads += not is_write
             writes += is_write
         assert dram.stats.reads == reads
@@ -113,17 +127,17 @@ class TestDRAMTimingProperties:
         last_activation_completion = None
         now = 0.0
         for row in rows:
-            result = dram.access(
-                mapper.decode(mapper.encode(0, 0, 0, 0, row)), False, now
+            _, completion, activated, _ = _access(
+                dram, mapper.decode(mapper.encode(0, 0, 0, 0, row)), False, now
             )
-            if result.activated:
+            if activated:
                 if last_activation_completion is not None:
                     assert (
-                        result.completion_ns - last_activation_completion
+                        completion - last_activation_completion
                         >= config.timings.trc_ns - 1e-6
                     )
-                last_activation_completion = result.completion_ns
-            now = result.completion_ns
+                last_activation_completion = completion
+            now = completion
 
 
 # --------------------------------------------------------------------------- #
