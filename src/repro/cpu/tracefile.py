@@ -7,8 +7,8 @@ but downstream users may have real traces of their own (or want to freeze a
 synthetic stream for exact reproducibility across runs and machines).  This
 module provides the file format and the replay generator for that:
 
-* :func:`write_trace` / :func:`read_trace` -- a simple line-oriented text
-  format, one access per line::
+* :func:`format_trace` / :func:`write_trace` / :func:`read_trace` -- a
+  simple line-oriented text format, one access per line::
 
       # comment lines and blank lines are ignored
       <gap_instructions> <physical_address_hex> <R|W>
@@ -47,19 +47,20 @@ class TraceFormatError(ValueError):
     """Raised when a trace file line cannot be parsed."""
 
 
+def format_trace(entries: Iterable[TraceEntry], header: str = "") -> str:
+    """The trace-file text of ``entries``, each ``header`` line a comment."""
+    lines = [f"# {line}\n" for line in header.splitlines()]
+    for entry in entries:
+        kind = "W" if entry.is_write else "R"
+        lines.append(f"{entry.gap_instructions} 0x{entry.address:x} {kind}\n")
+    return "".join(lines)
+
+
 def write_trace(path: str | Path, entries: Iterable[TraceEntry], header: str = "") -> int:
     """Write ``entries`` to ``path`` and return the number of lines written."""
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        if header:
-            for line in header.splitlines():
-                handle.write(f"# {line}\n")
-        for entry in entries:
-            kind = "W" if entry.is_write else "R"
-            handle.write(f"{entry.gap_instructions} 0x{entry.address:x} {kind}\n")
-            count += 1
-    return count
+    entries = list(entries)
+    Path(path).write_text(format_trace(entries, header), encoding="utf-8")
+    return len(entries)
 
 
 def _parse_line(line: str, line_number: int) -> TraceEntry | None:

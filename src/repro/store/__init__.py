@@ -44,11 +44,6 @@ from repro.store.query import (
     import_store,
     query_rows,
 )
-from repro.store.serialize import (
-    lease_document,
-    report_document,
-    status_document,
-)
 from repro.store.worker import (
     CampaignWorker,
     LeaseLost,
@@ -74,9 +69,6 @@ __all__ = [
     "gc_store",
     "import_store",
     "query_rows",
-    "lease_document",
-    "report_document",
-    "status_document",
     "CampaignWorker",
     "LeaseLost",
     "WorkerSummary",

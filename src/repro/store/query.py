@@ -2,7 +2,7 @@
 
 These are the read-side tools over :mod:`repro.store.backend` stores: flatten
 stored runs into report rows (:func:`flatten_record`, :func:`query_rows`),
-aggregate them (:func:`aggregate_rows`), write CSV/JSON exports
+aggregate them (:func:`aggregate_rows`), format CSV/JSON exports
 (:func:`export_rows`), import a legacy JSON cache directory or another
 warehouse (:func:`import_store`), and garbage-collect records left behind by
 older simulator code versions (:func:`gc_store`).  The ``repro.cli store``
@@ -169,10 +169,10 @@ def export_rows(
     output: str | os.PathLike,
     format: str | None = None,
 ) -> str:
-    """Write rows to ``output`` as CSV or JSON; returns the format used.
+    """The CSV or JSON export text of ``rows``.
 
-    ``format=None`` infers from the file suffix (``.csv`` = CSV, anything
-    else JSON); ``output="-"`` writes to stdout.
+    ``format=None`` infers the format from the suffix of ``output``, the
+    path the text is meant for (``.csv`` = CSV, anything else JSON).
     """
     if format is None:
         suffix = Path(str(output)).suffix.lower()
@@ -180,15 +180,8 @@ def export_rows(
     if format not in ("csv", "json"):
         raise ValueError(f"unknown export format {format!r}; use 'csv' or 'json'")
     if format == "csv":
-        text = rows_to_csv(rows)
-    else:
-        text = json.dumps(list(rows), indent=2) + "\n"
-    if str(output) == "-":
-        print(text, end="")
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    return format
+        return rows_to_csv(rows)
+    return json.dumps(list(rows), indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------- #

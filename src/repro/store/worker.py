@@ -134,6 +134,17 @@ class WorkerSummary:
     elapsed_seconds: float
 
 
+def check_worker_arguments(name: str, lease_duration: float) -> str:
+    """Refuse a campaign name or lease duration no worker can use.
+
+    Raises :class:`ValueError`; returns ``name``.  ``campaign run`` calls it
+    before it opens the warehouse, so a refused command line creates no file.
+    """
+    if not float(lease_duration) > 0:
+        raise ValueError(f"lease_duration must be positive, got {lease_duration}")
+    return validate_campaign_name(name)
+
+
 class CampaignWorker:
     """One lease-driven drain participant of a named campaign.
 
@@ -163,9 +174,7 @@ class CampaignWorker:
         clock: Callable[[], float] = time.time,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if not float(lease_duration) > 0:
-            raise ValueError(f"lease_duration must be positive, got {lease_duration}")
-        self.name = validate_campaign_name(name)
+        self.name = check_worker_arguments(name, lease_duration)
         self.specs = list(specs)
         self.store = store
         self.worker_id = worker_id or default_worker_id()

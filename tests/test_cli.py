@@ -1,10 +1,40 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+from repro.store import SqliteStore
+
+#: A suite of one small benign scenario.
+ONE_SCENARIO = {
+    "suite": "one",
+    "scenarios": [
+        {
+            "family": "single",
+            "params": {
+                "tracker": "none",
+                "workload": "453.povray",
+                "requests_per_core": 200,
+            },
+        }
+    ],
+}
+
+
+def _leaf_verbs(parser, path=()):
+    """``(argv path, parser)`` of every leaf verb under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaf_verbs(child, (*path, name))
+            return
+    yield path, parser
+
+
+LEAF_VERBS = dict(_leaf_verbs(_build_parser()))
 
 
 class TestListing:
@@ -29,14 +59,6 @@ class TestListing:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
-
-
-class TestStorageCommand:
-    def test_storage_table_printed(self, capsys):
-        assert main(["storage"]) == 0
-        output = capsys.readouterr().out
-        assert "dapper-h" in output
-        assert "sram_kb" in output
 
 
 class TestRunCommand:
@@ -132,23 +154,7 @@ class TestOutputDirectory:
         self, verb, tmp_path, monkeypatch, capsys
     ):
         suite = tmp_path / "suite.json"
-        suite.write_text(
-            json.dumps(
-                {
-                    "suite": "one",
-                    "scenarios": [
-                        {
-                            "family": "single",
-                            "params": {
-                                "tracker": "none",
-                                "workload": "453.povray",
-                                "requests_per_core": 200,
-                            },
-                        }
-                    ],
-                }
-            )
-        )
+        suite.write_text(json.dumps(ONE_SCENARIO))
         monkeypatch.chdir(tmp_path)
         argv = self.VERBS[verb](str(tmp_path / "w.sqlite"), str(suite))
         output = tmp_path / "nodir" / "out.json"
@@ -157,3 +163,84 @@ class TestOutputDirectory:
         assert exited.value.code == 2
         assert "no directory" in capsys.readouterr().err
         assert [path.name for path in tmp_path.iterdir()] == ["suite.json"]
+
+
+class TestOutputToStdout:
+    """``-o -`` puts the verb's document alone on stdout, as ``-o FILE``
+    writes it (a batch report up to its wall time), and leaves no file
+    named ``-`` behind."""
+
+    #: Verbs with ``-o/--output``, given a warehouse holding the campaign
+    #: ``one``, the key of a run's metrics stored there, and a suite file.
+    VERBS = {
+        "sweep": lambda store, key, suite: [
+            "sweep", "--trackers", "none", "--workloads", "453.povray",
+            "--requests", "200", "--cache-dir", "",
+        ],
+        "scenarios-run": lambda store, key, suite: [
+            "scenarios", "run", suite, "--cache-dir", "",
+        ],
+        "obs-trace": lambda store, key, suite: [
+            "obs", "trace", "--tracker", "none", "--workload", "453.povray",
+            "--requests", "200",
+        ],
+        "trace-record": lambda store, key, suite: ["trace-record", "--entries", "10"],
+        "store-export": lambda store, key, suite: ["store", "export", "--store", store],
+        "campaign-report": lambda store, key, suite: [
+            "campaign", "report", "one", "--store", store, "--format", "json",
+        ],
+        "store-metrics": lambda store, key, suite: [
+            "store", "metrics", "--store", store, "--key", key, "--format", "csv",
+        ],
+    }
+
+    @pytest.fixture(scope="class")
+    def warehouse(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("warehouse")
+        suite = root / "suite.json"
+        suite.write_text(json.dumps(ONE_SCENARIO))
+        store = root / "w.sqlite"
+        assert main(["campaign", "run", str(suite), "--store", str(store)]) == 0
+        trace = root / "trace.json"
+        assert main([
+            "obs", "trace", "--suite", str(suite), "--store", str(store),
+            "-o", str(trace),
+        ]) == 0
+        opened = SqliteStore(store)
+        (key,) = opened.metrics_keys()
+        opened.close()
+        return str(store), key, str(suite)
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_dash_prints_the_document_alone(
+        self, verb, warehouse, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = self.VERBS[verb](*warehouse)
+        assert main([*argv, "-o", "document"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "-o", "-"]) == 0
+        printed = capsys.readouterr()
+        assert [path.name for path in tmp_path.iterdir()] == ["document"]
+        written = (tmp_path / "document").read_text(encoding="utf-8")
+        if verb in ("sweep", "scenarios-run"):
+            reports = [json.loads(printed.out), json.loads(written)]
+            for report in reports:
+                del report["summary"]["elapsed_seconds"]
+            assert reports[0] == reports[1]
+            assert "simulations: 1" in printed.err
+        else:
+            assert printed.out == written
+
+
+class TestParserTree:
+    def test_twenty_five_leaf_verbs(self):
+        assert len(LEAF_VERBS) == 25
+
+    @pytest.mark.parametrize("path", list(LEAF_VERBS), ids="-".join)
+    def test_leaf_binds_a_handler_and_prints_help(self, path, capsys):
+        assert callable(LEAF_VERBS[path].get_default("handler"))
+        with pytest.raises(SystemExit) as exited:
+            main([*path, "--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: repro")

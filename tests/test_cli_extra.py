@@ -44,7 +44,9 @@ class TestFigureAndTableListing:
 
     def test_table_3_prints_the_storage_comparison(self, capsys):
         assert main(["table", "3"]) == 0
-        assert "dapper-h" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "dapper-h" in output
+        assert "sram_kb" in output
 
 
 class TestListAttacks:

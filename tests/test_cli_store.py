@@ -110,13 +110,16 @@ class TestCampaignVerbs:
         status = json.loads(capsys.readouterr().out)
         assert status["name"] == "cli-campaign"
         assert status["state"] == "complete" and status["percent"] == 100.0
+        assert list(status) == [
+            "name", "created_at", "code_version", "current_code_version",
+            "source", "entries", "entries_complete", "simulations_total",
+            "simulations_stored", "percent", "state", "leases",
+        ]
 
         assert main(
             ["campaign", "report", "cli-campaign", *store_arg, "--json"]
         ) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["total_rows"] == 2 and report["returned"] == 2
-        assert report["next_offset"] is None
         assert report["rows"][0]["normalized_performance"] is not None
 
         # `campaign run` drained one shard (two simulations) and says so.
@@ -126,6 +129,10 @@ class TestCampaignVerbs:
         leases = json.loads(capsys.readouterr().out)
         assert [(shard["keys"], shard["state"]) for shard in leases["shards"]] \
             == [(2, "done")]
+        assert list(leases["shards"][0]) == [
+            "shard", "keys", "state", "worker", "deadline", "heartbeats",
+            "attempts", "reclaims", "last_error", "acquired_at", "completed_at",
+        ]
         assert leases["summary"]["done"] == leases["summary"]["shards"] == 1
 
     def test_unknown_campaign_and_bad_suite_exit_2(self, tmp_path, capsys):
@@ -137,9 +144,11 @@ class TestCampaignVerbs:
         assert main(["campaign", "run", str(bad_suite), *store_arg]) == 2
         assert "unknown scenario family" in capsys.readouterr().err
 
-    def test_refused_suite_leaves_no_store_file(self, tmp_path, capsys):
-        # The suite is compiled before the warehouse is opened, so a suite
-        # entry that lacks its tracker creates no file at --store.
+    def test_refused_suite_leaves_no_store_file(self, tmp_path, suite_path, capsys):
+        # The suite and the worker's arguments are checked before the
+        # warehouse is opened, so a suite entry that lacks its tracker, a
+        # lease duration of 0 or a bad campaign name creates no file at
+        # --store.
         bad_suite = tmp_path / "bad.json"
         bad_suite.write_text(
             json.dumps(
@@ -152,9 +161,14 @@ class TestCampaignVerbs:
             )
         )
         store = tmp_path / "new.sqlite"
-        assert main(["campaign", "run", str(bad_suite), "--store", str(store)]) == 2
-        assert "requires parameter 'tracker'" in capsys.readouterr().err
-        assert not store.exists()
+        for argv, message in [
+            ([str(bad_suite)], "requires parameter 'tracker'"),
+            ([str(suite_path), "--lease-duration", "0"], "lease_duration must be positive"),
+            ([str(suite_path), "--name", "bad name!"], "invalid campaign name"),
+        ]:
+            assert main(["campaign", "run", *argv, "--store", str(store)]) == 2
+            assert message in capsys.readouterr().err
+            assert not store.exists()
 
 
 class TestStoreVerbs:

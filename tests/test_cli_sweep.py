@@ -81,8 +81,7 @@ class TestReportSchema:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        report = json.loads(out[: out.rindex("}") + 1])
+        report = json.loads(capsys.readouterr().out)
         assert report["summary"]["scenarios"] == 1
 
 
