@@ -8,9 +8,10 @@ be compared against the published figure (see EXPERIMENTS.md).
 
 Every simulated figure and table runs through the session's one in-memory
 ``SweepRunner`` (the ``sweep`` fixture), so a simulation that an earlier
-figure already ran is replayed, not repeated.  Results are deterministic and
-memo replay is parity-pinned, so each figure still sees exactly the numbers a
-fresh run gives.
+figure already ran is replayed, not repeated.  The runner fans each figure's
+simulations out over up to four worker processes.  Results are deterministic
+and both memo replay and pooled execution are parity-pinned, so each figure
+still sees exactly the numbers a fresh serial run gives.
 
 Each regenerated figure's rows are compared against ``figure_rows.json``
 (written by ``capture_rows.py``): strings, ints, bools and ``None`` exactly,
@@ -21,6 +22,7 @@ rounding between Python versions (3.12's ``sum()`` is compensated).
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -33,8 +35,9 @@ ROWS_PATH = Path(__file__).resolve().parent / "figure_rows.json"
 
 @pytest.fixture(scope="session")
 def sweep() -> SweepRunner:
-    """The session's one in-memory runner, shared by every figure and table."""
-    return SweepRunner()
+    """The session's one in-memory runner, shared by every figure and table,
+    with one worker process per CPU, up to four."""
+    return SweepRunner(jobs=min(4, os.cpu_count() or 1))
 
 
 @pytest.fixture(scope="session")

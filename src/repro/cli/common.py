@@ -60,8 +60,15 @@ def _refuse(verb: str, error) -> int:
     return 2
 
 
-def _open_store(target: str) -> SqliteStore:
-    """Open a ``--store`` warehouse; :class:`ValueError` when it cannot be."""
+def _open_store(target: str, *, create: bool) -> SqliteStore:
+    """Open a ``--store`` warehouse; :class:`ValueError` when it cannot be.
+
+    Only a verb that writes to the warehouse makes a new one at a missing
+    path (``create``); a read-only verb refuses the path, so that a
+    mistyped ``--store`` leaves no empty warehouse behind.
+    """
+    if not create and target and not os.path.exists(target):
+        raise ValueError(f"no warehouse at {target}")
     try:
         store = open_store(target)
     except (sqlite3.Error, OSError) as error:

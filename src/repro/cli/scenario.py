@@ -534,7 +534,7 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
         metrics = MetricsSampler(interval_ns=args.metrics_interval_ns)
         profiler = PipelineProfiler()
         # Opened before simulating, so an unusable warehouse fails fast.
-        store = _open_store(args.store) if args.store else None
+        store = _open_store(args.store, create=True) if args.store else None
     except ValueError as error:
         return _refuse("obs", error)
     result = spec.run(

@@ -207,7 +207,7 @@ def register(sub) -> None:
         help="comma-separated columns to aggregate over "
         "(e.g. tracker,workload)",
     )
-    store_query.set_defaults(handler=_on_store(_cmd_store_query))
+    store_query.set_defaults(handler=_on_store(_cmd_store_query, create=False))
 
     store_export = store_sub.add_parser(
         "export", help="export stored runs as CSV or JSON"
@@ -216,7 +216,9 @@ def register(sub) -> None:
     _filter_arguments(store_export)
     _output_argument(store_export, None, "export path ('-' prints it to stdout)")
     _format_argument(store_export)
-    store_export.set_defaults(handler=_on_store(_cmd_store_export))
+    store_export.set_defaults(
+        handler=_on_store(_cmd_store_export, create=False)
+    )
 
     store_import = store_sub.add_parser(
         "import",
@@ -232,7 +234,7 @@ def register(sub) -> None:
         action="store_true",
         help="replace items that already exist in the destination",
     )
-    store_import.set_defaults(handler=_on_store(_cmd_store_import))
+    store_import.set_defaults(handler=_cmd_store_import)
 
     store_gc = store_sub.add_parser(
         "gc", help="delete records left behind by other code versions"
@@ -243,7 +245,7 @@ def register(sub) -> None:
         action="store_true",
         help="only count the records that would be deleted",
     )
-    store_gc.set_defaults(handler=_on_store(_cmd_store_gc))
+    store_gc.set_defaults(handler=_on_store(_cmd_store_gc, create=True))
 
     store_metrics = store_sub.add_parser(
         "metrics",
@@ -270,7 +272,9 @@ def register(sub) -> None:
         store_metrics, "-", "output path ('-' prints an aligned table)"
     )
     _format_argument(store_metrics)
-    store_metrics.set_defaults(handler=_on_store(_cmd_store_metrics))
+    store_metrics.set_defaults(
+        handler=_on_store(_cmd_store_metrics, create=False)
+    )
 
 
 def _write_rows(rows: list[dict], args: argparse.Namespace) -> None:
@@ -316,7 +320,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         # no new warehouse file behind.
         specs = suite.compile()
         name = check_worker_arguments(args.name or suite.name, args.lease_duration)
-        store = _open_store(args.store)
+        store = _open_store(args.store, create=True)
         worker = CampaignWorker(
             name,
             specs,
@@ -373,7 +377,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_leases(args: argparse.Namespace) -> int:
     try:
-        store = _open_store(args.store)
+        store = _open_store(args.store, create=False)
         load_manifest(store, args.name)   # unknown campaign -> exit 2
     except ValueError as error:
         return _refuse("campaign", error)
@@ -433,7 +437,9 @@ def _cmd_campaign_leases(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     try:
-        status = campaign_status(_open_store(args.store), args.name)
+        status = campaign_status(
+            _open_store(args.store, create=False), args.name
+        )
     except ValueError as error:
         return _refuse("campaign", error)
     state = "complete" if status.complete else "resumable"
@@ -485,7 +491,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_list(args: argparse.Namespace) -> int:
     try:
-        store = _open_store(args.store)
+        store = _open_store(args.store, create=False)
     except ValueError as error:
         return _refuse("campaign", error)
     for name in store.campaign_names():
@@ -499,7 +505,9 @@ def _cmd_campaign_list(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
     try:
-        report = campaign_report(_open_store(args.store), args.name)
+        report = campaign_report(
+            _open_store(args.store, create=False), args.name
+        )
     except ValueError as error:
         return _refuse("campaign", error)
     if args.as_json:
@@ -519,8 +527,10 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_diff(args: argparse.Namespace) -> int:
     try:
-        store_a = _open_store(args.store)
-        store_b = _open_store(args.store_b) if args.store_b else store_a
+        store_a = _open_store(args.store, create=False)
+        store_b = (
+            _open_store(args.store_b, create=False) if args.store_b else store_a
+        )
         diff = diff_campaigns(store_a, args.name_a, store_b, args.name_b)
     except ValueError as error:
         return _refuse("campaign", error)
@@ -547,13 +557,14 @@ def _cmd_campaign_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _on_store(command):
+def _on_store(command, *, create: bool):
     """A ``store`` verb's handler: ``command(args, store)`` on the opened
-    ``--store`` warehouse, or exit 2 when it cannot be opened."""
+    ``--store`` warehouse, or exit 2 when it cannot be opened; only a verb
+    that writes (``create``) makes a missing one."""
 
     def handler(args: argparse.Namespace) -> int:
         try:
-            store = _open_store(args.store)
+            store = _open_store(args.store, create=create)
         except ValueError as error:
             return _refuse("store", error)
         return command(args, store)
@@ -626,19 +637,21 @@ def _cmd_store_metrics(args: argparse.Namespace, store) -> int:
     return 0
 
 
-def _cmd_store_import(args: argparse.Namespace, store) -> int:
-    # Validate before opening: opening a typo'd warehouse path would
-    # silently create a fresh empty warehouse there.
+def _cmd_store_import(args: argparse.Namespace) -> int:
+    # Validate the source before opening either warehouse: opening a
+    # typo'd path would silently create a fresh empty warehouse there, and
+    # a refused import creates no destination either.
     source = Path(args.source) if args.source else None
     if source is None or not source.exists():
         return _refuse("store", f"import source {args.source!r} does not exist")
-    if not source.is_dir():
-        # A directory is a legacy JSON cache; anything else must open
-        # as another warehouse.
-        try:
-            source = _open_store(args.source)
-        except ValueError as error:
-            return _refuse("store", error)
+    try:
+        if not source.is_dir():
+            # A directory is a legacy JSON cache; anything else must open
+            # as another warehouse.
+            source = _open_store(args.source, create=False)
+        store = _open_store(args.store, create=True)
+    except ValueError as error:
+        return _refuse("store", error)
     counts = import_store(store, source, overwrite=args.overwrite)
     print(
         f"imported {counts.runs} record(s), {counts.metrics} metric "

@@ -79,6 +79,11 @@ class DecodedAddress:
         return RowAddress(self.bank_address, self.row)
 
 
+#: Builds a :class:`RowAddress` memo entry from its field tuple, skipping
+#: the namedtuple's Python-level ``__new__`` (the same object it returns).
+_new_tuple = tuple.__new__
+
+
 def _bits(value: int) -> int:
     """Number of bits needed to index ``value`` distinct items."""
     if value <= 1:
@@ -216,7 +221,7 @@ class AddressMapper:
         key = bank_index * self.org.rows_per_bank + row
         cached = self._row_addr_cache.get(key)
         if cached is None:
-            cached = RowAddress(self._flat_banks[bank_index], row)
+            cached = _new_tuple(RowAddress, (self._flat_banks[bank_index], row))
             self._row_addr_cache[key] = cached
         return cached
 
@@ -230,9 +235,10 @@ class AddressMapper:
         else:
             keys = (flat_banks * rows_per_bank + rows).tolist()
         cache = self._row_addr_cache
+        banks = self._flat_banks
         for key in set(keys).difference(cache):
             bank_index, row = divmod(key, rows_per_bank)
-            cache[key] = RowAddress(self._flat_banks[bank_index], row)
+            cache[key] = _new_tuple(RowAddress, (banks[bank_index], row))
         return list(map(cache.__getitem__, keys))
 
     def encode(

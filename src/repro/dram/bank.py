@@ -20,9 +20,6 @@ class Bank:
     next_act_ns: float = 0.0
     blocked_until_ns: float = 0.0
     activations: int = field(default=0)
-    row_hits: int = field(default=0)
-    row_misses: int = field(default=0)
-    row_conflicts: int = field(default=0)
 
     def block_until(self, until_ns: float) -> None:
         """Extend the bank's blackout window (mitigative refresh, reset, ...)."""

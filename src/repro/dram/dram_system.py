@@ -31,6 +31,13 @@ from repro.dram.bank import Bank
 from repro.dram.commands import Blackout, CommandKind, MitigationScope
 from repro.dram.energy import EnergyModel
 
+#: The energy-count keys of :meth:`DRAMSystem.access_flat`, bound once: the
+#: same enum members, so ``EnergyModel._counts`` gets the same keys in the
+#: same first-insertion order, without an Enum attribute lookup per command.
+_ACT = CommandKind.ACT
+_RD = CommandKind.RD
+_WR = CommandKind.WR
+
 
 @dataclass
 class DRAMStats:
@@ -171,16 +178,13 @@ class DRAMSystem:
         open_row = bank.open_row
         if open_row == row:
             row_hit = True
-            bank.row_hits += 1
             stats.row_hits += 1
             col_issue = start
         else:
             if open_row is None:
-                bank.row_misses += 1
                 stats.row_misses += 1
                 act_start = start
             else:
-                bank.row_conflicts += 1
                 stats.row_conflicts += 1
                 act_start = start + self._trp
             if bank.next_act_ns > act_start:
@@ -193,9 +197,7 @@ class DRAMSystem:
             activated = True
             bank.activations += 1
             stats.activations += 1
-            energy_counts[CommandKind.ACT] = (
-                energy_counts.get(CommandKind.ACT, 0) + 1
-            )
+            energy_counts[_ACT] = energy_counts.get(_ACT, 0) + 1
             bank.next_act_ns = act_start + self._trc + extra_act_delay_ns
             rank.next_act_ns = act_start + self._trrd_s
             bank.open_row = row
@@ -209,17 +211,13 @@ class DRAMSystem:
 
         if is_write:
             stats.writes += 1
-            energy_counts[CommandKind.WR] = (
-                energy_counts.get(CommandKind.WR, 0) + 1
-            )
+            energy_counts[_WR] = energy_counts.get(_WR, 0) + 1
             ready = completion + self._twr
             if ready > bank.ready_ns:
                 bank.ready_ns = ready
         else:
             stats.reads += 1
-            energy_counts[CommandKind.RD] = (
-                energy_counts.get(CommandKind.RD, 0) + 1
-            )
+            energy_counts[_RD] = energy_counts.get(_RD, 0) + 1
             if col_issue > bank.ready_ns:
                 bank.ready_ns = col_issue
 

@@ -35,7 +35,12 @@ from repro.sim.events.events import (
     ResetBlackout,
     Throttle,
 )
-from repro.trackers.base import GroupMitigation, RowHammerTracker, TrackerResponse
+from repro.trackers.base import (
+    EMPTY_RESPONSE,
+    GroupMitigation,
+    RowHammerTracker,
+    TrackerResponse,
+)
 
 
 @dataclass
@@ -196,7 +201,7 @@ class MemoryController:
             if self.auditor is not None:
                 self.auditor.on_activation(row_addr, completion_ns)
             response = tracker.on_activation(row_addr, completion_ns)
-            if not response.is_empty:
+            if response is not EMPTY_RESPONSE and not response.is_empty:
                 self._apply_response(response, row_addr, completion_ns)
 
         if self._tracker_delays_completion:

@@ -15,16 +15,20 @@ the per-request hot path around batches:
 * address decode runs vectorized over each prefetched block
   (:meth:`repro.dram.address.AddressMapper.decode_batch`), so the event loop
   works in predecoded flat coordinates and only reconstructs
-  :class:`~repro.dram.address.RowAddress` objects -- memoized by
-  :meth:`~repro.dram.address.AddressMapper.row_address_from_flat` -- when a
-  request actually reaches DRAM;
+  :class:`~repro.dram.address.RowAddress` objects when a request actually
+  reaches DRAM, through the (flat bank, row) memo of
+  :meth:`~repro.dram.address.AddressMapper.row_address_from_flat`, which the
+  DRAM tail fills itself;
 * the LLC warm-up phase is settled in bulk: its statistics are discarded
   anyway, so only the final tag/LRU/dirty state is materialised;
 * the measured loop inlines the LLC hit path and keeps draining the *same*
   core while its next event is strictly earlier than the scheduler heap's
   head, so runs of non-interacting accesses (LLC hits, same-row streaks) stay
-  out of the heap entirely.  LLC misses and the requests of LLC-bypassing
-  attack kernels share one DRAM tail: it inlines
+  out of the heap entirely.  A core switch is one ``heapq.heapreplace``,
+  and what stays fixed for the drain (each core's budget, MLP, peak issue
+  rate, feed and outstanding-miss heap) comes from one per-core record.
+  LLC misses and the requests of LLC-bypassing attack kernels share one
+  DRAM tail: it inlines
   :meth:`~repro.mc.controller.MemoryController.service_row` when the
   controller is ``hookless`` (no per-request tracker hook, no auditor) and
   calls it otherwise -- the same single source of truth the scalar engine
@@ -91,8 +95,10 @@ from time import perf_counter
 
 from repro.cpu.trace import WorkloadTraceGenerator, generator_batch
 from repro.cpu.tracefile import FileTraceGenerator
+from repro.dram.address import RowAddress
 from repro.sim.events.events import BankActivate, RequestComplete
 from repro.sim.simulator import Simulator
+from repro.trackers.base import EMPTY_RESPONSE
 
 try:  # numpy accelerates decode/set-index precompute; optional.
     import numpy as _np
@@ -213,11 +219,21 @@ def _line_domain(generator, line_size: int) -> tuple[int, int]:
     return base, size
 
 
+#: A feed's ``block`` before its lists are built, and the DRAM coordinates
+#: of a block that is not predecoded.
+_NO_BLOCK = (None,) * 9
+_NOT_DECODED = (None,) * 4
+
+
 class _CoreFeed:
     """Prefetched, predecoded request block for one core.
 
-    Parallel lists (``gaps``/``addresses``/``writes`` plus decoded DRAM
-    coordinates and LLC set/tag indices) with a cursor; ``refill`` fetches
+    ``block`` holds the block's parallel per-entry lists as one tuple,
+    ``(gaps, writes, rows, flat_banks, rank_idx, channels, tags, set_idx,
+    addresses)``: the issue gaps, write flags and addresses, the decoded
+    DRAM coordinates and the LLC tag and set indices, with a cursor
+    (``idx``) into them.  It is rebuilt whenever the lists are replaced, so
+    the drain takes the whole block in one unpacking.  ``refill`` fetches
     the next block from the core's generator.  Budgeted cores never prefetch
     past their remaining request budget.
 
@@ -230,15 +246,14 @@ class _CoreFeed:
     this core (:meth:`activate_fast`) blocks grow to :data:`_FAST_BATCH`
     entries whose lists are built only when the per-request path first
     needs them (:meth:`materialise`).  DRAM coordinates are then not
-    predecoded, so misses decode through ``controller.service``.
+    predecoded (``flat_banks`` is ``None``), so misses decode through
+    ``controller.service``.
     """
 
     __slots__ = (
         "core", "generator", "next_arrays", "bypasses_llc", "mapper",
         "ranks_per_channel", "line_size", "num_sets", "batch",
-        "gaps", "addresses", "writes",
-        "rows", "flat_banks", "rank_idx", "channels",
-        "set_idx", "tags", "size", "idx",
+        "block", "size", "idx",
         "dom_base", "dom_size", "fast_active", "peak",
         "gaps_np", "addresses_np", "writes_np", "gap_ns_np", "offsets_np",
     )
@@ -253,9 +268,7 @@ class _CoreFeed:
         self.line_size = config.llc.line_size_bytes
         self.num_sets = config.llc.num_sets
         self.batch = batch
-        self.gaps = self.addresses = self.writes = None
-        self.rows = self.flat_banks = self.rank_idx = self.channels = None
-        self.set_idx = self.tags = None
+        self.block = _NO_BLOCK
         self.size = 0
         self.idx = 0
         self.dom_base, self.dom_size = (
@@ -281,54 +294,49 @@ class _CoreFeed:
             return
         self._set_arrays(*self.next_arrays(count))
         if not self.fast_active:
-            self.materialise()
-            self._decode(self.addresses_np)
+            self.materialise(self._decode(self.addresses_np))
 
     def _refill_lists(self, count: int) -> None:
         """Refill from a generator without the array hook, or without
         numpy: the block arrives as lists."""
         gaps, addresses, writes = generator_batch(self.generator, count)
-        self.gaps = gaps
-        self.addresses = addresses
-        self.writes = writes
         if self.bypasses_llc or _np is not None:
-            self._decode(addresses)
+            decoded = self._decode(addresses)
         else:
             # Without numpy, predecoding every entry of a hit-dominated core
             # costs more than it saves; misses decode lazily via service().
-            self.flat_banks = None
+            decoded = _NOT_DECODED
+        tags = set_idx = None
         if not self.bypasses_llc:
             if _np is not None:
                 lines = _np.asarray(addresses, dtype=_np.int64) // self.line_size
-                self.set_idx = (lines % self.num_sets).tolist()
-                self.tags = (lines // self.num_sets).tolist()
+                set_idx = (lines % self.num_sets).tolist()
+                tags = (lines // self.num_sets).tolist()
             else:
                 line_size = self.line_size
                 num_sets = self.num_sets
                 lines = [address // line_size for address in addresses]
-                self.set_idx = [line % num_sets for line in lines]
-                self.tags = [line // num_sets for line in lines]
+                set_idx = [line % num_sets for line in lines]
+                tags = [line // num_sets for line in lines]
+        self.block = (gaps, writes, *decoded, tags, set_idx, addresses)
 
-    def _decode(self, addresses) -> None:
-        """Predecode the block's DRAM coordinates into lists."""
+    def _decode(self, addresses) -> tuple:
+        """The block's DRAM coordinates as lists: ``(rows, flat_banks,
+        rank_idx, channels)``."""
         ch, rk, _, _, rows, _, flat = self.mapper.decode_batch(addresses)
         if _np is not None:
-            self.channels = ch.tolist()
-            self.rank_idx = (ch * self.ranks_per_channel + rk).tolist()
-            self.rows = rows.tolist()
-            self.flat_banks = flat.tolist()
-        else:
-            rpc = self.ranks_per_channel
-            self.channels = ch
-            self.rank_idx = [c * rpc + r for c, r in zip(ch, rk)]
-            self.rows = rows
-            self.flat_banks = flat
+            return (
+                rows.tolist(),
+                flat.tolist(),
+                (ch * self.ranks_per_channel + rk).tolist(),
+                ch.tolist(),
+            )
+        rpc = self.ranks_per_channel
+        return rows, flat, [c * rpc + r for c, r in zip(ch, rk)], ch
 
     def _set_arrays(self, gaps, addresses, writes) -> None:
         """Take a block from the array hook; its lists are built later."""
-        self.gaps = self.addresses = self.writes = None
-        self.rows = self.flat_banks = self.rank_idx = self.channels = None
-        self.set_idx = self.tags = None
+        self.block = _NO_BLOCK
         self.gaps_np = gaps
         self.addresses_np = addresses
         self.writes_np = writes
@@ -337,14 +345,19 @@ class _CoreFeed:
         self.gap_ns_np = gaps / self.peak
         self.offsets_np = addresses // self.line_size - self.dom_base
 
-    def materialise(self) -> None:
-        """Build the current block's per-entry lists from its arrays."""
-        self.gaps = self.gaps_np.tolist()
-        self.addresses = self.addresses_np.tolist()
-        self.writes = self.writes_np.tolist()
+    def materialise(self, decoded: tuple = _NOT_DECODED) -> None:
+        """Build the current block's per-entry lists from its arrays, with
+        the DRAM coordinates ``decoded`` by :meth:`_decode` (none for a
+        stretch block)."""
         lines = self.offsets_np + self.dom_base
-        self.set_idx = (lines % self.num_sets).tolist()
-        self.tags = (lines // self.num_sets).tolist()
+        self.block = (
+            self.gaps_np.tolist(),
+            self.writes_np.tolist(),
+            *decoded,
+            (lines // self.num_sets).tolist(),
+            (lines % self.num_sets).tolist(),
+            self.addresses_np.tolist(),
+        )
 
     def activate_fast(self) -> None:
         """Switch to the stretch executor's refill; the current block came
@@ -524,7 +537,6 @@ class BatchedSimulator(Simulator):
         module docstring for why the run-batching rule and the stretch
         executor preserve the exact global service order.
         """
-        cores_by_id = {core.core_id: core for core in self.cores}
         benign_pending = {
             core.core_id
             for core in self.cores
@@ -534,10 +546,22 @@ class BatchedSimulator(Simulator):
             raise ValueError("at least one core needs a finite request budget")
 
         controller = self.controller
-        feeds = {
-            core.core_id: _CoreFeed(core, self.mapper, self.config, self.BATCH)
-            for core in self.cores
-        }
+        # One record per core of what stays fixed for the whole drain: the
+        # budget, bypass flag, MLP and peak issue rate are set when the core
+        # is built, and ``_outstanding`` (the core's own heap) is only ever
+        # mutated in place.
+        records = {}
+        for core in self.cores:
+            feed = _CoreFeed(core, self.mapper, self.config, self.BATCH)
+            records[core.core_id] = (
+                core,
+                feed,
+                core.request_budget,
+                feed.bypasses_llc,
+                core._outstanding,
+                core.effective_mlp,
+                core.config.peak_instructions_per_ns,
+            )
 
         llc = self.llc
         sets = llc._sets
@@ -550,8 +574,11 @@ class BatchedSimulator(Simulator):
         line_size = self.config.llc.line_size_bytes
         service_row = controller.service_row
         service = controller.service
-        row_from_flat = self.mapper.row_address_from_flat
+        # The tail fills the mapper's (flat bank, row) memo itself, building
+        # each RowAddress without the namedtuple's Python-level __new__.
         row_cache = self.mapper._row_addr_cache
+        bank_of = self.mapper._flat_banks
+        new_tuple = tuple.__new__
         rows_per_bank = self.config.dram.rows_per_bank
         # The DRAM tail below inlines service_row for a hookless controller:
         # a call saved per request, and attack kernels take that tail on
@@ -563,6 +590,7 @@ class BatchedSimulator(Simulator):
         apply_response = controller._apply_response
         heappush = heapq.heappush
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         # A subscriber to a per-request kind routes every request through
         # the scalar reference path, which emits it; that path is
         # arithmetic-identical to the inlined fast paths (parity-pinned), so
@@ -590,12 +618,14 @@ class BatchedSimulator(Simulator):
         build_cost = num_sets * data_ways
         probe = _FIRST_PROBE
 
-        while benign_pending and heap:
-            _, _, core_id = heappop(heap)
-            core = cores_by_id[core_id]
-            feed = feeds[core_id]
-            budget = core.request_budget
-            bypasses = feed.bypasses_llc
+        # ``core_id`` is the core to drain next: a switch hands the current
+        # core back with one ``heapreplace``, and a finished core's successor
+        # is popped; ``None`` once no benign budget is left.
+        core_id = heappop(heap)[2]
+        while core_id is not None:
+            core, feed, budget, bypasses, outstanding, mlp, peak = records[
+                core_id
+            ]
             fast = (
                 not heap
                 and stretch_ok
@@ -613,27 +643,18 @@ class BatchedSimulator(Simulator):
                 # Twice each position in a block, for a run's sort keys.
                 doubled = np.arange(0, 2 * _FAST_BATCH, 2, dtype=np.int64)
             # The core's hot scheduling state lives in locals while the core
-            # is being drained (written back at every exit point below);
-            # ``outstanding`` is the core's own heap, mutated in place.  The
+            # is being drained (written back at every exit point below).  The
             # inlined blocks mirror CoreModel.begin_request / complete_read /
             # next_event_time exactly.
-            outstanding = core._outstanding
-            mlp = core.effective_mlp
-            peak = core.config.peak_instructions_per_ns
             cpu_time = core.cpu_time_ns
             instructions = core.instructions_retired
             requests = core.requests_issued
             i = feed.idx
             size = feed.size
-            gaps = feed.gaps
-            writes = feed.writes
-            rows = feed.rows
-            flat_banks = feed.flat_banks
-            rank_idx = feed.rank_idx
-            channels = feed.channels
-            tags_arr = feed.tags
-            set_arr = feed.set_idx
-            addresses = feed.addresses
+            (
+                gaps, writes, rows, flat_banks, rank_idx, channels,
+                tags_arr, set_arr, addresses,
+            ) = feed.block
             while True:
                 if i >= size:
                     core.requests_issued = requests  # refill reads the budget
@@ -645,15 +666,10 @@ class BatchedSimulator(Simulator):
                         feed.refill()
                     i = 0
                     size = feed.size
-                    gaps = feed.gaps
-                    writes = feed.writes
-                    rows = feed.rows
-                    flat_banks = feed.flat_banks
-                    rank_idx = feed.rank_idx
-                    channels = feed.channels
-                    tags_arr = feed.tags
-                    set_arr = feed.set_idx
-                    addresses = feed.addresses
+                    (
+                        gaps, writes, rows, flat_banks, rank_idx, channels,
+                        tags_arr, set_arr, addresses,
+                    ) = feed.block
 
                 if fast:
                     # Gallop over the block: probe _FIRST_PROBE entries,
@@ -698,11 +714,10 @@ class BatchedSimulator(Simulator):
                     )
                     if tags_arr is None and (missed or (run and not vector)):
                         feed.materialise()
-                        gaps = feed.gaps
-                        writes = feed.writes
-                        addresses = feed.addresses
-                        tags_arr = feed.tags
-                        set_arr = feed.set_idx
+                        (
+                            gaps, writes, rows, flat_banks, rank_idx,
+                            channels, tags_arr, set_arr, addresses,
+                        ) = feed.block
                     if run:
                         if vector:
                             # ``np.add.accumulate`` performs the identical
@@ -803,6 +818,11 @@ class BatchedSimulator(Simulator):
                             core.requests_issued = requests
                             core.note_progress()
                             benign_pending.discard(core_id)
+                            core_id = (
+                                heappop(heap)[2]
+                                if benign_pending and heap
+                                else None
+                            )
                             break
                     if not missed:
                         continue
@@ -869,9 +889,12 @@ class BatchedSimulator(Simulator):
                     else:
                         row = rows[i]
                         flat = flat_banks[i]
-                        row_addr = row_cache.get(flat * rows_per_bank + row)
+                        key = flat * rows_per_bank + row
+                        row_addr = row_cache.get(key)
                         if row_addr is None:
-                            row_addr = row_from_flat(flat, row)
+                            row_addr = row_cache[key] = new_tuple(
+                                RowAddress, (bank_of[flat], row)
+                            )
                         if hookless:
                             # Inlined service_row for a hookless controller.
                             cstats.requests += 1
@@ -889,7 +912,10 @@ class BatchedSimulator(Simulator):
                                 response = on_activation(
                                     row_addr, completion_ns
                                 )
-                                if not response.is_empty:
+                                if (
+                                    response is not EMPTY_RESPONSE
+                                    and not response.is_empty
+                                ):
                                     apply_response(
                                         response, row_addr, completion_ns
                                     )
@@ -918,6 +944,9 @@ class BatchedSimulator(Simulator):
                     core.requests_issued = requests
                     core.note_progress()
                     benign_pending.discard(core_id)
+                    core_id = (
+                        heappop(heap)[2] if benign_pending and heap else None
+                    )
                     break
                 if outstanding and len(outstanding) >= mlp:
                     head = outstanding[0]
@@ -926,12 +955,17 @@ class BatchedSimulator(Simulator):
                     next_ns = cpu_time
                 # Strictly earlier than the heap head: on a tie the scalar
                 # engine serves the heap entry first (older sequence number).
+                # So the head is strictly smaller than this core's new entry,
+                # and one ``heapreplace`` returns what a push and then a pop
+                # would, leaving the same entries in the heap.
                 if heap and heap[0][0] <= next_ns:
                     feed.idx = i
                     core.cpu_time_ns = cpu_time
                     core.instructions_retired = instructions
                     core.requests_issued = requests
-                    heappush(heap, (next_ns, sequence, core_id))
+                    core_id = heapreplace(
+                        heap, (next_ns, sequence, core_id)
+                    )[2]
                     sequence += 1
                     break
 

@@ -34,7 +34,7 @@ from repro.dram.address import AddressMapper, RowAddress
 from repro.sim.batch import engine_class
 from repro.sim.simulator import CoreSpec, SimulationResult
 from repro.sim.sweep import CoreAssignment
-from repro.trackers.base import RowHammerTracker
+from repro.trackers.base import EMPTY_RESPONSE, RowHammerTracker
 from repro.trackers.none import NoMitigation
 from repro.trackers.registry import create_tracker
 
@@ -280,7 +280,7 @@ def _replay_warmup(
             response = on_activation(row_addr, now_ns)
             now_ns += step_ns
             performed += 1
-            if (
+            if response is not EMPTY_RESPONSE and (
                 response.mitigations
                 or response.group_mitigations
                 or response.blackouts

@@ -136,6 +136,7 @@ class TestCampaignVerbs:
         assert leases["summary"]["done"] == leases["summary"]["shards"] == 1
 
     def test_unknown_campaign_and_bad_suite_exit_2(self, tmp_path, capsys):
+        SqliteStore(tmp_path / "wh.sqlite").close()
         store_arg = ["--store", str(tmp_path / "wh.sqlite")]
         assert main(["campaign", "status", "nope", *store_arg]) == 2
         assert "unknown campaign" in capsys.readouterr().err
@@ -403,6 +404,58 @@ class TestStoreVerbs:
         assert "cannot open" in err and "store import" in err
         assert {path.name: path.read_bytes() for path in legacy.iterdir()} == before
         assert not (tmp_path / "out.json").exists()
+
+    #: Every verb that only reads a warehouse, given a missing path where it
+    #: reads one, an existing warehouse and a new output path.  ``store
+    #: import`` reads its source before it opens (and may create) its
+    #: destination.
+    READ_ONLY_VERBS = {
+        "store-query": lambda missing, wh, out: [
+            "store", "query", "--store", missing,
+        ],
+        "store-export": lambda missing, wh, out: [
+            "store", "export", "--store", missing, "-o", out,
+        ],
+        "store-metrics": lambda missing, wh, out: [
+            "store", "metrics", "--list", "--store", missing,
+        ],
+        "store-import-source": lambda missing, wh, out: [
+            "store", "import", missing, "--store", out,
+        ],
+        "campaign-status": lambda missing, wh, out: [
+            "campaign", "status", "any", "--store", missing,
+        ],
+        "campaign-leases": lambda missing, wh, out: [
+            "campaign", "leases", "any", "--store", missing,
+        ],
+        "campaign-list": lambda missing, wh, out: [
+            "campaign", "list", "--store", missing,
+        ],
+        "campaign-report": lambda missing, wh, out: [
+            "campaign", "report", "any", "--store", missing, "-o", out,
+        ],
+        "campaign-diff": lambda missing, wh, out: [
+            "campaign", "diff", "a", "b", "--store", missing, "-o", out,
+        ],
+        "campaign-diff-store-b": lambda missing, wh, out: [
+            "campaign", "diff", "a", "b", "--store", wh,
+            "--store-b", missing, "-o", out,
+        ],
+    }
+
+    @pytest.mark.parametrize("verb", list(READ_ONLY_VERBS))
+    def test_read_only_verb_on_a_missing_store_exits_2_and_creates_nothing(
+        self, verb, tmp_path, capsys
+    ):
+        warehouse = tmp_path / "wh.sqlite"
+        SqliteStore(warehouse).close()
+        argv = self.READ_ONLY_VERBS[verb](
+            str(tmp_path / "typo.sqlite"), str(warehouse), str(tmp_path / "out.sqlite")
+        )
+        assert main(argv) == 2
+        assert "typo.sqlite" in capsys.readouterr().err
+        created = [path.name for path in tmp_path.iterdir()]
+        assert not [name for name in created if name.startswith(("typo", "out"))]
 
 
 class TestSqliteCacheDir:

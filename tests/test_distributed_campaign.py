@@ -685,6 +685,7 @@ class TestWorkerCli:
     def test_leases_on_unknown_campaign_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
+        SqliteStore(tmp_path / "wh.sqlite").close()
         code = main([
             "campaign", "leases", "nope",
             "--store", str(tmp_path / "wh.sqlite"),

@@ -234,3 +234,14 @@ class TestEnergyAccounting:
         assert report.total_nj > 0
         assert report.command_counts[CommandKind.REF] > 0
         assert report.command_counts[CommandKind.ACT] == 1
+
+    def test_accesses_book_each_command_in_issue_order(self, dram):
+        # The energy sum runs over the counts in first-insertion order.
+        _access(dram, _decoded(row=1), False, 0.0)
+        _access(dram, _decoded(row=1, column=2), True, 1000.0)
+        _access(dram, _decoded(row=2), False, 2000.0)
+        assert list(dram.energy.counts.items()) == [
+            (CommandKind.ACT, 2),
+            (CommandKind.RD, 2),
+            (CommandKind.WR, 1),
+        ]
